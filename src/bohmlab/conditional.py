@@ -1,6 +1,8 @@
 """Two-factor measurement model: spin system times pointer coordinate.
 
-The joint wave function lives on (spin component i, pointer position y).
+The joint wave function Psi(i, y) over (spin component i, pointer
+position y) is a `SpinorField` over the pointer coordinate, the same
+type that carries a Stern-Gerlach packet over the particle position.
 An ideal impulsive coupling translates the pointer packet of component 1
 by +shift and of component 2 by -shift, producing the branch form
 
@@ -22,10 +24,11 @@ import numpy as np
 from . import rng
 from .serialize import fmt
 from .wavefield import (
-    BOUNDARY_EDGE_FRACTION,
-    BOUNDARY_MASS_LIMIT,
     NODE_DENSITY_FRACTION,
     Grid1D,
+    SpinorField,
+    check_boundary,
+    check_packet,
 )
 
 
@@ -41,73 +44,37 @@ class CouplingSpec:
             raise ValueError("shift must be nonnegative")
 
 
-class PointerField:
-    """Joint amplitudes A[i, j] over (spin component i, pointer node j)."""
-
-    def __init__(self, grid: Grid1D, amplitudes: np.ndarray):
-        amplitudes = np.array(amplitudes, dtype=complex)
-        if amplitudes.shape != (2, grid.n_points):
-            raise ValueError("amplitudes must have shape (2, n_points)")
-        amplitudes.flags.writeable = False
-        self.grid = grid
-        self.amplitudes = amplitudes
-
-    def marginal_density(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
-
-    def norm(self) -> float:
-        return float(np.sum(self.marginal_density()) * self.grid.dx)
-
-    def branch_weights(self) -> tuple[float, float]:
-        w = np.sum(np.abs(self.amplitudes) ** 2, axis=1) * self.grid.dx
-        return float(w[0]), float(w[1])
-
-
 def prepare_pointer_state(alpha: complex, beta: complex, grid: Grid1D,
-                          center: float = 0.0, width: float = 1.0) -> PointerField:
+                          center: float = 0.0, width: float = 1.0) -> SpinorField:
     """Product state: spin (alpha, beta) times a ready-state Gaussian
-    pointer packet."""
-    spin_norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(spin_norm - 1.0) > 1e-9:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {spin_norm}, must be 1 within 1e-9")
-    if not width > 0:
-        raise ValueError("width must be positive")
-    if center - 5 * width < grid.x_min or center + 5 * width > grid.x_max:
-        raise ValueError("pointer packet must stay at least 5 widths from the grid boundaries")
+    pointer packet, validated by `check_packet`."""
+    check_packet(grid, center, width, alpha, beta)
     y = grid.nodes
     packet = np.exp(-((y - center) ** 2) / (4.0 * width**2))
     packet = packet / np.sqrt(np.sum(np.abs(packet) ** 2) * grid.dx)
-    return PointerField(grid, np.array([alpha * packet, beta * packet]))
+    return SpinorField(grid, alpha * packet, beta * packet)
 
 
-def _edge_mass(grid: Grid1D, amplitudes: np.ndarray) -> float:
-    edge = BOUNDARY_EDGE_FRACTION * grid.length
-    x = grid.nodes
-    mask = (x < grid.x_min + edge) | (x >= grid.x_max - edge)
-    return float(np.sum(np.abs(amplitudes[:, mask]) ** 2) * grid.dx)
-
-
-def apply_coupling(field: PointerField, coupling: CouplingSpec) -> PointerField:
+def apply_coupling(field: SpinorField, coupling: CouplingSpec) -> SpinorField:
     """Translate branch 1 by +shift and branch 2 by -shift (spectral
-    translation, exactly unitary)."""
+    translation, exactly unitary).
+
+    Raises BoundaryMassError if a shifted branch reaches the grid's edge zone.
+    """
     if coupling.shift == 0.0:
-        return PointerField(field.grid, field.amplitudes)
+        return field
     k = field.grid.wavenumbers
-    shifted = np.empty_like(field.amplitudes)
-    for i, sign in enumerate((+1.0, -1.0)):
-        shifted[i] = np.fft.ifft(np.exp(-1j * k * sign * coupling.shift)
-                                 * np.fft.fft(field.amplitudes[i]))
-    if _edge_mass(field.grid, shifted) > BOUNDARY_MASS_LIMIT:
-        raise ValueError("shifted pointer packet violates the boundary monitor; "
-                         "enlarge the pointer grid")
-    return PointerField(field.grid, shifted)
+    sign = np.array([[+1.0], [-1.0]])
+    shifted = np.fft.ifft(np.exp(-1j * k * sign * coupling.shift) * np.fft.fft(field.psi))
+    check_boundary(field.grid, shifted)
+    return SpinorField(field.grid, *shifted, time=field.time)
 
 
-def branch_overlap(field: PointerField) -> float:
+def branch_overlap(field: SpinorField) -> float:
     """L1 overlap of the two pointer branches, integral |Phi_1 Phi_2| dy,
     with each branch normalized."""
-    a = np.abs(field.amplitudes[0])
-    b = np.abs(field.amplitudes[1])
+    a = np.abs(field.up)
+    b = np.abs(field.down)
     na = np.sqrt(np.sum(a**2) * field.grid.dx)
     nb = np.sqrt(np.sum(b**2) * field.grid.dx)
     if na < 1e-12 or nb < 1e-12:
@@ -115,18 +82,18 @@ def branch_overlap(field: PointerField) -> float:
     return float(np.sum(a * b) * field.grid.dx / (na * nb))
 
 
-def conditional_state(field: PointerField, y: float) -> np.ndarray:
+def conditional_state(field: SpinorField, y: float) -> np.ndarray:
     """Normalized 2-component spin state conditioned on pointer value y
     (linear interpolation between pointer nodes)."""
     grid = field.grid
     if y < grid.x_min or y > grid.x_max:
         raise ValueError(f"y = {y} lies outside the pointer grid")
-    up = np.interp(y, grid.nodes, field.amplitudes[0].real) \
-        + 1j * np.interp(y, grid.nodes, field.amplitudes[0].imag)
-    down = np.interp(y, grid.nodes, field.amplitudes[1].real) \
-        + 1j * np.interp(y, grid.nodes, field.amplitudes[1].imag)
+    up = np.interp(y, grid.nodes, field.up.real) \
+        + 1j * np.interp(y, grid.nodes, field.up.imag)
+    down = np.interp(y, grid.nodes, field.down.real) \
+        + 1j * np.interp(y, grid.nodes, field.down.imag)
     density = abs(up) ** 2 + abs(down) ** 2
-    eps = NODE_DENSITY_FRACTION * float(field.marginal_density().max())
+    eps = NODE_DENSITY_FRACTION * float(field.density().max())
     if density < eps:
         raise ValueError(f"pointer density at y = {y} is below the node threshold")
     vec = np.array([up, down])
@@ -169,7 +136,7 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     prepared = prepare_pointer_state(alpha, beta, grid, center, width)
     coupled = apply_coupling(prepared, coupling)
 
-    ys = rng.sample_from_density(grid.nodes, coupled.marginal_density(), n_trials, seed)
+    ys = rng.sample_from_density(grid.nodes, coupled.density(), n_trials, seed)
     trials = []
     min_purity = 1.0
     for i, y in enumerate(ys):

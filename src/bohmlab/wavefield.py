@@ -1,8 +1,14 @@
-"""Spinor wave packets on a 1D periodic grid and their unitary evolution.
+"""Two-component wave functions on a 1D periodic grid and their unitary
+evolution.
 
 Natural units throughout: hbar = m = 1.
 
-The two spin components evolve independently under
+A `SpinorField` holds psi[i, j], component i at grid node j.  The same
+type serves a spin packet over the particle position and the joint
+spin-pointer state over the pointer coordinate (see `conditional`):
+every measurement here ends as a position measurement.
+
+The two components evolve independently under
 
     i dpsi/dt = [-1/2 d^2/dx^2 + V(x)] psi
 
@@ -22,8 +28,8 @@ separates them with group velocities +-mu_b*tau.
 
 The grid is periodic (spectral transforms), so configurations must keep
 their probability mass away from the edges; a boundary monitor aborts
-any evolution that sends more than 1e-6 of the mass into the outer 5%
-of the domain on either side.
+any evolution or coupling that sends more than 1e-6 of the mass into
+the outer 5% of the domain on either side.
 """
 
 from __future__ import annotations
@@ -78,6 +84,15 @@ class Grid1D:
         return x
 
     @cached_property
+    def edge_mask(self) -> np.ndarray:
+        """Nodes in the outer BOUNDARY_EDGE_FRACTION of the grid on either side."""
+        edge = BOUNDARY_EDGE_FRACTION * self.length
+        x = self.nodes
+        mask = (x < self.x_min + edge) | (x >= self.x_max - edge)
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
         k.flags.writeable = False
@@ -105,10 +120,9 @@ class MagnetSpec:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    kind: str                     # "free" | "harmonic" | "custom_tabulated"
+    kind: str                     # "free" | "harmonic"
     omega: float = 1.0
     center: float = 0.0
-    values: tuple = ()
 
     @classmethod
     def free(cls) -> "PotentialSpec":
@@ -120,39 +134,33 @@ class PotentialSpec:
             raise ValueError("omega must be positive")
         return cls(kind="harmonic", omega=omega, center=center)
 
-    @classmethod
-    def tabulated(cls, values) -> "PotentialSpec":
-        return cls(kind="custom_tabulated", values=tuple(float(v) for v in values))
-
     def evaluate(self, grid: Grid1D) -> np.ndarray:
         if self.kind == "free":
             return np.zeros(grid.n_points)
         if self.kind == "harmonic":
             return 0.5 * self.omega**2 * (grid.nodes - self.center) ** 2
-        if self.kind == "custom_tabulated":
-            if len(self.values) != grid.n_points:
-                raise ValueError("tabulated potential length must equal n_points")
-            return np.array(self.values, dtype=float)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
 
 class SpinorField:
-    """Immutable snapshot of a two-component wave function at one time."""
+    """Immutable snapshot of a two-component wave function at one time.
+
+    `psi` is the read-only (2, n_points) array; `up` and `down` are its
+    row views.
+    """
 
     def __init__(self, grid: Grid1D, up: np.ndarray, down: np.ndarray, time: float = 0.0):
-        up = np.array(up, dtype=complex)
-        down = np.array(down, dtype=complex)
-        if up.shape != (grid.n_points,) or down.shape != (grid.n_points,):
+        if np.shape(up) != (grid.n_points,) or np.shape(down) != (grid.n_points,):
             raise ValueError("component arrays must match the grid")
-        up.flags.writeable = False
-        down.flags.writeable = False
+        psi = np.array([up, down], dtype=complex)
+        psi.flags.writeable = False
         self.grid = grid
-        self.up = up
-        self.down = down
+        self.psi = psi
+        self.up, self.down = psi
         self.time = float(time)
 
     def density(self) -> np.ndarray:
-        return np.abs(self.up) ** 2 + np.abs(self.down) ** 2
+        return np.sum(np.abs(self.psi) ** 2, axis=0)
 
     def norm(self) -> float:
         return float(np.sum(self.density()) * self.grid.dx)
@@ -174,14 +182,11 @@ class SpinorField:
         return float(np.sqrt(var))
 
 
-def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
-                    alpha: complex, beta: complex) -> SpinorField:
-    """Normalized spinor Gaussian exp(-(x-center)^2/(4 width^2) + i k x),
-    with the spin part (alpha, beta).
-
-    The packet must sit at least 5 widths from both grid edges, matching
-    the boundary monitor used during evolution.
-    """
+def check_packet(grid: Grid1D, center: float, width: float,
+                 alpha: complex, beta: complex) -> None:
+    """Reject a Gaussian packet with spin part (alpha, beta) that is not
+    normalized, has no width, or sits within 5 widths of a grid edge (the
+    margin that keeps a fresh packet clear of the boundary monitor)."""
     spin_norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(spin_norm - 1.0) > 1e-9:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {spin_norm}, must be 1 within 1e-9")
@@ -189,6 +194,13 @@ def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
         raise ValueError("width must be positive")
     if center - 5 * width < grid.x_min or center + 5 * width > grid.x_max:
         raise ValueError("packet must stay at least 5 widths from the grid boundaries")
+
+
+def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
+                    alpha: complex, beta: complex) -> SpinorField:
+    """Normalized spinor Gaussian exp(-(x-center)^2/(4 width^2) + i k x),
+    with the spin part (alpha, beta), validated by `check_packet`."""
+    check_packet(grid, center, width, alpha, beta)
     x = grid.nodes
     envelope = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
     envelope /= np.sqrt(np.sum(np.abs(envelope) ** 2) * grid.dx)
@@ -201,10 +213,14 @@ def stability_dt_bound(grid: Grid1D, potential: PotentialSpec) -> float:
     return 0.1 / max(v_inf, grid.k_max**2 / 2.0)
 
 
-def _boundary_mask(grid: Grid1D) -> np.ndarray:
-    edge = BOUNDARY_EDGE_FRACTION * grid.length
-    x = grid.nodes
-    return (x < grid.x_min + edge) | (x >= grid.x_max - edge)
+def check_boundary(grid: Grid1D, psi: np.ndarray) -> None:
+    """Boundary monitor: raise BoundaryMassError when more than 1e-6 of the
+    mass of the (2, n_points) amplitudes lies in the grid's edge zone."""
+    edge_mass = float(np.sum(np.abs(psi[:, grid.edge_mask]) ** 2) * grid.dx)
+    if edge_mass > BOUNDARY_MASS_LIMIT:
+        raise BoundaryMassError(
+            f"{edge_mass:.3e} of the mass entered the outer "
+            f"{BOUNDARY_EDGE_FRACTION:.0%} of the grid; enlarge the domain")
 
 
 def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) -> SpinorField:
@@ -222,21 +238,14 @@ def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) 
     v = potential.evaluate(grid)
     half_phase = np.exp(-0.5j * dt * v)
     kinetic_phase = np.exp(-0.5j * dt * grid.wavenumbers**2)
-    edge = _boundary_mask(grid)
 
-    up = np.array(field.up)
-    down = np.array(field.down)
+    psi = np.array(field.psi)
     for _ in range(steps):
-        for comp in (up, down):
-            comp *= half_phase
-            comp[:] = np.fft.ifft(kinetic_phase * np.fft.fft(comp))
-            comp *= half_phase
-        edge_mass = (np.sum(np.abs(up[edge]) ** 2) + np.sum(np.abs(down[edge]) ** 2)) * grid.dx
-        if edge_mass > BOUNDARY_MASS_LIMIT:
-            raise BoundaryMassError(
-                f"{edge_mass:.3e} of the mass entered the outer "
-                f"{BOUNDARY_EDGE_FRACTION:.0%} of the grid; enlarge the domain")
-    return SpinorField(grid, up, down, field.time + steps * dt)
+        psi *= half_phase
+        psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
+        psi *= half_phase
+        check_boundary(grid, psi)
+    return SpinorField(grid, *psi, time=field.time + steps * dt)
 
 
 def evolve_frames(field: SpinorField, potential: PotentialSpec, dt: float,
@@ -312,11 +321,9 @@ def velocity_field(field: SpinorField) -> np.ndarray:
     floating-point grid needs a rule.
     """
     grid = field.grid
-    ik = 1j * grid.wavenumbers
-    dup = np.fft.ifft(ik * np.fft.fft(field.up))
-    ddown = np.fft.ifft(ik * np.fft.fft(field.down))
+    dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(field.psi))
     rho = field.density()
-    current = np.imag(np.conj(field.up) * dup + np.conj(field.down) * ddown)
+    current = np.imag(np.sum(np.conj(field.psi) * dpsi, axis=0))
 
     eps = NODE_DENSITY_FRACTION * float(rho.max())
     live = rho >= eps

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bohmlab import cli, experiments, nogo
-from bohmlab.config import default_config, harmonic_equilibrium_config
+from bohmlab.config import default_config, harmonic_equilibrium_config, parse_config
 from bohmlab.trajectories import integrate
 from bohmlab.wavefield import (
     PotentialSpec,
@@ -208,24 +208,43 @@ def test_c09_numerics():
     assert ok
 
 
+def _run_twice(tmp_path, name: str, manifest: dict) -> list[str]:
+    """Run one manifest twice; return the output files whose bytes differ."""
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{name}-{run}"
+        assert cli.dispatch(cli.RunManifest(seed_override=None, out_dir=str(out), quiet=True,
+                                            **manifest)) == 0
+        outputs.append(out)
+    files = sorted(p.relative_to(outputs[0]) for p in outputs[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outputs[1]) for p in outputs[1].rglob("*")
+                           if p.is_file())
+    return [f"{name}/{f}" for f in files
+            if (outputs[0] / f).read_bytes() != (outputs[1] / f).read_bytes()]
+
+
+# the smallest round trajectory counts at which every check still passes keep the
+# suite fast; stern_gerlach and pointer run at their shipped sizes
+C10_TRAJECTORIES = {"equilibrium_free": 2000, "equilibrium_harmonic": 2000,
+                    "sequential_zx": 500, "no_crossing": 500}
+
+
 def test_c10_reproducibility(tmp_path):
-    tables = {"stern-gerlach": ("report.txt", "report.json", "ensemble.csv"),
-              "pointer": ("report.txt", "report.json", "trials.csv")}
-    configs = {"stern-gerlach": "stern_gerlach.cfg", "pointer": "pointer.cfg"}
-    identical = True
-    for scenario, files in tables.items():
-        outputs = []
-        for run in ("a", "b"):
-            out = tmp_path / f"{scenario}-{run}"
-            manifest = cli.RunManifest(subcommand=f"sim {scenario}",
-                                       config_path=str(CONFIG_DIR / configs[scenario]),
-                                       seed_override=None, out_dir=str(out), quiet=True)
-            assert cli.dispatch(manifest) == 0
-            outputs.append(out)
-        for name in files:
-            if (outputs[0] / name).read_bytes() != (outputs[1] / name).read_bytes():
-                identical = False
+    config_paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    differing = []
+    for path in config_paths:
+        scenario = parse_config(path.read_text()).scenario
+        differing += _run_twice(tmp_path, path.stem, {
+            "subcommand": f"sim {scenario.replace('_', '-')}",
+            "config_path": str(path),
+            "trajectories_override": C10_TRAJECTORIES.get(path.stem),
+            "dump_frames": scenario == "stern_gerlach"})
+    for kind in ("mermin", "vonneumann", "chsh"):
+        differing += _run_twice(tmp_path, f"nogo-{kind}",
+                                {"subcommand": f"nogo {kind}", "config_path": None})
+    identical = not differing
     record_acceptance(
         "C10 reproducibility", identical,
-        "shipped stern-gerlach and pointer configs re-run byte-identically")
+        f"{len(config_paths)} shipped configs and 3 nogo checks re-run byte-identically"
+        if identical else f"outputs differ between runs: {', '.join(differing)}")
     assert identical

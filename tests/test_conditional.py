@@ -10,7 +10,7 @@ from bohmlab.conditional import (
     run_pointer_measurement,
     write_trials,
 )
-from bohmlab.wavefield import Grid1D
+from bohmlab.wavefield import BoundaryMassError, Grid1D, SpinorField
 
 ALPHA, BETA = 0.6, 0.8
 
@@ -28,7 +28,8 @@ def spin_fidelity(a, b):
 class TestPrepare:
     def test_pure_component(self, pointer_grid):
         f = prepare_pointer_state(1.0, 0.0, pointer_grid)
-        assert np.all(f.amplitudes[1] == 0.0)
+        assert isinstance(f, SpinorField)
+        assert np.all(f.down == 0.0)
 
     def test_normalized(self, pointer_grid):
         f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
@@ -48,12 +49,17 @@ class TestPrepare:
         with pytest.raises(ValueError):
             prepare_pointer_state(1.0, 0.0, pointer_grid, center=21.0, width=1.0)
 
+    def test_width_must_be_positive(self, pointer_grid):
+        for width in (0.0, -1.0):
+            with pytest.raises(ValueError, match="width must be positive"):
+                prepare_pointer_state(1.0, 0.0, pointer_grid, width=width)
+
 
 class TestCoupling:
     def test_zero_shift_is_identity(self, pointer_grid):
         f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
         out = apply_coupling(f, CouplingSpec(0.0))
-        assert np.array_equal(out.amplitudes, f.amplitudes)
+        assert np.array_equal(out.psi, f.psi)
 
     def test_norm_preserved(self, pointer_grid):
         f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
@@ -63,7 +69,7 @@ class TestCoupling:
     def test_branch_weights_are_born_weights_exactly(self, pointer_grid):
         f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
                            CouplingSpec(10.0))
-        w1, w2 = f.branch_weights()
+        w1, w2 = np.sum(np.abs(f.psi) ** 2, axis=1) * pointer_grid.dx
         assert abs(w1 - ALPHA**2) < 1e-12
         assert abs(w2 - BETA**2) < 1e-12
 
@@ -82,7 +88,7 @@ class TestCoupling:
 
     def test_boundary_monitor(self, pointer_grid):
         f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
-        with pytest.raises(ValueError):
+        with pytest.raises(BoundaryMassError):
             apply_coupling(f, CouplingSpec(22.0))
 
     def test_negative_shift_rejected(self):

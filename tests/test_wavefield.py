@@ -43,6 +43,36 @@ class TestGrid:
         assert grid512.nodes[0] == grid512.x_min
         assert grid512.nodes[-1] == pytest.approx(grid512.x_max - grid512.dx)
 
+    def test_edge_mask_covers_outer_five_percent(self, grid512):
+        mask = grid512.edge_mask
+        assert mask is grid512.edge_mask
+        assert not mask.flags.writeable
+        edge = 0.05 * grid512.length
+        x = grid512.nodes
+        assert np.all(mask[x < grid512.x_min + edge])
+        assert np.all(mask[x >= grid512.x_max - edge])
+        assert not np.any(mask[(x > grid512.x_min + edge) & (x < grid512.x_max - edge)])
+
+
+class TestSpinorField:
+    def test_components_are_rows_of_psi(self, grid512):
+        f = gaussian_packet(grid512, 0.0, 1.0, 0.5, 0.6, 0.8)
+        assert f.psi.shape == (2, grid512.n_points)
+        assert np.shares_memory(f.up, f.psi) and np.shares_memory(f.down, f.psi)
+        assert np.array_equal(f.psi[0], f.up) and np.array_equal(f.psi[1], f.down)
+
+    def test_psi_is_read_only(self, grid512):
+        f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 0.6, 0.8)
+        with pytest.raises(ValueError):
+            f.psi[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.down[0] = 1.0
+
+    def test_component_shapes_checked(self, grid512):
+        psi = np.zeros(grid512.n_points, dtype=complex)
+        with pytest.raises(ValueError):
+            SpinorField(grid512, psi, psi[:-1])
+
 
 class TestGaussianPacket:
     def test_pure_up_spinor(self, grid512):
@@ -102,27 +132,19 @@ class TestEvolve:
         with pytest.raises(BoundaryMassError):
             evolve(f, PotentialSpec.free(), dt, spf * 10)
 
+    def test_boundary_monitor_watches_both_components(self, grid512):
+        # pure down packet, kicked toward the left edge
+        f = magnet_kick(gaussian_packet(grid512, -8.0, 1.0, 0.0, 0.0, 1.0), MagnetSpec(4.0, 1.0))
+        dt, spf = frame_plan(grid512, PotentialSpec.free(), 2.0, 10)
+        with pytest.raises(BoundaryMassError):
+            evolve(f, PotentialSpec.free(), dt, spf * 10)
+
     def test_components_never_mix(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.5, 1.0, 0.0)
         dt, spf = frame_plan(grid512, PotentialSpec.free(), 0.5, 5)
         kicked = magnet_kick(f, MagnetSpec(2.0, 1.0))
         out = evolve(kicked, PotentialSpec.free(), dt, spf)
         assert np.all(out.down == 0.0)
-
-    def test_tabulated_potential_matches_harmonic(self):
-        grid = Grid1D(-12.0, 12.0, 256)
-        pot_h = PotentialSpec.harmonic(1.0)
-        pot_t = PotentialSpec.tabulated(pot_h.evaluate(grid))
-        f = gaussian_packet(grid, 1.0, 0.8, 0.0, 1.0, 0.0)
-        dt = stability_dt_bound(grid, pot_h)
-        a = evolve(f, pot_h, dt, 200)
-        b = evolve(f, pot_t, dt, 200)
-        assert np.array_equal(a.up, b.up)
-
-    def test_tabulated_potential_length_checked(self, grid512):
-        f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            evolve(f, PotentialSpec.tabulated([0.0] * 100), 1e-5, 1)
 
     def test_harmonic_coherent_state_oscillates(self):
         # packet of ground-state width swings rigidly: <x>(t) = x0 cos(t)
