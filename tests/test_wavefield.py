@@ -20,6 +20,8 @@ from bohmlab.wavefield import (
     write_frame,
 )
 
+from conftest import analytic_free_gaussian
+
 
 def frame_plan(grid, potential, total_time, n_frames):
     bound = stability_dt_bound(grid, potential)
@@ -138,6 +140,55 @@ class TestEvolve:
         dt, spf = frame_plan(grid512, PotentialSpec.free(), 2.0, 10)
         with pytest.raises(BoundaryMassError):
             evolve(f, PotentialSpec.free(), dt, spf * 10)
+
+    def test_boundary_monitor_catches_a_full_wrap(self, grid512):
+        # momentum 16 for t = 2 carries the packet once around the periodic
+        # grid and back into the interior within a single call
+        f = gaussian_packet(grid512, 0.0, 1.0, 16.0, 1.0, 0.0)
+        steps = math.ceil(2.0 / stability_dt_bound(grid512, PotentialSpec.free()))
+        with pytest.raises(BoundaryMassError):
+            evolve(f, PotentialSpec.free(), 2.0 / steps, steps)
+
+    def test_negative_steps_rejected(self, grid512):
+        f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
+        dt = stability_dt_bound(grid512, PotentialSpec.free())
+        with pytest.raises(ValueError, match="steps"):
+            evolve(f, PotentialSpec.free(), dt, -1)
+
+    @pytest.mark.parametrize("pot", [PotentialSpec.free(), PotentialSpec.harmonic(1.0)])
+    def test_zero_steps_leave_the_field_unchanged(self, grid512, pot):
+        f = gaussian_packet(grid512, 0.0, 1.0, 1.0, 0.6, 0.8)
+        out = evolve(f, pot, stability_dt_bound(grid512, pot), 0)
+        assert np.array_equal(out.psi, f.psi)
+        assert out.time == f.time
+
+    def test_free_frames_match_analytic_oracle(self):
+        # stern_gerlach geometry: kicked 0.6/0.8 packet, 32 frames
+        grid, kick = Grid1D(-20.0, 20.0, 512), 5.0
+        flight = 10.0 / math.sqrt(4 * kick**2 - 25.0)
+        f = magnet_kick(gaussian_packet(grid, 0.0, 1.0, 0.0, 0.6, 0.8), MagnetSpec(kick, 1.0))
+        dt, spf = frame_plan(grid, PotentialSpec.free(), flight, 32)
+        for frame in evolve_frames(f, PotentialSpec.free(), dt, spf, 32):
+            up = analytic_free_gaussian(grid, 1.0, frame.time, momentum=kick, alpha=0.6).up
+            down = analytic_free_gaussian(grid, 1.0, frame.time, momentum=-kick,
+                                          alpha=0.0, beta=0.8).down
+            assert np.max(np.abs(frame.up - up)) < 1e-13
+            assert np.max(np.abs(frame.down - down)) < 1e-13
+
+    def test_free_evolution_composes(self, grid512):
+        f = magnet_kick(gaussian_packet(grid512, 0.0, 1.0, 0.5, 0.6, 0.8), MagnetSpec(3.0, 1.0))
+        dt, spf = frame_plan(grid512, PotentialSpec.free(), 1.0, 1)
+        a, b = spf // 3, spf - spf // 3
+        two = evolve(evolve(f, PotentialSpec.free(), dt, a), PotentialSpec.free(), dt, b)
+        one = evolve(f, PotentialSpec.free(), dt, a + b)
+        assert np.max(np.abs(two.psi - one.psi)) < 1e-13
+
+    @pytest.mark.parametrize("pot", [PotentialSpec.free(), PotentialSpec.harmonic(1.0)])
+    def test_returned_time_is_exact(self, grid512, pot):
+        f = SpinorField(grid512, *gaussian_packet(grid512, 0.0, 1.0, 0.0, 0.6, 0.8).psi,
+                        time=0.3)
+        dt = 0.7 * stability_dt_bound(grid512, pot)
+        assert evolve(f, pot, dt, 37).time == f.time + 37 * dt
 
     def test_components_never_mix(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.5, 1.0, 0.0)
