@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from . import experiments, nogo
@@ -38,7 +39,7 @@ from .config import (
     with_overrides,
 )
 from .conditional import write_trials
-from .serialize import fmt, json_text
+from .serialize import fmt, json_text, write_table
 from .trajectories import write_ensemble
 from .wavefield import write_frame
 
@@ -156,15 +157,14 @@ def _run_nogo(kind: str):
 def _run_sim(cfg, manifest: RunManifest, out: Path, chash: str):
     text = []
     data = {}
-    extra_files = {}
     if cfg.scenario == "stern_gerlach":
         result = experiments.stern_gerlach(cfg)
         lines, stats = _stats_block(result.statistics)
         text += [f"detection time = {fmt(result.detection_time)}"] + lines
         data = {"detection_time": result.detection_time, "statistics": stats}
-        extra_files["ensemble.csv"] = ("ensemble", result.ensemble)
+        write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash)
         if manifest.dump_frames:
-            extra_files["frames"] = ("frames", result.frames)
+            _write_frames(result.frames, out / "frames")
         checks = result.checks
     elif cfg.scenario == "sequential":
         result = experiments.sequential(cfg)
@@ -183,7 +183,7 @@ def _run_sim(cfg, manifest: RunManifest, out: Path, chash: str):
         data = {"violations": result.crossing_report.violations,
                 "inference_accuracy": result.inference_accuracy,
                 "statistics": stats}
-        extra_files["ensemble.csv"] = ("ensemble", result.ensemble)
+        write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash)
         checks = result.checks
     elif cfg.scenario == "equilibrium":
         result = experiments.equilibrium_experiment(cfg)
@@ -191,46 +191,35 @@ def _run_sim(cfg, manifest: RunManifest, out: Path, chash: str):
         text.append(f"total variation per frame (n={len(tvs)}): "
                     f"max {fmt(max(tvs))}, first {fmt(tvs[0])}, last {fmt(tvs[-1])}")
         data = {"total_variation": tvs}
-        extra_files["ensemble.csv"] = ("ensemble", result.ensemble)
-        extra_files["histograms.csv"] = ("histograms", result)
+        write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash)
+        _write_histograms(result, out / "histograms.csv", chash)
         if manifest.dump_frames:
-            extra_files["frames"] = ("frames", result.frames)
+            _write_frames(result.frames, out / "frames")
         checks = result.checks
     elif cfg.scenario == "pointer":
         result = experiments.pointer_experiment(cfg)
         lines, stats = _stats_block(result.statistics)
         text += [f"minimum collapse purity = {fmt(result.measurement.min_purity)}"] + lines
         data = {"min_purity": result.measurement.min_purity, "statistics": stats}
-        extra_files["trials.csv"] = ("trials", result.measurement)
+        write_trials(result.measurement, out / "trials.csv", config_hash=chash)
         checks = result.checks
     else:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-
-    for name, (kind, payload) in extra_files.items():
-        if kind == "ensemble":
-            write_ensemble(payload, out / name, config_hash=chash)
-        elif kind == "trials":
-            write_trials(payload, out / name, config_hash=chash)
-        elif kind == "histograms":
-            _write_histograms(payload, out / name, chash)
-        elif kind == "frames":
-            frame_dir = out / name
-            frame_dir.mkdir(exist_ok=True)
-            for i, frame in enumerate(payload):
-                write_frame(frame, frame_dir / f"frame_{i:04d}.txt")
     return text, data, checks
 
 
+def _write_frames(frames, frame_dir: Path) -> None:
+    frame_dir.mkdir(exist_ok=True)
+    for i, frame in enumerate(frames):
+        write_frame(frame, frame_dir / f"frame_{i:04d}.txt")
+
+
 def _write_histograms(result, path, chash: str) -> None:
-    lines = [f"# config_hash={chash}", "frame,bin_left,bin_right,empirical,theoretical"]
-    for i, comp in enumerate(result.comparisons):
-        edges = comp.bin_edges
-        for b in range(len(edges) - 1):
-            lines.append(",".join([str(i), fmt(float(edges[b])), fmt(float(edges[b + 1])),
-                                   fmt(float(comp.empirical_mass[b])),
-                                   fmt(float(comp.theoretical_mass[b]))]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (row for i, comp in enumerate(result.comparisons)
+            for row in zip(repeat(i), comp.bin_edges[:-1].tolist(), comp.bin_edges[1:].tolist(),
+                           comp.empirical_mass.tolist(), comp.theoretical_mass.tolist()))
+    write_table(path, [f"# config_hash={chash}", "frame,bin_left,bin_right,empirical,theoretical"],
+                "{},{:.17g},{:.17g},{:.17g},{:.17g}", rows)
 
 
 def dispatch(manifest: RunManifest) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .serialize import fmt
+from .serialize import write_table
 from .wavefield import (
     NODE_DENSITY_FRACTION,
     Grid1D,
@@ -82,22 +82,34 @@ def branch_overlap(field: SpinorField) -> float:
     return float(np.sum(a * b) * field.grid.dx / (na * nb))
 
 
-def conditional_state(field: SpinorField, y: float) -> np.ndarray:
+def conditional_state(field: SpinorField, y) -> np.ndarray:
     """Normalized 2-component spin state conditioned on pointer value y
-    (linear interpolation between pointer nodes)."""
+    (linear interpolation between pointer nodes).
+
+    For a scalar y the result is a (2,) vector.  For a 1-D array of n
+    pointer values it is an (n, 2) array whose row i is the state at
+    y[i], bit for bit what the scalar call gives; the node threshold is
+    computed once.  A failing value raises ValueError for the first one
+    in order: off the grid, or below the node threshold.
+    """
     grid = field.grid
-    if y < grid.x_min or y > grid.x_max:
-        raise ValueError(f"y = {y} lies outside the pointer grid")
-    up = np.interp(y, grid.nodes, field.up.real) \
-        + 1j * np.interp(y, grid.nodes, field.up.imag)
-    down = np.interp(y, grid.nodes, field.down.real) \
-        + 1j * np.interp(y, grid.nodes, field.down.imag)
+    ys = np.asarray(y, dtype=float)
+    up = np.interp(ys, grid.nodes, field.up.real) \
+        + 1j * np.interp(ys, grid.nodes, field.up.imag)
+    down = np.interp(ys, grid.nodes, field.down.real) \
+        + 1j * np.interp(ys, grid.nodes, field.down.imag)
     density = abs(up) ** 2 + abs(down) ** 2
-    eps = NODE_DENSITY_FRACTION * float(field.density().max())
-    if density < eps:
-        raise ValueError(f"pointer density at y = {y} is below the node threshold")
-    vec = np.array([up, down])
-    return vec / np.sqrt(density)
+    outside = (ys < grid.x_min) | (ys > grid.x_max)
+    low = density < NODE_DENSITY_FRACTION * float(field.density().max())
+    bad = np.flatnonzero(outside | low)
+    if bad.size:
+        i = bad[0]
+        at = y if ys.ndim == 0 else float(ys[i])
+        if outside.flat[i]:
+            raise ValueError(f"y = {at} lies outside the pointer grid")
+        raise ValueError(f"pointer density at y = {at} is below the node threshold")
+    vec = np.stack([up, down], axis=-1)
+    return vec / np.sqrt(density)[..., None]
 
 
 @dataclass(frozen=True)
@@ -137,14 +149,10 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     coupled = apply_coupling(prepared, coupling)
 
     ys = rng.sample_from_density(grid.nodes, coupled.density(), n_trials, seed)
-    trials = []
-    min_purity = 1.0
-    for i, y in enumerate(ys):
-        outcome = 1 if y >= center else 2
-        collapsed = conditional_state(coupled, float(y))
-        trial = PointerTrial(trial_id=i, y=float(y), outcome=outcome, collapsed=collapsed)
-        min_purity = min(min_purity, trial.purity)
-        trials.append(trial)
+    collapsed = conditional_state(coupled, ys)
+    trials = [PointerTrial(trial_id=i, y=y, outcome=1 if y >= center else 2, collapsed=c)
+              for i, (y, c) in enumerate(zip(ys.tolist(), collapsed))]
+    min_purity = min([1.0] + [t.purity for t in trials])
     n1 = sum(1 for t in trials if t.outcome == 1)
     counts = (n1, n_trials - n1)
     return PointerMeasurement(
@@ -156,13 +164,14 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     )
 
 
+def _trial_row(t: PointerTrial) -> tuple:
+    up, down = t.collapsed.tolist()
+    return (t.trial_id, t.y, t.outcome, up.real, up.imag, down.real, down.imag)
+
+
 def write_trials(measurement: PointerMeasurement, path, config_hash: str = "") -> None:
     """Per-trial table: trial_id, pointer value, outcome, collapsed spinor."""
-    lines = [f"# config_hash={config_hash}",
-             "trial_id,y,outcome,re_up,im_up,re_down,im_down"]
-    for t in measurement.trials:
-        lines.append(",".join([str(t.trial_id), fmt(t.y), str(t.outcome),
-                               fmt(float(t.collapsed[0].real)), fmt(float(t.collapsed[0].imag)),
-                               fmt(float(t.collapsed[1].real)), fmt(float(t.collapsed[1].imag))]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, [f"# config_hash={config_hash}",
+                       "trial_id,y,outcome,re_up,im_up,re_down,im_down"],
+                "{},{:.17g},{},{:.17g},{:.17g},{:.17g},{:.17g}",
+                map(_trial_row, measurement.trials))

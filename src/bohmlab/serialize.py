@@ -2,11 +2,19 @@
 
 Doubles are written with 17 significant decimal digits, which is enough
 to round-trip any IEEE-754 double exactly, in any language.
+
+`fmt` is the definition of a scalar's text.  For a Python float the
+format spec `"{:.17g}"` gives the same bytes as `fmt` in every case,
+including `nan` of either sign (written `nan`), `inf`, `-inf` and `-0`;
+for a Python int `"{}"` gives the same bytes as `fmt`.  `write_table`
+relies on this rule: a table row is one `str.format` template over
+plain Python numbers, so large tables never call `fmt` per value.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import starmap
 
 import numpy as np
 
@@ -28,6 +36,18 @@ def fmt(x) -> str:
             return "inf" if x > 0 else "-inf"
         return f"{x:.17g}"
     return str(x)
+
+
+def write_table(path, header, row_format: str, rows) -> None:
+    """Write the `header` lines, then `row_format.format(*row)` per row.
+
+    Every line ends in a newline; a template may span several lines.
+    Rows are streamed, so no list of lines or joined text is built.
+    """
+    line = (row_format + "\n").format
+    with open(path, "w") as fh:
+        fh.writelines(h + "\n" for h in header)
+        fh.writelines(starmap(line, rows))
 
 
 def _json_escape(s: str) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .serialize import fmt
+from .serialize import fmt, write_table
 from .wavefield import SpinorField, velocity_field
 
 
@@ -177,10 +177,9 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
 
 def write_ensemble(ensemble: Ensemble, path, config_hash: str = "") -> None:
     """Tabular text: one row per (trajectory, frame)."""
-    lines = [f"# config_hash={config_hash} seed={ensemble.seed}",
-             "trajectory_id,time,position"]
-    for i in range(ensemble.n_trajectories):
-        for t, xt in zip(ensemble.frame_times, ensemble.positions[i]):
-            lines.append(f"{i},{fmt(float(t))},{fmt(float(xt))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    times = [fmt(float(t)) for t in ensemble.frame_times]
+    # one template holds all frames of a trajectory; field 0 is its id
+    template = "\n".join(f"{{0}},{t},{{{j}:.17g}}" for j, t in enumerate(times, 1))
+    rows = ((i, *xs.tolist()) for i, xs in enumerate(ensemble.positions)) if times else ()
+    write_table(path, [f"# config_hash={config_hash} seed={ensemble.seed}",
+                       "trajectory_id,time,position"], template, rows)

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .serialize import fmt
+from .serialize import fmt, write_table
 
 BOUNDARY_MASS_LIMIT = 1e-6
 BOUNDARY_EDGE_FRACTION = 0.05
@@ -366,18 +366,15 @@ def velocity_field(field: SpinorField) -> np.ndarray:
 
 def write_frame(field: SpinorField, path) -> None:
     """Dump one frame as structured text; round-trips bit-exactly."""
-    lines = [
+    header = [
         f"# spinor-frame x_min={fmt(field.grid.x_min)} x_max={fmt(field.grid.x_max)}"
         f" n_points={field.grid.n_points} time={fmt(field.time)}",
         "# x re_up im_up re_down im_down",
     ]
-    x = field.grid.nodes
-    for j in range(field.grid.n_points):
-        lines.append(" ".join(fmt(float(v)) for v in
-                              (x[j], field.up[j].real, field.up[j].imag,
-                               field.down[j].real, field.down[j].imag)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    up, down = field.up, field.down
+    rows = zip(field.grid.nodes.tolist(), up.real.tolist(), up.imag.tolist(),
+               down.real.tolist(), down.imag.tolist())
+    write_table(path, header, " ".join(["{:.17g}"] * 5), rows)
 
 
 def read_frame(path) -> SpinorField:

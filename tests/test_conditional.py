@@ -123,6 +123,27 @@ class TestConditionalState:
         with pytest.raises(ValueError):
             conditional_state(f, 22.0)   # 12 widths past the nearer branch
 
+    def test_array_matches_stacked_scalar_calls(self, pointer_grid):
+        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+                           CouplingSpec(3.0))
+        ys = np.linspace(-9.0, 9.0, 1001)
+        batch = conditional_state(f, ys)
+        stacked = np.stack([conditional_state(f, float(y)) for y in ys])
+        assert batch.shape == (ys.size, 2)
+        assert conditional_state(f, 1.0).shape == (2,)
+        assert np.array_equal(batch.view(np.float64), stacked.view(np.float64))
+
+    def test_array_names_the_first_failing_value(self, pointer_grid):
+        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+                           CouplingSpec(10.0))
+        # y = 0 sits in the node between the two disjoint branches
+        with pytest.raises(ValueError, match=r"^pointer density at y = 0\.0 is below"):
+            conditional_state(f, np.array([10.0, -9.5, 0.0, 10.5]))
+        with pytest.raises(ValueError, match=r"^pointer density at y = 0\.0 is below"):
+            conditional_state(f, np.array([10.0, 0.0, 30.0]))
+        with pytest.raises(ValueError, match=r"^y = 30\.0 lies outside"):
+            conditional_state(f, np.array([10.0, 30.0, 0.0]))
+
 
 class TestPointerMeasurement:
     def test_pure_state_single_outcome(self, pointer_grid):
