@@ -119,12 +119,14 @@ def default_config(scenario: str, **overrides) -> ExperimentConfig:
 
 
 def harmonic_equilibrium_config(**overrides) -> ExperimentConfig:
-    """Oscillator variant of the equilibrium run: a coherent packet of
-    the ground-state width swings through half a period."""
+    """Oscillator variant of the equilibrium run, the settings of
+    `configs/equilibrium_harmonic.cfg`: a coherent packet of the
+    ground-state width starts at x0 = 2 with momentum 1 and swings
+    through half a period."""
     fields = dict(
         potential_kind="harmonic", potential_omega=1.0, potential_center=0.0,
         grid_x_min=-12.0, grid_x_max=12.0, grid_n_points=256,
-        packet_center=2.0, packet_width=1 / math.sqrt(2), packet_momentum=0.0,
+        packet_center=2.0, packet_width=math.sqrt(0.5), packet_momentum=1.0,
         duration=math.pi, n_trials=50000, n_frames=40,
     )
     fields.update(overrides)

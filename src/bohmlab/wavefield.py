@@ -178,16 +178,6 @@ class SpinorField:
             raise ValueError("cannot normalize a zero field")
         return SpinorField(self.grid, self.up / n, self.down / n, self.time)
 
-    def position_expectation(self) -> float:
-        rho = self.density()
-        return float(np.sum(self.grid.nodes * rho) / np.sum(rho))
-
-    def position_width(self) -> float:
-        rho = self.density()
-        mean = np.sum(self.grid.nodes * rho) / np.sum(rho)
-        var = np.sum((self.grid.nodes - mean) ** 2 * rho) / np.sum(rho)
-        return float(np.sqrt(var))
-
 
 def check_packet(grid: Grid1D, center: float, width: float,
                  alpha: complex, beta: complex) -> None:
@@ -375,20 +365,3 @@ def write_frame(field: SpinorField, path) -> None:
     rows = zip(field.grid.nodes.tolist(), up.real.tolist(), up.imag.tolist(),
                down.real.tolist(), down.imag.tolist())
     write_table(path, header, " ".join(["{:.17g}"] * 5), rows)
-
-
-def read_frame(path) -> SpinorField:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# spinor-frame"):
-            raise ValueError("not a spinor frame file")
-        meta = dict(tok.split("=") for tok in header.split()[2:])
-        fh.readline()  # column header
-        rows = [line.split() for line in fh if line.strip()]
-    grid = Grid1D(float(meta["x_min"]), float(meta["x_max"]), int(meta["n_points"]))
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.shape[0] != grid.n_points:
-        raise ValueError("row count does not match n_points")
-    up = data[:, 1] + 1j * data[:, 2]
-    down = data[:, 3] + 1j * data[:, 4]
-    return SpinorField(grid, up, down, time=float(meta["time"]))

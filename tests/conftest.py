@@ -35,6 +35,18 @@ def analytic_free_gaussian(grid: Grid1D, width: float, t: float,
     return SpinorField(grid, alpha * psi, beta * psi, time=t)
 
 
+def position_expectation(field: SpinorField) -> float:
+    rho = field.density()
+    return float(np.sum(field.grid.nodes * rho) / np.sum(rho))
+
+
+def position_width(field: SpinorField) -> float:
+    rho = field.density()
+    mean = np.sum(field.grid.nodes * rho) / np.sum(rho)
+    var = np.sum((field.grid.nodes - mean) ** 2 * rho) / np.sum(rho)
+    return float(np.sqrt(var))
+
+
 @pytest.fixture
 def grid512():
     return Grid1D(-16.0, 16.0, 512)

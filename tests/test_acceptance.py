@@ -24,7 +24,7 @@ from bohmlab.wavefield import (
     stability_dt_bound,
 )
 
-from conftest import analytic_free_gaussian, record_acceptance
+from conftest import analytic_free_gaussian, position_width, record_acceptance
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SQRT2 = math.sqrt(2.0)
@@ -190,7 +190,7 @@ def test_c09_numerics():
     steps = math.ceil(t_final / dt_f)
     spread = evolve(free, PotentialSpec.free(), t_final / steps, steps)
     width_expected = w0 * math.sqrt(1 + (t_final / (2 * w0**2)) ** 2)
-    width_err = abs(spread.position_width() - width_expected) / width_expected
+    width_err = abs(position_width(spread) - width_expected) / width_expected
 
     frames = [analytic_free_gaussian(grid, 0.5, t) for t in (0.0, 0.8, 1.6, 2.4)]
 

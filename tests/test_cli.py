@@ -1,15 +1,19 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from bohmlab import cli
+from bohmlab import cli, experiments
 from bohmlab.config import (
+    NOGO_SCENARIOS,
+    SIM_SCENARIOS,
     ConfigError,
     NogoRequest,
     canonical_text,
     config_hash,
     default_config,
+    harmonic_equilibrium_config,
     parse_config,
 )
 
@@ -59,6 +63,10 @@ class TestParseConfig:
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.cfg")):
             parse_config(path.read_text())
+
+    def test_harmonic_helper_is_the_shipped_config(self):
+        shipped = parse_config((CONFIG_DIR / "equilibrium_harmonic.cfg").read_text())
+        assert config_hash(harmonic_equilibrium_config()) == config_hash(shipped)
 
 
 class TestDispatch:
@@ -133,6 +141,67 @@ class TestDispatch:
         m = manifest("sim stern-gerlach", tmp_path / "out", quiet=True,
                      config_path=str(bad))
         assert cli.dispatch(m) == 2
+
+    @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",
+                                            "nogo stern-gerlach", "nogo bogus"])
+    def test_subcommand_outside_the_table_fails(self, tmp_path, capsys, subcommand):
+        assert cli.dispatch(manifest(subcommand, tmp_path / "out", quiet=True)) == 2
+        assert capsys.readouterr().err.startswith("error: unknown subcommand")
+        assert not (tmp_path / "out").exists()
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def group_of(scenario):
+    return "nogo" if scenario in NOGO_SCENARIOS else "sim"
+
+
+class TestScenarioTable:
+    def test_table_and_parser_cover_every_scenario(self):
+        assert list(cli.SCENARIOS) == list(SIM_SCENARIOS + NOGO_SCENARIOS)
+        groups = subcommands(cli.build_parser())
+        assert list(groups) == ["nogo", "sim"]
+        for group, names in (("nogo", NOGO_SCENARIOS), ("sim", SIM_SCENARIOS)):
+            assert list(subcommands(groups[group])) == [n.replace("_", "-") for n in names]
+
+    def test_result_lines(self):
+        tree = {"a": 1, "b": {"c": [0.5, float("nan"), -2], "d": "up"},
+                "e": [{"f": True}, {"f": False, "g": 0.1}]}
+        assert list(cli._result_lines(tree)) == [
+            "a = 1", "b.c = 0.5 nan -2", "b.d = up",
+            "e.0.f = true", "e.1.f = false", "e.1.g = 0.10000000000000001"]
+
+    @pytest.mark.parametrize("scenario", list(cli.SCENARIOS))
+    def test_report_txt_results_render_report_json(self, tmp_path, scenario):
+        status = cli.main([group_of(scenario), scenario.replace("_", "-"),
+                           "--trajectories", "200", "--out", str(tmp_path), "--quiet"])
+        assert status in (0, 1)
+        report = json.loads((tmp_path / "report.json").read_text())
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        results = lines[lines.index("-- results --") + 1:lines.index("-- checks --") - 1]
+        assert results == list(cli._result_lines(report["results"]))
+        assert results
+
+    def test_runners_enter_the_traced_boundaries(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorder(module, name):
+            fn = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, recorded)
+
+        recorder(cli, "write_ensemble")
+        recorder(experiments, "no_crossing_check")
+        status = cli.main(["sim", "no-crossing", "--trajectories", "100",
+                           "--out", str(tmp_path), "--quiet"])
+        assert status in (0, 1)
+        assert calls == ["no_crossing_check", "write_ensemble"]
 
 
 class TestMain:
