@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .serialize import fmt
-from .wavefield import Grid1D, MagnetSpec, PotentialSpec
+from .wavefield import EIGENBASIS_MAX_POINTS, Grid1D, MagnetSpec, PotentialSpec
 
 SIM_SCENARIOS = ("stern_gerlach", "sequential", "no_crossing", "equilibrium", "pointer")
 NOGO_SCENARIOS = ("mermin", "vonneumann", "chsh")
@@ -265,6 +265,10 @@ def validate_config(config: ExperimentConfig) -> None:
     config.grid()          # raises on bad grid parameters
     config.magnet()
     config.potential()
+    if config.potential_kind != "free" and config.grid_n_points > EIGENBASIS_MAX_POINTS:
+        raise ConfigError(f"grid.n_points = {config.grid_n_points} exceeds "
+                          f"{EIGENBASIS_MAX_POINTS}, the limit for potential.kind = "
+                          f"{config.potential_kind} (its Hamiltonian is diagonalized)")
     if config.n_trials < 1:
         raise ConfigError("n_trials must be at least 1")
     if config.n_bins < 10:

@@ -31,7 +31,6 @@ from .wavefield import (
     evolve_frames,
     gaussian_packet,
     magnet_kick,
-    stability_dt_bound,
 )
 
 HBAR = 1.0
@@ -105,14 +104,6 @@ def detection_time(config: ExperimentConfig) -> float:
     return 10.0 * w / math.sqrt(disc)
 
 
-def _frame_plan(config: ExperimentConfig, total_time: float):
-    grid = config.grid()
-    bound = stability_dt_bound(grid, config.potential())
-    frame_dt = total_time / config.n_frames
-    steps_per_frame = max(1, math.ceil(frame_dt / bound))
-    return frame_dt / steps_per_frame, steps_per_frame
-
-
 def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                  n_trials: int, seed: int):
     """Shared deflection pipeline: prepare, kick, fly, sample, integrate,
@@ -122,8 +113,8 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                              config.packet_momentum, alpha, beta)
     kicked = magnet_kick(packet, config.magnet())
     flight = detection_time(config)
-    dt, steps_per_frame = _frame_plan(config, flight)
-    frames = evolve_frames(kicked, config.potential(), dt, steps_per_frame, config.n_frames)
+    frames = evolve_frames(kicked, config.potential(), flight / config.n_frames,
+                           config.n_frames)
 
     branches = branch_supports(frames[-1], config.branch_threshold)
     if not branches.separated:
@@ -314,8 +305,8 @@ def equilibrium_experiment(config: ExperimentConfig, seed: int | None = None) ->
     grid = config.grid()
     packet = gaussian_packet(grid, config.packet_center, config.packet_width,
                              config.packet_momentum, config.alpha, config.beta)
-    dt, steps_per_frame = _frame_plan(config, config.duration)
-    frames = evolve_frames(packet, config.potential(), dt, steps_per_frame, config.n_frames)
+    frames = evolve_frames(packet, config.potential(), config.duration / config.n_frames,
+                           config.n_frames)
 
     if config.init_kind == "born":
         initial = sample_positions(frames[0], config.n_trials, s)

@@ -61,6 +61,12 @@ def integrate(frames: list[SpinorField], initial_positions, substeps_per_frame: 
               seed: int = 0) -> Ensemble:
     """RK4 integration of all trajectories through the frame sequence.
 
+    Trajectories are integrated in the order of their initial positions,
+    which Bohmian motion preserves, so the position lookups in the
+    velocity frames run over (nearly) sorted points; each point's
+    arithmetic is independent of that order, and the result is stored
+    in the caller's order.
+
     A trajectory that leaves the grid is aborted (NaN from that frame
     on) and the ensemble is flagged; a flagged run signals a mis-sized
     domain and its statistics should not be trusted.
@@ -77,10 +83,11 @@ def integrate(frames: list[SpinorField], initial_positions, substeps_per_frame: 
     x_nodes = grid.nodes
     node_velocities = [velocity_field(f) for f in frames]
 
-    x = np.array(initial_positions, dtype=float)
-    n_traj = x.size
-    positions = np.full((n_traj, len(times)), np.nan)
-    positions[:, 0] = x
+    x0 = np.array(initial_positions, dtype=float)
+    positions = np.full((x0.size, len(times)), np.nan)
+    positions[:, 0] = x0
+    order = np.argsort(x0, kind="stable")
+    x = x0[order]
     alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
     x = np.where(alive, x, np.nan)
 
@@ -104,9 +111,9 @@ def integrate(frames: list[SpinorField], initial_positions, substeps_per_frame: 
         if escaped.any():
             alive = alive & ~escaped
             x = np.where(alive, x, np.nan)
-        positions[:, i + 1] = x
+        positions[order, i + 1] = x
 
-    aborted = tuple(int(i) for i in np.where(~alive)[0])
+    aborted = tuple(int(i) for i in np.sort(order[~alive]))
     positions.flags.writeable = False
     return Ensemble(seed=seed, frame_times=times, positions=positions,
                     aborted=aborted, flagged=bool(aborted))

@@ -10,20 +10,18 @@ every measurement here ends as a position measurement.
 
 The two components evolve independently under
 
-    i dpsi/dt = [-1/2 d^2/dx^2 + V(x)] psi
+    i dpsi/dt = H psi,   H = -1/2 d^2/dx^2 + V(x),
 
-stepped with the symmetric split-step Fourier scheme
+and `evolve` applies the exact grid propagator exp(-i H t) for any t:
 
-    psi -> exp(-i V dt/2) psi                 half step, position space
-    psi -> IFFT( exp(-i k^2 dt/2) FFT(psi) )  full kinetic step
-    psi -> exp(-i V dt/2) psi                 half step, position space
+    V = 0:   psi -> IFFT( exp(-i k^2 t/2) FFT(psi) )
+    V != 0:  psi -> U exp(-i E t) U^T psi
 
-Both factors are unitary, so the norm is conserved to rounding noise
-regardless of dt; for V != 0 the step-size bound enforced here keeps the
-splitting *accurate*, not merely stable.  For V = 0 the half steps are
-exactly 1 and the kinetic factor is the exact free propagator for any
-dt, so `evolve` covers the requested interval in as few equal steps as
-the boundary monitor needs (see below).
+where E, U are the eigenvalues and eigenvectors of the grid Hamiltonian
+(spectral kinetic matrix plus diag(V)), computed once per (grid,
+potential) and limited to grids of at most 2048 points.  Both are
+unitary, so the norm is conserved to rounding noise, and neither splits
+the interval for accuracy.
 
 An idealized deflection magnet enters as an instantaneous phase kick
 exp(+-i mu_b tau x) on the two components, after which free flight
@@ -32,17 +30,16 @@ separates them with group velocities +-mu_b*tau.
 The grid is periodic (spectral transforms), so configurations must keep
 their probability mass away from the edges; a boundary monitor aborts
 any evolution or coupling that sends more than 1e-6 of the mass into
-the outer 5% of the domain on either side.  Evolution checks it at every
-step; with V = 0 the steps are short enough that nothing moving at the
-largest group speed the grid holds, k_max, crosses the edge zone
-between two checks.
+the outer 5% of the domain on either side.  Evolution checks it at equal
+checkpoints spaced so that nothing moving at the largest speed the grid
+holds, sqrt(k_max^2 + 2 max V), crosses the edge zone between two checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +48,7 @@ from .serialize import fmt, write_table
 BOUNDARY_MASS_LIMIT = 1e-6
 BOUNDARY_EDGE_FRACTION = 0.05
 NODE_DENSITY_FRACTION = 1e-12   # velocity regularization threshold, x peak density
+EIGENBASIS_MAX_POINTS = 2048    # largest grid diagonalized for V != 0
 
 
 class BoundaryMassError(RuntimeError):
@@ -204,12 +202,6 @@ def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
     return SpinorField(grid, alpha * envelope, beta * envelope, time=0.0)
 
 
-def stability_dt_bound(grid: Grid1D, potential: PotentialSpec) -> float:
-    """Largest admissible dt: 0.1 / max(|V|_inf, k_max^2 / 2)."""
-    v_inf = float(np.max(np.abs(potential.evaluate(grid))))
-    return 0.1 / max(v_inf, grid.k_max**2 / 2.0)
-
-
 def check_boundary(grid: Grid1D, psi: np.ndarray) -> None:
     """Boundary monitor: raise BoundaryMassError when more than 1e-6 of the
     mass of the (2, n_points) amplitudes lies in the grid's edge zone."""
@@ -220,16 +212,36 @@ def check_boundary(grid: Grid1D, psi: np.ndarray) -> None:
             f"{BOUNDARY_EDGE_FRACTION:.0%} of the grid; enlarge the domain")
 
 
+@lru_cache(maxsize=4)
+def _eigenbasis(grid: Grid1D, potential: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues E and real orthogonal eigenvectors U (columns) of the
+    grid Hamiltonian K + diag(V), with K = F^-1 diag(k^2/2) F the spectral
+    kinetic matrix; its imaginary part is rounding noise and is dropped."""
+    n = grid.n_points
+    if n > EIGENBASIS_MAX_POINTS:
+        raise ValueError(f"n_points = {n} exceeds {EIGENBASIS_MAX_POINTS}, the largest grid "
+                         "whose Hamiltonian is diagonalized for V != 0")
+    kinetic = np.fft.ifft(0.5 * grid.wavenumbers[:, None] ** 2
+                          * np.fft.fft(np.eye(n), axis=0), axis=0).real
+    energies, vectors = np.linalg.eigh(kinetic + np.diag(potential.evaluate(grid)))
+    energies.flags.writeable = False
+    vectors.flags.writeable = False
+    return energies, vectors
+
+
+def _real_matmul(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """psi @ m for complex (2, n) psi and real m, as one real product."""
+    out = np.concatenate((psi.real, psi.imag)) @ m
+    return out[:2] + 1j * out[2:]
+
+
 def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) -> SpinorField:
-    """Advance the field by steps*dt with the split-step scheme.
+    """Advance the field by steps*dt with the exact propagator (module
+    docstring); only the product matters, and the returned time is
+    field.time + steps*dt.
 
-    With V = 0 the kinetic factor is exact for any step, so the interval
-    steps*dt is covered in the fewest equal steps, at most `steps`, that
-    move nothing faster than k_max (the largest group speed on the grid)
-    across the edge zone between two boundary checks.  For V != 0 the
-    caller's dt and steps are used as given.
-
-    The boundary monitor runs at every step and raises BoundaryMassError
+    The boundary monitor checks psi at ceil(steps*dt*s / edge zone) equal
+    checkpoints, s = sqrt(k_max^2 + 2 max V), and raises BoundaryMassError
     once more than 1e-6 of the probability mass lies in the outer 5% of
     the grid.
     """
@@ -237,36 +249,34 @@ def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) 
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    bound = stability_dt_bound(field.grid, potential)
-    if dt > bound * (1 + 1e-12):
-        raise ValueError(f"dt = {dt} exceeds the stability bound {bound}")
     grid = field.grid
-    end_time = field.time + steps * dt
+    span = steps * dt
     v = potential.evaluate(grid)
-    if steps and not v.any():
-        span = steps * dt
-        edge = BOUNDARY_EDGE_FRACTION * grid.length
-        steps = min(steps, math.ceil(span * grid.k_max / edge))
-        dt = span / steps
-    half_phase = np.exp(-0.5j * dt * v)
-    kinetic_phase = np.exp(-0.5j * dt * grid.wavenumbers**2)
+    speed = math.hypot(grid.k_max, math.sqrt(2.0 * float(v.max())))
+    checks = math.ceil(span * speed / (BOUNDARY_EDGE_FRACTION * grid.length))
 
-    psi = np.array(field.psi)
-    for _ in range(steps):
-        psi *= half_phase
-        psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
-        psi *= half_phase
-        check_boundary(grid, psi)
-    return SpinorField(grid, *psi, time=end_time)
+    psi = field.psi
+    if not v.any():
+        kinetic_phase = np.exp(-0.5j * (span / max(checks, 1)) * grid.wavenumbers**2)
+        for _ in range(checks):
+            psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
+            check_boundary(grid, psi)
+    else:
+        energies, vectors = _eigenbasis(grid, potential)
+        coefficients = _real_matmul(psi, vectors)
+        for t in np.linspace(0.0, span, checks + 1)[1:]:
+            psi = _real_matmul(np.exp(-1j * t * energies) * coefficients, vectors.T)
+            check_boundary(grid, psi)
+    return SpinorField(grid, *psi, time=field.time + span)
 
 
-def evolve_frames(field: SpinorField, potential: PotentialSpec, dt: float,
-                  steps_per_frame: int, n_frames: int) -> list[SpinorField]:
+def evolve_frames(field: SpinorField, potential: PotentialSpec, frame_dt: float,
+                  n_frames: int) -> list[SpinorField]:
     """Evolve and keep snapshots: returns n_frames + 1 fields including
-    the initial one, uniformly spaced in time by steps_per_frame*dt."""
+    the initial one, uniformly spaced in time by frame_dt."""
     frames = [field]
     for _ in range(n_frames):
-        field = evolve(field, potential, dt, steps_per_frame)
+        field = evolve(field, potential, frame_dt, 1)
         frames.append(field)
     return frames
 

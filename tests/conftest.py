@@ -35,6 +35,20 @@ def analytic_free_gaussian(grid: Grid1D, width: float, t: float,
     return SpinorField(grid, alpha * psi, beta * psi, time=t)
 
 
+def analytic_coherent_state(grid: Grid1D, t: float, x0: float, p0: float,
+                            alpha: complex = 1.0, beta: complex = 0.0) -> SpinorField:
+    """Closed-form coherent state of V = x^2/2 at time t, the oracle for
+    V != 0: a packet of ground-state width that starts at x0 with momentum
+    p0 (as `gaussian_packet` builds it) and swings rigidly along
+    q = x0 cos t + p0 sin t, p = p0 cos t - x0 sin t."""
+    q = x0 * np.cos(t) + p0 * np.sin(t)
+    p = p0 * np.cos(t) - x0 * np.sin(t)
+    x = grid.nodes
+    psi = np.exp(-0.5 * (x - q) ** 2 + 1j * p * x + 0.5j * (x0 * p0 - q * p - t))
+    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
+    return SpinorField(grid, alpha * psi, beta * psi, time=t)
+
+
 def position_expectation(field: SpinorField) -> float:
     rho = field.density()
     return float(np.sum(field.grid.nodes * rho) / np.sum(rho))

@@ -1,8 +1,17 @@
+import json
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import run  # noqa: E402
+from workloads import ENTRIES, WORKLOADS  # noqa: E402
 
 
 def test_bench_selftest_passes():
@@ -11,3 +20,24 @@ def test_bench_selftest_passes():
     proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_traced_cycle_enters_every_boundary(tmp_path, workload):
+    # one traced cycle, as `bench/run.py --trace 1` runs it, at reduced
+    # size: a boundary the program no longer reaches fails here, not in
+    # the benchmark
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    counts = Counter()
+    for name in WORKLOADS[workload].entries:
+        entry = ENTRIES[name]
+        argv = list(entry.argv) + ["--seed", "7", "--out", str(tmp_path / name)]
+        if entry.scenario == "equilibrium":
+            argv += ["--trajectories", "2000"]
+        trace = tmp_path / f"{name}.json"
+        proc = subprocess.run([sys.executable, "bench/trace_child.py", str(trace), *argv],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 1), proc.stderr
+        counts.update(run._trace_totals(json.loads(trace.read_text()))[1])
+    never = [b for b in WORKLOADS[workload].enters if not counts[f"{b}.calls"]]
+    assert not never, f"{workload} never entered {never}"

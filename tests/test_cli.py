@@ -142,6 +142,15 @@ class TestDispatch:
                      config_path=str(bad))
         assert cli.dispatch(m) == 2
 
+    def test_harmonic_grid_above_the_eigenbasis_limit_fails(self, tmp_path, capsys):
+        big = tmp_path / "big.cfg"
+        big.write_text((CONFIG_DIR / "equilibrium_harmonic.cfg").read_text()
+                       .replace("grid.n_points = 256", "grid.n_points = 4096"))
+        status = cli.main(["sim", "equilibrium", "--config", str(big),
+                           "--out", str(tmp_path / "out"), "--quiet"])
+        assert status == 2
+        assert "2048" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",
                                             "nogo stern-gerlach", "nogo bogus"])
     def test_subcommand_outside_the_table_fails(self, tmp_path, capsys, subcommand):

@@ -90,8 +90,7 @@ class TestSternGerlach:
                                  cfg.packet_momentum, cfg.alpha, cfg.beta)
         kicked = magnet_kick(packet, cfg.magnet())
         flight = detection_time(cfg)
-        dt, spf = experiments._frame_plan(cfg, flight)
-        frames = evolve_frames(kicked, cfg.potential(), dt, spf, cfg.n_frames)
+        frames = evolve_frames(kicked, cfg.potential(), flight / cfg.n_frames, cfg.n_frames)
         p = abs(cfg.alpha) ** 2
         halfwidth = 3 * math.sqrt(p * (1 - p) / cfg.n_trials)
         misses = 0

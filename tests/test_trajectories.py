@@ -9,7 +9,7 @@ from bohmlab.trajectories import (
     sample_positions,
     write_ensemble,
 )
-from bohmlab.wavefield import Grid1D, SpinorField, gaussian_packet
+from bohmlab.wavefield import Grid1D, SpinorField, gaussian_packet, velocity_field
 
 from conftest import analytic_free_gaussian
 
@@ -117,6 +117,61 @@ class TestIntegrate:
         a = integrate(frames, x0, substeps_per_frame=4, seed=9)
         b = integrate(frames, x0, substeps_per_frame=4, seed=9)
         assert np.array_equal(a.positions, b.positions)
+
+
+def integrate_in_given_order(frames, initial_positions, substeps_per_frame):
+    """The RK4 loop of `integrate` run in the caller's order, as it was
+    before `integrate` sorted by initial position; the reference for the
+    bit-identity test."""
+    grid = frames[0].grid
+    times = np.array([f.time for f in frames])
+    v = [velocity_field(f) for f in frames]
+    x = np.array(initial_positions, dtype=float)
+    positions = np.full((x.size, len(times)), np.nan)
+    positions[:, 0] = x
+    alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
+    x = np.where(alive, x, np.nan)
+    h = float(times[1] - times[0]) / substeps_per_frame
+    for i in range(len(times) - 1):
+        for s in range(substeps_per_frame):
+            w0 = s / substeps_per_frame
+            wm = (s + 0.5) / substeps_per_frame
+            w1 = (s + 1.0) / substeps_per_frame
+            f0 = (1.0 - w0) * v[i] + w0 * v[i + 1]
+            fm = (1.0 - wm) * v[i] + wm * v[i + 1]
+            f1 = (1.0 - w1) * v[i] + w1 * v[i + 1]
+            k1 = np.interp(x, grid.nodes, f0)
+            k2 = np.interp(x + 0.5 * h * k1, grid.nodes, fm)
+            k3 = np.interp(x + 0.5 * h * k2, grid.nodes, fm)
+            k4 = np.interp(x + h * k3, grid.nodes, f1)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        escaped = alive & ((x < grid.x_min) | (x > grid.x_max))
+        if escaped.any():
+            alive = alive & ~escaped
+            x = np.where(alive, x, np.nan)
+        positions[:, i + 1] = x
+    return positions, tuple(int(i) for i in np.where(~alive)[0])
+
+
+class TestOrderedIntegration:
+    def test_bit_identical_to_the_given_order(self, grid512):
+        # a drifting, spreading packet; unsorted starts with ties, a NaN
+        # start, starts off the grid and one start ahead of the packet
+        # that leaves the grid mid-run
+        times = np.linspace(0.0, 2.0, 11)
+        frames = [analytic_free_gaussian(grid512, 1.0, t, momentum=3.0) for t in times]
+        x0 = sample_positions(frames[0], 300, seed=4)
+        x0 = np.concatenate((x0, x0[:20], [np.nan, 40.0, -16.5, 12.0], x0[100:110]))
+        ens = integrate(frames, x0, substeps_per_frame=3)
+        positions, aborted = integrate_in_given_order(frames, x0, 3)
+
+        escaper = 323
+        assert np.all(np.isfinite(positions[escaper, :6]))
+        assert np.isnan(positions[escaper, -1])
+        assert aborted == (320, 321, 322, escaper)
+        assert np.array_equal(ens.positions.view(np.uint64), positions.view(np.uint64))
+        assert ens.aborted == aborted
+        assert ens.flagged
 
 
 class TestNoCrossing:

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bohmlab.config import parse_config
 from bohmlab.wavefield import (
     BoundaryMassError,
     Grid1D,
@@ -14,19 +16,18 @@ from bohmlab.wavefield import (
     evolve_frames,
     gaussian_packet,
     magnet_kick,
-    stability_dt_bound,
     velocity_field,
     write_frame,
 )
 
-from conftest import analytic_free_gaussian, position_expectation, position_width
+from conftest import (
+    analytic_coherent_state,
+    analytic_free_gaussian,
+    position_expectation,
+    position_width,
+)
 
-
-def frame_plan(grid, potential, total_time, n_frames):
-    bound = stability_dt_bound(grid, potential)
-    frame_dt = total_time / n_frames
-    spf = max(1, math.ceil(frame_dt / bound))
-    return frame_dt / spf, spf
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestGrid:
@@ -101,63 +102,50 @@ class TestEvolve:
     def test_free_gaussian_width_matches_analytic_law(self, grid512):
         w0, t_final = 1.0, 2.0
         f = gaussian_packet(grid512, 0.0, w0, 0.0, 1.0, 0.0)
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), t_final, 10)
-        out = evolve(f, PotentialSpec.free(), dt, spf * 10)
+        out = evolve(f, PotentialSpec.free(), t_final, 1)
         expected = w0 * math.sqrt(1.0 + (t_final / (2 * w0**2)) ** 2)
         assert abs(position_width(out) - expected) / expected < 1e-3
 
     def test_norm_conserved_over_1000_steps(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 1.0, 0.6, 0.8)
         pot = PotentialSpec.harmonic(1.0)
-        dt = stability_dt_bound(grid512, pot)
-        out = evolve(f, pot, dt, 1000)
+        out = evolve(f, pot, 1000 * 0.2 / grid512.k_max**2, 1)
         assert abs(out.norm() - f.norm()) < 1e-10
 
     def test_momentum_packet_drifts_at_k(self, grid512):
         k, t_final = 1.5, 2.0
         f = gaussian_packet(grid512, -2.0, 1.0, k, 1.0, 0.0)
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), t_final, 10)
-        out = evolve(f, PotentialSpec.free(), dt, spf * 10)
+        out = evolve(f, PotentialSpec.free(), t_final, 1)
         drift = position_expectation(out) - position_expectation(f)
         assert abs(drift - k * t_final) / (k * t_final) < 1e-3
 
-    def test_stability_bound_enforced(self, grid512):
-        f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
-        bound = stability_dt_bound(grid512, PotentialSpec.free())
-        with pytest.raises(ValueError):
-            evolve(f, PotentialSpec.free(), 1.5 * bound, 10)
-
     def test_boundary_monitor_aborts(self, grid512):
         f = gaussian_packet(grid512, 8.0, 1.0, 4.0, 1.0, 0.0)
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), 2.0, 10)
         with pytest.raises(BoundaryMassError):
-            evolve(f, PotentialSpec.free(), dt, spf * 10)
+            evolve(f, PotentialSpec.free(), 2.0, 1)
 
     def test_boundary_monitor_watches_both_components(self, grid512):
         # pure down packet, kicked toward the left edge
         f = magnet_kick(gaussian_packet(grid512, -8.0, 1.0, 0.0, 0.0, 1.0), MagnetSpec(4.0, 1.0))
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), 2.0, 10)
         with pytest.raises(BoundaryMassError):
-            evolve(f, PotentialSpec.free(), dt, spf * 10)
+            evolve(f, PotentialSpec.free(), 2.0, 1)
 
     def test_boundary_monitor_catches_a_full_wrap(self, grid512):
         # momentum 16 for t = 2 carries the packet once around the periodic
         # grid and back into the interior within a single call
         f = gaussian_packet(grid512, 0.0, 1.0, 16.0, 1.0, 0.0)
-        steps = math.ceil(2.0 / stability_dt_bound(grid512, PotentialSpec.free()))
         with pytest.raises(BoundaryMassError):
-            evolve(f, PotentialSpec.free(), 2.0 / steps, steps)
+            evolve(f, PotentialSpec.free(), 2.0, 1)
 
     def test_negative_steps_rejected(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
-        dt = stability_dt_bound(grid512, PotentialSpec.free())
         with pytest.raises(ValueError, match="steps"):
-            evolve(f, PotentialSpec.free(), dt, -1)
+            evolve(f, PotentialSpec.free(), 0.1, -1)
 
     @pytest.mark.parametrize("pot", [PotentialSpec.free(), PotentialSpec.harmonic(1.0)])
     def test_zero_steps_leave_the_field_unchanged(self, grid512, pot):
         f = gaussian_packet(grid512, 0.0, 1.0, 1.0, 0.6, 0.8)
-        out = evolve(f, pot, stability_dt_bound(grid512, pot), 0)
+        out = evolve(f, pot, 0.1, 0)
         assert np.array_equal(out.psi, f.psi)
         assert out.time == f.time
 
@@ -166,8 +154,7 @@ class TestEvolve:
         grid, kick = Grid1D(-20.0, 20.0, 512), 5.0
         flight = 10.0 / math.sqrt(4 * kick**2 - 25.0)
         f = magnet_kick(gaussian_packet(grid, 0.0, 1.0, 0.0, 0.6, 0.8), MagnetSpec(kick, 1.0))
-        dt, spf = frame_plan(grid, PotentialSpec.free(), flight, 32)
-        for frame in evolve_frames(f, PotentialSpec.free(), dt, spf, 32):
+        for frame in evolve_frames(f, PotentialSpec.free(), flight / 32, 32):
             up = analytic_free_gaussian(grid, 1.0, frame.time, momentum=kick, alpha=0.6).up
             down = analytic_free_gaussian(grid, 1.0, frame.time, momentum=-kick,
                                           alpha=0.0, beta=0.8).down
@@ -176,24 +163,58 @@ class TestEvolve:
 
     def test_free_evolution_composes(self, grid512):
         f = magnet_kick(gaussian_packet(grid512, 0.0, 1.0, 0.5, 0.6, 0.8), MagnetSpec(3.0, 1.0))
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), 1.0, 1)
-        a, b = spf // 3, spf - spf // 3
-        two = evolve(evolve(f, PotentialSpec.free(), dt, a), PotentialSpec.free(), dt, b)
-        one = evolve(f, PotentialSpec.free(), dt, a + b)
+        a, b = 1.0 / 3.0, 2.0 / 3.0
+        two = evolve(evolve(f, PotentialSpec.free(), a, 1), PotentialSpec.free(), b, 1)
+        one = evolve(f, PotentialSpec.free(), a + b, 1)
         assert np.max(np.abs(two.psi - one.psi)) < 1e-13
 
     @pytest.mark.parametrize("pot", [PotentialSpec.free(), PotentialSpec.harmonic(1.0)])
     def test_returned_time_is_exact(self, grid512, pot):
         f = SpinorField(grid512, *gaussian_packet(grid512, 0.0, 1.0, 0.0, 0.6, 0.8).psi,
                         time=0.3)
-        dt = 0.7 * stability_dt_bound(grid512, pot)
+        dt = 0.7e-3
         assert evolve(f, pot, dt, 37).time == f.time + 37 * dt
+
+    def test_harmonic_frames_match_analytic_oracle(self):
+        # every frame of the shipped equilibrium_harmonic.cfg, up to a
+        # global phase
+        cfg = parse_config((CONFIG_DIR / "equilibrium_harmonic.cfg").read_text())
+        f = gaussian_packet(cfg.grid(), cfg.packet_center, cfg.packet_width,
+                            cfg.packet_momentum, cfg.alpha, cfg.beta)
+        frames = evolve_frames(f, cfg.potential(), cfg.duration / cfg.n_frames, cfg.n_frames)
+        assert len(frames) == 41
+        for frame in frames:
+            oracle = analytic_coherent_state(cfg.grid(), frame.time, cfg.packet_center,
+                                             cfg.packet_momentum, cfg.alpha, cfg.beta).psi
+            phase = np.vdot(oracle, frame.psi)
+            assert np.max(np.abs(frame.psi - phase / abs(phase) * oracle)) < 1e-12
+
+    def test_harmonic_evolution_composes(self):
+        grid = Grid1D(-12.0, 12.0, 256)
+        pot = PotentialSpec.harmonic(1.0)
+        f = gaussian_packet(grid, 2.0, math.sqrt(0.5), 1.0, 0.6, 0.8)
+        a, b = 0.7, 1.9
+        two = evolve(evolve(f, pot, a, 1), pot, b, 1)
+        one = evolve(f, pot, a + b, 1)
+        assert np.max(np.abs(two.psi - one.psi)) < 1e-12
+
+    def test_harmonic_boundary_monitor_aborts(self, grid512):
+        # amplitude 12 carries the packet into the edge zone |x| > 14.4
+        # (about 3e-4 of its mass) at t = pi/2; by t = pi it is back at the
+        # center, so only the checkpoints inside the call can see it
+        f = gaussian_packet(grid512, 0.0, math.sqrt(0.5), 12.0, 1.0, 0.0)
+        with pytest.raises(BoundaryMassError):
+            evolve(f, PotentialSpec.harmonic(1.0), math.pi, 1)
+
+    def test_harmonic_grid_size_bounded(self):
+        f = gaussian_packet(Grid1D(-12.0, 12.0, 4096), 0.0, 1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="2048"):
+            evolve(f, PotentialSpec.harmonic(1.0), 0.1, 1)
 
     def test_components_never_mix(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.5, 1.0, 0.0)
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), 0.5, 5)
         kicked = magnet_kick(f, MagnetSpec(2.0, 1.0))
-        out = evolve(kicked, PotentialSpec.free(), dt, spf)
+        out = evolve(kicked, PotentialSpec.free(), 0.1, 1)
         assert np.all(out.down == 0.0)
 
     def test_harmonic_coherent_state_oscillates(self):
@@ -203,8 +224,7 @@ class TestEvolve:
         f = gaussian_packet(grid, 2.0, w, 0.0, 1.0, 0.0)
         pot = PotentialSpec.harmonic(1.0)
         t_final = math.pi / 2
-        dt, spf = frame_plan(grid, pot, t_final, 8)
-        out = evolve(f, pot, dt, spf * 8)
+        out = evolve(f, pot, t_final, 1)
         assert abs(position_expectation(out) - 2.0 * math.cos(t_final)) < 1e-3
         assert abs(position_width(out) - w) < 1e-3
 
@@ -227,8 +247,7 @@ class TestMagnetKick:
         f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2))
         kicked = magnet_kick(f, MagnetSpec(kick, 1.0))
         t_final = 1.0
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), t_final, 10)
-        out = evolve(kicked, PotentialSpec.free(), dt, spf * 10)
+        out = evolve(kicked, PotentialSpec.free(), t_final, 1)
         x = grid512.nodes
 
         def centroid(c):
@@ -269,8 +288,7 @@ class TestBranchSupports:
         kicked = magnet_kick(f, MagnetSpec(kick, 1.0))
         # flight time from the analytic spread: separation 2kT >= 10 width(T)
         t_final = 10 * w0 / math.sqrt(4 * kick**2 - 25 / w0**2)
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), t_final, 10)
-        out = evolve(kicked, PotentialSpec.free(), dt, spf * 10)
+        out = evolve(kicked, PotentialSpec.free(), t_final, 1)
         report = branch_supports(out, 0.01)
         assert report.separated
         assert report.up_interval[0] > report.down_interval[1]
@@ -322,8 +340,7 @@ class TestContinuity:
         # frame-difference density derivative, L1 norm
         f = gaussian_packet(grid512, 0.0, 1.0, 1.0, 0.6, 0.8)
         frame_dt = 0.05
-        dt, spf = frame_plan(grid512, PotentialSpec.free(), frame_dt, 1)
-        frames = evolve_frames(f, PotentialSpec.free(), dt, spf, 8)
+        frames = evolve_frames(f, PotentialSpec.free(), frame_dt, 8)
 
         def flux_divergence(field):
             flux = field.density() * velocity_field(field)
