@@ -43,7 +43,7 @@ print("the conditional state approaches a pure eigenstate as the branches separa
 print()
 print("sampling pointer outcomes (shift = 10, disjoint branches):")
 m = run_pointer_measurement(ALPHA, BETA, CouplingSpec(10.0), 10000, 42, grid)
-print(f"  outcome 1 frequency: {m.frequencies[0]:.4f} vs Born {m.born_probabilities[0]:.4f}")
-print(f"  outcome 2 frequency: {m.frequencies[1]:.4f} vs Born {m.born_probabilities[1]:.4f}")
-print(f"  smallest collapse purity over {len(m.trials)} trials: {m.min_purity:.12f}")
+for outcome, (count, born) in enumerate(zip(m.counts, (ALPHA**2, BETA**2)), start=1):
+    print(f"  outcome {outcome} frequency: {count / m.y.size:.4f} vs Born {born:.4f}")
+print(f"  smallest collapse purity over {m.y.size} trials: {m.min_purity:.12f}")
 print("  every single trial ends with an effectively collapsed spin state.")

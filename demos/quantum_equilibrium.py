@@ -10,10 +10,15 @@ equilibrium start shows what a violation would look like.
 Run:  python demos/quantum_equilibrium.py
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 from bohmlab import experiments
-from bohmlab.config import default_config, harmonic_equilibrium_config
+from bohmlab.config import default_config, parse_config
 
 N = 20000
+HARMONIC = parse_config(
+    (Path(__file__).parents[1] / "configs" / "equilibrium_harmonic.cfg").read_text())
 
 
 def run(label, cfg):
@@ -32,7 +37,7 @@ print("=" * 64)
 run("free packet, momentum 1", default_config("equilibrium", n_trials=N, n_frames=20))
 
 print("=" * 64)
-run("harmonic well, coherent packet", harmonic_equilibrium_config(n_trials=N, n_frames=20))
+run("harmonic well, coherent packet", replace(HARMONIC, n_trials=N, n_frames=20))
 
 print("=" * 64)
 bad = default_config("equilibrium", n_trials=N, n_frames=8,

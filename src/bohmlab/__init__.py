@@ -7,7 +7,7 @@ linear algebra verifies the classic no-hidden-variables arguments.
 """
 
 from . import conditional, config, experiments, hilbert, nogo, rng, trajectories, wavefield
-from .config import ExperimentConfig, default_config, harmonic_equilibrium_config, parse_config
+from .config import ExperimentConfig, default_config, parse_config
 from .wavefield import Grid1D, MagnetSpec, PotentialSpec, SpinorField
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "wavefield",
     "ExperimentConfig",
     "default_config",
-    "harmonic_equilibrium_config",
     "parse_config",
     "Grid1D",
     "MagnetSpec",

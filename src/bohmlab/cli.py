@@ -83,7 +83,7 @@ def _load_config(manifest: RunManifest):
 
 def _stern_gerlach(cfg, out, chash, dump_frames):
     result = experiments.stern_gerlach(cfg)
-    write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash)
+    write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
     if dump_frames:
         _write_frames(result.frames, out / "frames")
     return ({"detection_time": result.detection_time,
@@ -99,7 +99,7 @@ def _sequential(cfg, out, chash, dump_frames):
 
 def _no_crossing(cfg, out, chash, dump_frames):
     result = experiments.no_crossing_check(cfg)
-    write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash)
+    write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
     return ({"violations": result.crossing_report.violations,
              "inference_accuracy": result.inference_accuracy,
              "statistics": asdict(result.statistics)}, result.checks)
@@ -107,7 +107,7 @@ def _no_crossing(cfg, out, chash, dump_frames):
 
 def _equilibrium(cfg, out, chash, dump_frames):
     result = experiments.equilibrium_experiment(cfg)
-    write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash)
+    write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
     _write_histograms(result, out / "histograms.csv", chash)
     if dump_frames:
         _write_frames(result.frames, out / "frames")

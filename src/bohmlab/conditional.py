@@ -113,23 +113,13 @@ def conditional_state(field: SpinorField, y) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PointerTrial:
-    trial_id: int
-    y: float
-    outcome: int                  # 1 (branch +shift) or 2 (branch -shift)
-    collapsed: np.ndarray         # normalized 2-spinor
-
-    @property
-    def purity(self) -> float:
-        return float(abs(self.collapsed[self.outcome - 1]) ** 2)
-
-
-@dataclass(frozen=True)
 class PointerMeasurement:
-    trials: tuple
+    """Per-trial columns; row i is trial i."""
+
+    y: np.ndarray                 # (n,) pointer positions
+    outcome: np.ndarray           # (n,) 1 (branch +shift) or 2 (branch -shift)
+    collapsed: np.ndarray         # (n, 2) normalized conditional spinors
     counts: tuple                 # (n outcome 1, n outcome 2)
-    frequencies: tuple
-    born_probabilities: tuple
     min_purity: float
 
 
@@ -141,7 +131,8 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     Trial i draws its pointer position with counter i of the master
     stream, classifies the outcome by the branch the pointer landed in
     (sign of y; the exact midpoint counts as branch 1), and records the
-    collapsed conditional spin state.
+    collapsed conditional spin state.  Its purity is the weight of the
+    collapsed state on the outcome's spin component.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -150,28 +141,19 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
 
     ys = rng.sample_from_density(grid.nodes, coupled.density(), n_trials, seed)
     collapsed = conditional_state(coupled, ys)
-    trials = [PointerTrial(trial_id=i, y=y, outcome=1 if y >= center else 2, collapsed=c)
-              for i, (y, c) in enumerate(zip(ys.tolist(), collapsed))]
-    min_purity = min([1.0] + [t.purity for t in trials])
-    n1 = sum(1 for t in trials if t.outcome == 1)
-    counts = (n1, n_trials - n1)
-    return PointerMeasurement(
-        trials=tuple(trials),
-        counts=counts,
-        frequencies=(counts[0] / n_trials, counts[1] / n_trials),
-        born_probabilities=(abs(alpha) ** 2, abs(beta) ** 2),
-        min_purity=min_purity,
-    )
+    outcome = np.where(ys >= center, 1, 2)
+    purity = np.abs(collapsed[np.arange(n_trials), outcome - 1]) ** 2
+    n1 = int(np.count_nonzero(outcome == 1))
+    return PointerMeasurement(y=ys, outcome=outcome, collapsed=collapsed,
+                              counts=(n1, n_trials - n1),
+                              min_purity=min(1.0, float(purity.min())))
 
 
-def _trial_row(t: PointerTrial) -> tuple:
-    up, down = t.collapsed.tolist()
-    return (t.trial_id, t.y, t.outcome, up.real, up.imag, down.real, down.imag)
-
-
-def write_trials(measurement: PointerMeasurement, path, config_hash: str = "") -> None:
+def write_trials(measurement: PointerMeasurement, path, config_hash: str) -> None:
     """Per-trial table: trial_id, pointer value, outcome, collapsed spinor."""
+    up, down = measurement.collapsed.T
+    columns = (measurement.y, measurement.outcome, up.real, up.imag, down.real, down.imag)
     write_table(path, [f"# config_hash={config_hash}",
                        "trial_id,y,outcome,re_up,im_up,re_down,im_down"],
                 "{},{:.17g},{},{:.17g},{:.17g},{:.17g},{:.17g}",
-                map(_trial_row, measurement.trials))
+                zip(range(len(measurement.y)), *(c.tolist() for c in columns)))

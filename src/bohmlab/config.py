@@ -118,21 +118,6 @@ def default_config(scenario: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(scenario=scenario, **fields)
 
 
-def harmonic_equilibrium_config(**overrides) -> ExperimentConfig:
-    """Oscillator variant of the equilibrium run, the settings of
-    `configs/equilibrium_harmonic.cfg`: a coherent packet of the
-    ground-state width starts at x0 = 2 with momentum 1 and swings
-    through half a period."""
-    fields = dict(
-        potential_kind="harmonic", potential_omega=1.0, potential_center=0.0,
-        grid_x_min=-12.0, grid_x_max=12.0, grid_n_points=256,
-        packet_center=2.0, packet_width=math.sqrt(0.5), packet_momentum=1.0,
-        duration=math.pi, n_trials=50000, n_frames=40,
-    )
-    fields.update(overrides)
-    return default_config("equilibrium", **fields)
-
-
 # key in config file -> (attribute, converter)
 def _to_int(s: str) -> int:
     return int(s, 10)
@@ -300,13 +285,7 @@ def _format_value(attr: str, value) -> str:
         return "auto"
     if attr == "axes":
         return " ".join(value)
-    if isinstance(value, complex):
-        return fmt(value)
-    if isinstance(value, bool):
-        return fmt(value)
-    if isinstance(value, float):
-        return fmt(value)
-    return str(value)
+    return fmt(value)
 
 
 def canonical_text(config) -> str:

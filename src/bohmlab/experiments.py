@@ -63,8 +63,7 @@ class MeasurementStatistics:
         return int(sum(self.counts))
 
 
-def measurement_statistics(counts, born_probabilities,
-                           labels=("up", "down")) -> MeasurementStatistics:
+def measurement_statistics(counts, born_probabilities) -> MeasurementStatistics:
     counts = tuple(int(c) for c in counts)
     n = sum(counts)
     if n < 1:
@@ -73,7 +72,7 @@ def measurement_statistics(counts, born_probabilities,
     halfwidths = tuple(3.0 * math.sqrt(p * (1.0 - p) / n) for p in born_probabilities)
     # (hbar/2)(f_up - f_down): a bookkeeping identity on the frequencies
     expectation = (HBAR / 2.0) * (freqs[0] - freqs[1])
-    return MeasurementStatistics(outcome_labels=tuple(labels), counts=counts,
+    return MeasurementStatistics(outcome_labels=("up", "down"), counts=counts,
                                  frequencies=freqs,
                                  born_probabilities=tuple(float(p) for p in born_probabilities),
                                  three_sigma_halfwidths=halfwidths,
@@ -122,7 +121,7 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                          "increase flight_time or the magnet kick")
 
     initial = sample_positions(frames[0], n_trials, seed)
-    ensemble = integrate(frames, initial, config.substeps_per_frame, seed=seed)
+    ensemble = integrate(frames, initial, config.substeps_per_frame)
     axis_position = config.packet_center + config.packet_momentum * flight
     finals = ensemble.positions[:, -1]
     up_mask = finals >= axis_position
@@ -139,15 +138,12 @@ class SternGerlachResult:
     checks: tuple
 
 
-def stern_gerlach(config: ExperimentConfig, n_trials: int | None = None,
-                  seed: int | None = None) -> SternGerlachResult:
+def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
     """Deflection measurement of the spin state (alpha, beta): empirical
     up/down frequencies against |alpha|^2, |beta|^2, and the frequency
     expectation value against (hbar/2)(|alpha|^2 - |beta|^2)."""
-    n = config.n_trials if n_trials is None else n_trials
-    s = config.seed if seed is None else seed
     frames, ensemble, branches, up_mask, flight = _sg_pipeline(
-        config, config.alpha, config.beta, n, s)
+        config, config.alpha, config.beta, config.n_trials, config.seed)
     valid = np.isfinite(ensemble.positions[:, -1])
     stats = measurement_statistics(
         (int(np.sum(up_mask & valid)), int(np.sum(~up_mask & valid))),
@@ -171,7 +167,7 @@ class SequentialResult:
     checks: tuple
 
 
-def sequential(config: ExperimentConfig, seed: int | None = None) -> SequentialResult:
+def sequential(config: ExperimentConfig) -> SequentialResult:
     """Chained deflection stages along config.axes.
 
     Between stages the occupied branch is kept, the packet re-centered
@@ -179,7 +175,6 @@ def sequential(config: ExperimentConfig, seed: int | None = None) -> SequentialR
     own axis; a stage therefore changes the spin state that the next
     stage sees, which is what makes the statistics order-dependent.
     """
-    s = config.seed if seed is None else seed
     n = config.n_trials
     axes = tuple(config.axes)
     outcomes = np.zeros((n, len(axes)), dtype=int)
@@ -199,7 +194,7 @@ def sequential(config: ExperimentConfig, seed: int | None = None) -> SequentialR
             if trial_ids.size == 0:
                 continue
             chi_meas = u @ chi_lab
-            run_seed = rng.derive(s, stage * 4 + g_index)
+            run_seed = rng.derive(config.seed, stage * 4 + g_index)
             _, _, _, up_mask, _ = _sg_pipeline(config, complex(chi_meas[0]),
                                                complex(chi_meas[1]),
                                                trial_ids.size, run_seed)
@@ -260,16 +255,15 @@ class NoCrossingResult:
     checks: tuple
 
 
-def no_crossing_check(config: ExperimentConfig, seed: int | None = None) -> NoCrossingResult:
+def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     """Order preservation plus side retrodiction for the symmetric state:
     a trajectory ends on the up side exactly when it started above the
     packet center (ties on the center count as up on both sides of the
     equivalence)."""
-    s = config.seed if seed is None else seed
     symmetric = abs(abs(config.alpha) ** 2 - 0.5) < 1e-12 and \
         abs(abs(config.beta) ** 2 - 0.5) < 1e-12
     frames, ensemble, branches, up_mask, flight = _sg_pipeline(
-        config, config.alpha, config.beta, config.n_trials, s)
+        config, config.alpha, config.beta, config.n_trials, config.seed)
     report = check_no_crossing(ensemble)
     started_above = ensemble.positions[:, 0] >= config.packet_center
     agree = up_mask == started_above
@@ -297,11 +291,10 @@ class EquilibriumResult:
     checks: tuple
 
 
-def equilibrium_experiment(config: ExperimentConfig, seed: int | None = None) -> EquilibriumResult:
+def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     """Evolve a packet (free or harmonic), start an ensemble distributed
     per the initial |psi|^2 (or a deliberately out-of-equilibrium uniform
     law), and compare the ensemble histogram to |psi_t|^2 at every frame."""
-    s = config.seed if seed is None else seed
     grid = config.grid()
     packet = gaussian_packet(grid, config.packet_center, config.packet_width,
                              config.packet_momentum, config.alpha, config.beta)
@@ -309,11 +302,11 @@ def equilibrium_experiment(config: ExperimentConfig, seed: int | None = None) ->
                            config.n_frames)
 
     if config.init_kind == "born":
-        initial = sample_positions(frames[0], config.n_trials, s)
+        initial = sample_positions(frames[0], config.n_trials, config.seed)
     else:
         initial = config.init_a + (config.init_b - config.init_a) * \
-            rng.uniforms(s, config.n_trials)
-    ensemble = integrate(frames, initial, config.substeps_per_frame, seed=s)
+            rng.uniforms(config.seed, config.n_trials)
+    ensemble = integrate(frames, initial, config.substeps_per_frame)
     comparisons = tuple(
         equilibrium_distance(ensemble, i, frames[i], config.n_bins)
         for i in range(len(frames))
@@ -336,16 +329,16 @@ class PointerResult:
     checks: tuple
 
 
-def pointer_experiment(config: ExperimentConfig, seed: int | None = None) -> PointerResult:
+def pointer_experiment(config: ExperimentConfig) -> PointerResult:
     """Pointer-coordinate measurement of (alpha, beta) via the two-factor
     model: outcome frequencies against the Born weights, and per-trial
     collapse purity against the disjoint-branch criterion."""
-    s = config.seed if seed is None else seed
     measurement = run_pointer_measurement(
         config.alpha, config.beta, CouplingSpec(config.pointer_shift),
-        config.n_trials, s, config.grid(),
+        config.n_trials, config.seed, config.grid(),
         center=config.pointer_center, width=config.pointer_width)
-    stats = measurement_statistics(measurement.counts, measurement.born_probabilities)
+    stats = measurement_statistics(measurement.counts,
+                                   (abs(config.alpha) ** 2, abs(config.beta) ** 2))
     checks = (
         born_check(stats),
         Check("collapse_purity", measurement.min_purity > 1.0 - 1e-6,

@@ -55,9 +55,9 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius_norm(a @ b - b @ a)
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) < tol)
+    return bool(np.max(np.abs(a - a.conj().T)) < HERMITIAN_TOL)
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -66,14 +66,6 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     if not is_hermitian(a):
         raise ValueError("operator is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)
-
-
-def normalized(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
 
 
 def spin_rotation(axis) -> np.ndarray:

@@ -16,7 +16,7 @@ than algebra on paper:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class IdentityCheck:
 class AssignmentSearchReport:
     total_assignments: int
     satisfying_assignments: int
-    witness: dict | None
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ class VonNeumannReport:
 class ChshLocalReport:
     max_S: float
     optimal_strategy_count: int
-    strategy_values: tuple = field(repr=False, default=())
 
 
 def build_mermin_square() -> ObservableSquare:
@@ -165,7 +163,6 @@ def search_noncontextual_assignment(square: ObservableSquare,
                 raise ValueError(f"cell {(r, c)} does not have a +-1 spectrum")
 
     count = 0
-    witness = None
     for bits in itertools.product((+1, -1), repeat=9):
         values = {(r, c): bits[3 * r + c] for r in range(3) for c in range(3)}
         ok = True
@@ -178,10 +175,7 @@ def search_noncontextual_assignment(square: ObservableSquare,
                 break
         if ok:
             count += 1
-            if witness is None:
-                witness = values
-    return AssignmentSearchReport(total_assignments=512, satisfying_assignments=count,
-                                  witness=witness)
+    return AssignmentSearchReport(total_assignments=512, satisfying_assignments=count)
 
 
 def von_neumann_counterexample() -> VonNeumannReport:
@@ -209,23 +203,15 @@ def chsh_local_bound() -> ChshLocalReport:
         values.append(a * b + a * b2 + a2 * b - a2 * b2)
     max_s = max(values)
     return ChshLocalReport(max_S=float(max_s),
-                           optimal_strategy_count=sum(1 for s in values if s == max_s),
-                           strategy_values=tuple(values))
+                           optimal_strategy_count=sum(1 for s in values if s == max_s))
 
 
-def chsh_quantum_value(swap_b: bool = False, b_prime_equals_b: bool = False) -> float:
+def chsh_quantum_value() -> float:
     """Largest eigenvalue of the CHSH operator at the standard settings
     A = sigma_z, A' = sigma_x, B = (sigma_z + sigma_x)/sqrt(2),
-    B' = (sigma_z - sigma_x)/sqrt(2).
-
-    `swap_b` exchanges B and B' (the spectrum is symmetric, so the value
-    is unchanged); `b_prime_equals_b` degrades the operator to 2 A(x)B,
-    whose largest eigenvalue is 2.
-    """
+    B' = (sigma_z - sigma_x)/sqrt(2)."""
     a, a2 = pauli("z"), pauli("x")
     b = (pauli("z") + pauli("x")) / np.sqrt(2)
-    b2 = b if b_prime_equals_b else (pauli("z") - pauli("x")) / np.sqrt(2)
-    if swap_b:
-        b, b2 = b2, b
+    b2 = (pauli("z") - pauli("x")) / np.sqrt(2)
     op = tensor(a, b) + tensor(a, b2) + tensor(a2, b) - tensor(a2, b2)
     return float(hermitian_eigenvalues(op)[-1])

@@ -64,7 +64,7 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 
 def sample_from_density(x_nodes: np.ndarray, density: np.ndarray, n: int,
-                        seed: int, start: int = 0) -> np.ndarray:
+                        seed: int) -> np.ndarray:
     """Inverse-transform samples from a piecewise-constant node density.
 
     Node j owns the cell [x_j - dx/2, x_j + dx/2); the density is
@@ -72,7 +72,7 @@ def sample_from_density(x_nodes: np.ndarray, density: np.ndarray, n: int,
     linear and the inverse transform interpolates linearly within the
     selected cell.  Centering the cells on the nodes keeps the sampled
     law aligned with the continuum density to second order in dx.
-    Draw i uses counter start+i of stream `seed`.
+    Draw i uses counter i of stream `seed`.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     density = np.asarray(density, dtype=float)
@@ -84,7 +84,7 @@ def sample_from_density(x_nodes: np.ndarray, density: np.ndarray, n: int,
     total = cum[-1]
     if not total > 0.0:
         raise ValueError("density has no mass to sample from")
-    u = uniforms(seed, n, start) * total
+    u = uniforms(seed, n) * total
     j = np.searchsorted(cum, u, side="right")
     left = np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
     frac = (u - left) / masses[j]

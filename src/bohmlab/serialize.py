@@ -69,7 +69,10 @@ def json_text(obj, indent: int = 0) -> str:
 
     Supports the types that appear in run reports: dict, list/tuple,
     str, bool, None, int, float.  Dict keys keep insertion order so the
-    emitted bytes are a pure function of the report content.
+    emitted bytes are a pure function of the report content.  An
+    integral float gains `.0` (`2.0`, `-0.0`) so that it reads back as a
+    float; nan and inf, which JSON cannot hold, are written as the
+    strings `"nan"`, `"inf"` and `"-inf"`.
     """
     pad = " " * indent
     if isinstance(obj, np.generic):
@@ -80,10 +83,13 @@ def json_text(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        if isinstance(obj, float) and not math.isfinite(obj):
-            return '"' + fmt(obj) + '"'
+    if isinstance(obj, int):
         return fmt(obj)
+    if isinstance(obj, float):
+        text = fmt(obj)
+        if not math.isfinite(obj):
+            return '"' + text + '"'
+        return text + ".0" if text.lstrip("-").isdigit() else text
     if isinstance(obj, str):
         return '"' + _json_escape(obj) + '"'
     if isinstance(obj, (list, tuple)):

@@ -10,7 +10,7 @@ each frame interval.  Everything is driven by the counter-based RNG in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .wavefield import SpinorField, velocity_field
 class Ensemble:
     """Positions of n trajectories at the stored frame times."""
 
-    seed: int
     frame_times: np.ndarray          # (n_frames,)
     positions: np.ndarray            # (n_trajectories, n_frames), NaN after abort
     aborted: tuple = ()              # trajectory ids that left the grid
-    flagged: bool = False
+
+    @property
+    def flagged(self) -> bool:
+        return bool(self.aborted)
 
     @property
     def n_trajectories(self) -> int:
@@ -48,17 +50,17 @@ class NoCrossingReport:
     first_violation: tuple | None    # ((id_lower, id_upper), frame_index)
 
 
-def sample_positions(field: SpinorField, n: int, seed: int, start: int = 0) -> np.ndarray:
+def sample_positions(field: SpinorField, n: int, seed: int) -> np.ndarray:
     """n independent draws from the spin-summed density of the field."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if field.norm() < 1e-12:
         raise ValueError("cannot sample from a zero-norm field")
-    return rng.sample_from_density(field.grid.nodes, field.density(), n, seed, start)
+    return rng.sample_from_density(field.grid.nodes, field.density(), n, seed)
 
 
-def integrate(frames: list[SpinorField], initial_positions, substeps_per_frame: int = 4,
-              seed: int = 0) -> Ensemble:
+def integrate(frames: list[SpinorField], initial_positions,
+              substeps_per_frame: int = 4) -> Ensemble:
     """RK4 integration of all trajectories through the frame sequence.
 
     Trajectories are integrated in the order of their initial positions,
@@ -115,8 +117,7 @@ def integrate(frames: list[SpinorField], initial_positions, substeps_per_frame: 
 
     aborted = tuple(int(i) for i in np.sort(order[~alive]))
     positions.flags.writeable = False
-    return Ensemble(seed=seed, frame_times=times, positions=positions,
-                    aborted=aborted, flagged=bool(aborted))
+    return Ensemble(frame_times=times, positions=positions, aborted=aborted)
 
 
 def check_no_crossing(ensemble: Ensemble) -> NoCrossingReport:
@@ -182,11 +183,12 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
                                theoretical_mass=theoretical, total_variation=tv)
 
 
-def write_ensemble(ensemble: Ensemble, path, config_hash: str = "") -> None:
-    """Tabular text: one row per (trajectory, frame)."""
+def write_ensemble(ensemble: Ensemble, path, config_hash: str, seed: int) -> None:
+    """Tabular text: one row per (trajectory, frame), under a header
+    naming the run's config hash and seed."""
     times = [fmt(float(t)) for t in ensemble.frame_times]
     # one template holds all frames of a trajectory; field 0 is its id
     template = "\n".join(f"{{0}},{t},{{{j}:.17g}}" for j, t in enumerate(times, 1))
     rows = ((i, *xs.tolist()) for i, xs in enumerate(ensemble.positions)) if times else ()
-    write_table(path, [f"# config_hash={config_hash} seed={ensemble.seed}",
+    write_table(path, [f"# config_hash={config_hash} seed={seed}",
                        "trajectory_id,time,position"], template, rows)

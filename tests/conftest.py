@@ -1,7 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bohmlab.config import parse_config
 from bohmlab.wavefield import Grid1D, SpinorField
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Acceptance criteria report one PASS/FAIL line each; collect them here so
 # the terminal summary shows the verdicts even without -s.
@@ -19,6 +25,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def shipped_config(name: str, **overrides):
+    """The config of `configs/<name>.cfg`, with fields such as n_trials
+    or n_frames replaced to shrink a run."""
+    return replace(parse_config((CONFIG_DIR / f"{name}.cfg").read_text()), **overrides)
 
 
 def analytic_free_gaussian(grid: Grid1D, width: float, t: float,

@@ -7,13 +7,12 @@ deterministic and reproducible.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bohmlab import cli, experiments, nogo
-from bohmlab.config import default_config, harmonic_equilibrium_config, parse_config
+from bohmlab.config import default_config, parse_config
 from bohmlab.trajectories import integrate
 from bohmlab.wavefield import (
     PotentialSpec,
@@ -23,9 +22,14 @@ from bohmlab.wavefield import (
     magnet_kick,
 )
 
-from conftest import analytic_free_gaussian, position_width, record_acceptance
+from conftest import (
+    CONFIG_DIR,
+    analytic_free_gaussian,
+    position_width,
+    record_acceptance,
+    shipped_config,
+)
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SQRT2 = math.sqrt(2.0)
 
 
@@ -128,7 +132,7 @@ def test_c06_equivariance_free_and_harmonic():
     worst = {}
     start = time.perf_counter()
     for label, cfg in (("free", default_config("equilibrium")),
-                       ("harmonic", harmonic_equilibrium_config())):
+                       ("harmonic", shipped_config("equilibrium_harmonic"))):
         res = experiments.equilibrium_experiment(cfg)
         worst[label] = max(c.total_variation for c in res.comparisons)
     elapsed = time.perf_counter() - start

@@ -1,6 +1,5 @@
 import argparse
 import json
-from pathlib import Path
 
 import pytest
 
@@ -13,11 +12,10 @@ from bohmlab.config import (
     canonical_text,
     config_hash,
     default_config,
-    harmonic_equilibrium_config,
     parse_config,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+from conftest import CONFIG_DIR
 
 
 def manifest(subcommand, out, **kw):
@@ -64,10 +62,6 @@ class TestParseConfig:
         for path in sorted(CONFIG_DIR.glob("*.cfg")):
             parse_config(path.read_text())
 
-    def test_harmonic_helper_is_the_shipped_config(self):
-        shipped = parse_config((CONFIG_DIR / "equilibrium_harmonic.cfg").read_text())
-        assert config_hash(harmonic_equilibrium_config()) == config_hash(shipped)
-
 
 class TestDispatch:
     def test_nogo_mermin(self, tmp_path, capsys):
@@ -83,6 +77,13 @@ class TestDispatch:
     @pytest.mark.parametrize("check", ["vonneumann", "chsh"])
     def test_other_nogo_checks_pass(self, tmp_path, check):
         assert cli.dispatch(manifest(f"nogo {check}", tmp_path / check, quiet=True)) == 0
+
+    def test_report_json_keeps_float_type(self, tmp_path):
+        assert cli.dispatch(manifest("nogo chsh", tmp_path, quiet=True)) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert type(results["local_max_S"]) is float and results["local_max_S"] == 2.0
+        assert type(results["optimal_strategy_count"]) is int
+        assert "local_max_S = 2\n" in (tmp_path / "report.txt").read_text()
 
     def test_stern_gerlach_run(self, tmp_path):
         m = manifest("sim stern-gerlach", tmp_path / "sg", quiet=True,
@@ -228,3 +229,8 @@ class TestMain:
         hist = (tmp_path / "eq" / "histograms.csv").read_text().splitlines()
         assert hist[0].startswith("# config_hash=")
         assert hist[1] == "frame,bin_left,bin_right,empirical,theoretical"
+
+
+def test_every_package_export_resolves():
+    import bohmlab
+    assert [name for name in bohmlab.__all__ if not hasattr(bohmlab, name)] == []

@@ -153,7 +153,7 @@ class TestPointerMeasurement:
     def test_balanced_state_binomial(self, pointer_grid):
         a = 1 / np.sqrt(2)
         m = run_pointer_measurement(a, a, CouplingSpec(10.0), 10_000, 11, pointer_grid)
-        assert abs(m.frequencies[0] - 0.5) < 0.015   # 3 sigma for n = 1e4
+        assert abs(m.counts[0] / 10_000 - 0.5) < 0.015   # 3 sigma for n = 1e4
 
     def test_every_trial_collapses(self, pointer_grid):
         m = run_pointer_measurement(ALPHA, BETA, CouplingSpec(10.0), 1000, 3, pointer_grid)
@@ -162,8 +162,7 @@ class TestPointerMeasurement:
     def test_reproducible(self, pointer_grid):
         a = run_pointer_measurement(ALPHA, BETA, CouplingSpec(10.0), 100, 8, pointer_grid)
         b = run_pointer_measurement(ALPHA, BETA, CouplingSpec(10.0), 100, 8, pointer_grid)
-        assert all(x.y == y.y and x.outcome == y.outcome
-                   for x, y in zip(a.trials, b.trials))
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.outcome, b.outcome)
 
     def test_trial_export(self, pointer_grid, tmp_path):
         m = run_pointer_measurement(ALPHA, BETA, CouplingSpec(10.0), 20, 8, pointer_grid)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from bohmlab import experiments
-from bohmlab.config import default_config, harmonic_equilibrium_config
+from bohmlab.config import default_config
 from bohmlab.experiments import detection_time, measurement_statistics
 from bohmlab.trajectories import sample_positions, integrate
 from bohmlab.wavefield import evolve_frames, gaussian_packet, magnet_kick
+
+from conftest import shipped_config
 
 FAST = dict(n_trials=2000, n_frames=32)
 
@@ -96,7 +98,7 @@ class TestSternGerlach:
         misses = 0
         for seed in range(100):
             x0 = sample_positions(frames[0], cfg.n_trials, seed)
-            ens = integrate(frames, x0, cfg.substeps_per_frame, seed=seed)
+            ens = integrate(frames, x0, cfg.substeps_per_frame)
             f_up = float(np.mean(ens.positions[:, -1] >= 0))
             if abs(f_up - p) > halfwidth:
                 misses += 1
@@ -153,7 +155,7 @@ class TestEquilibrium:
         assert all(c.passed for c in res.checks)
 
     def test_harmonic_run_stays_in_equilibrium(self):
-        cfg = harmonic_equilibrium_config(n_trials=5000, n_frames=16)
+        cfg = shipped_config("equilibrium_harmonic", n_trials=5000, n_frames=16)
         res = experiments.equilibrium_experiment(cfg)
         assert all(c.total_variation < cfg.tv_tolerance for c in res.comparisons)
 

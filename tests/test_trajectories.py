@@ -114,8 +114,8 @@ class TestIntegrate:
         times = np.linspace(0.0, 1.0, 6)
         frames = [analytic_free_gaussian(grid512, w0, t) for t in times]
         x0 = sample_positions(frames[0], 500, seed=9)
-        a = integrate(frames, x0, substeps_per_frame=4, seed=9)
-        b = integrate(frames, x0, substeps_per_frame=4, seed=9)
+        a = integrate(frames, x0, substeps_per_frame=4)
+        b = integrate(frames, x0, substeps_per_frame=4)
         assert np.array_equal(a.positions, b.positions)
 
 
@@ -189,7 +189,7 @@ class TestNoCrossing:
                               [2.0, 2.0, 2.0]])
         swapped = positions.copy()
         swapped[[0, 2], 1] = swapped[[2, 0], 1]     # cross at the middle frame
-        ens = Ensemble(seed=0, frame_times=times, positions=swapped)
+        ens = Ensemble(frame_times=times, positions=swapped)
         report = check_no_crossing(ens)
         assert report.violations >= 1
         assert report.first_violation is not None
@@ -217,13 +217,13 @@ class TestEquilibriumDistance:
         f = SpinorField(grid, up, np.zeros(256, complex)).normalized()
         times = np.array([0.0, 1.0])
         positions = np.array([[grid.nodes[133], grid.nodes[133]]])
-        ens = Ensemble(seed=0, frame_times=times, positions=positions)
+        ens = Ensemble(frame_times=times, positions=positions)
         comp = equilibrium_distance(ens, 0, f, 16)
         assert comp.total_variation == 0.0
 
     def test_requires_enough_bins(self, grid512):
         f = analytic_free_gaussian(grid512, 1.0, 0.0)
-        ens = Ensemble(seed=0, frame_times=np.array([0.0]),
+        ens = Ensemble(frame_times=np.array([0.0]),
                        positions=np.array([[0.0]]))
         with pytest.raises(ValueError):
             equilibrium_distance(ens, 0, f, 4)
@@ -232,9 +232,9 @@ class TestEquilibriumDistance:
 class TestEnsembleExport:
     def test_header_and_shape(self, grid512, tmp_path):
         frames = plane_wave_frames(grid512, 1.0, [0.0, 0.5, 1.0])
-        ens = integrate(frames, [0.0, 1.0], substeps_per_frame=1, seed=123)
+        ens = integrate(frames, [0.0, 1.0], substeps_per_frame=1)
         path = tmp_path / "ensemble.csv"
-        write_ensemble(ens, path, config_hash="deadbeef")
+        write_ensemble(ens, path, config_hash="deadbeef", seed=123)
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=deadbeef seed=123"
         assert lines[1] == "trajectory_id,time,position"

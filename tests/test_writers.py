@@ -5,6 +5,7 @@ The reference renderers below format one value at a time with
 produce exactly the same bytes, for real run data and for edge values.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -15,11 +16,10 @@ from bohmlab.cli import _write_histograms
 from bohmlab.conditional import (
     CouplingSpec,
     PointerMeasurement,
-    PointerTrial,
     run_pointer_measurement,
     write_trials,
 )
-from bohmlab.serialize import fmt
+from bohmlab.serialize import fmt, json_text
 from bohmlab.trajectories import (
     Ensemble,
     equilibrium_distance,
@@ -36,8 +36,8 @@ EDGE_VALUES = [math.nan, NEG_NAN, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0]
 
 
-def ref_ensemble(ensemble, config_hash):
-    lines = [f"# config_hash={config_hash} seed={ensemble.seed}",
+def ref_ensemble(ensemble, config_hash, seed):
+    lines = [f"# config_hash={config_hash} seed={seed}",
              "trajectory_id,time,position"]
     for i in range(ensemble.n_trajectories):
         for t, xt in zip(ensemble.frame_times, ensemble.positions[i]):
@@ -62,10 +62,10 @@ def ref_frame(field):
 def ref_trials(measurement, config_hash):
     lines = [f"# config_hash={config_hash}",
              "trial_id,y,outcome,re_up,im_up,re_down,im_down"]
-    for t in measurement.trials:
-        lines.append(",".join([str(t.trial_id), fmt(t.y), str(t.outcome),
-                               fmt(float(t.collapsed[0].real)), fmt(float(t.collapsed[0].imag)),
-                               fmt(float(t.collapsed[1].real)), fmt(float(t.collapsed[1].imag))]))
+    for i, (y, outcome, (up, down)) in enumerate(zip(measurement.y, measurement.outcome,
+                                                     measurement.collapsed)):
+        lines.append(",".join([str(i), fmt(y), fmt(outcome),
+                               fmt(up.real), fmt(up.imag), fmt(down.real), fmt(down.imag)]))
     return "\n".join(lines) + "\n"
 
 
@@ -94,7 +94,7 @@ def free_run():
     times = np.linspace(0.0, 2.0, 11)
     frames = [analytic_free_gaussian(grid, 1.0, t, momentum=1.0) for t in times]
     x0 = np.append(sample_positions(frames[0], 300, seed=3), 15.9)
-    ensemble = integrate(frames, x0, substeps_per_frame=2, seed=3)
+    ensemble = integrate(frames, x0, substeps_per_frame=2)
     comparisons = tuple(equilibrium_distance(ensemble, i, frames[i], 20)
                         for i in range(len(frames)))
     return frames, ensemble, comparisons
@@ -107,28 +107,40 @@ def test_format_spec_matches_fmt():
         assert f"{n}" == fmt(n)
 
 
+def test_json_text_keeps_float_type():
+    floats = [2.0, -0.0, 0.0, 1e16, -3.0, 0.5, 1e17, 5e-324, 2.0**0.5]
+    assert [json_text(v) for v in floats] == [
+        "2.0", "-0.0", "0.0", "10000000000000000.0", "-3.0", "0.5", "1e+17",
+        "4.9406564584124654e-324", "1.4142135623730951"]
+    assert [json_text(v) for v in (2, -7, math.nan, -math.inf)] == \
+        ["2", "-7", '"nan"', '"-inf"']
+    for v in floats:
+        back = json.loads(json_text(v))
+        assert type(back) is float and back == v
+        assert math.copysign(1.0, back) == math.copysign(1.0, v)
+
+
 class TestEnsemble:
     def test_integrated_run(self, tmp_path, free_run):
         _, ensemble, _ = free_run
         assert ensemble.flagged and np.isnan(ensemble.positions[-1, -1])
-        assert written(tmp_path, write_ensemble, ensemble, config_hash="abc") == \
-            ref_ensemble(ensemble, "abc").encode()
+        assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=3) == \
+            ref_ensemble(ensemble, "abc", 3).encode()
 
     def test_edge_values(self, tmp_path):
         positions = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
-        ensemble = Ensemble(seed=7, frame_times=np.array(EDGE_VALUES), positions=positions)
-        data = written(tmp_path, write_ensemble, ensemble, config_hash="abc")
-        assert data == ref_ensemble(ensemble, "abc").encode()
+        ensemble = Ensemble(frame_times=np.array(EDGE_VALUES), positions=positions)
+        data = written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=7)
+        assert data == ref_ensemble(ensemble, "abc", 7).encode()
         assert data.count(b"\n") == 2 + 2 * len(EDGE_VALUES)
 
     def test_zero_rows(self, tmp_path):
         header = b"# config_hash=abc seed=1\ntrajectory_id,time,position\n"
-        no_trajectories = Ensemble(seed=1, frame_times=np.array([0.0, 1.0]),
-                                   positions=np.zeros((0, 2)))
-        no_frames = Ensemble(seed=1, frame_times=np.zeros(0), positions=np.zeros((3, 0)))
+        no_trajectories = Ensemble(frame_times=np.array([0.0, 1.0]), positions=np.zeros((0, 2)))
+        no_frames = Ensemble(frame_times=np.zeros(0), positions=np.zeros((3, 0)))
         for ensemble in (no_trajectories, no_frames):
-            assert written(tmp_path, write_ensemble, ensemble, config_hash="abc") == header
-            assert ref_ensemble(ensemble, "abc").encode() == header
+            assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=1) == header
+            assert ref_ensemble(ensemble, "abc", 1).encode() == header
 
 
 class TestFrame:
@@ -153,20 +165,20 @@ class TestTrials:
         assert written(tmp_path, write_trials, m, config_hash="abc") == \
             ref_trials(m, "abc").encode()
 
-    def test_edge_values_and_large_ids(self, tmp_path):
-        values = EDGE_VALUES
-        trials = tuple(
-            PointerTrial(trial_id=10**6 + 997 * i, y=v, outcome=1 + i % 2,
-                         collapsed=np.array([complex(v, values[-1 - i]), complex(-v, v)]))
-            for i, v in enumerate(values))
-        m = PointerMeasurement(trials=trials, counts=(6, 6), frequencies=(0.5, 0.5),
-                               born_probabilities=(0.5, 0.5), min_purity=0.0)
+    def test_edge_values(self, tmp_path):
+        values = np.array(EDGE_VALUES)
+        collapsed = np.zeros((values.size, 2), dtype=complex)
+        collapsed.real = np.stack([values, -values], axis=1)
+        collapsed.imag = np.stack([values[::-1], values], axis=1)
+        m = PointerMeasurement(y=values, outcome=1 + np.arange(values.size) % 2,
+                               collapsed=collapsed, counts=(6, 6), min_purity=0.0)
         assert written(tmp_path, write_trials, m, config_hash="abc") == \
             ref_trials(m, "abc").encode()
 
     def test_zero_rows(self, tmp_path):
-        m = PointerMeasurement(trials=(), counts=(0, 0), frequencies=(0.0, 0.0),
-                               born_probabilities=(0.5, 0.5), min_purity=1.0)
+        m = PointerMeasurement(y=np.zeros(0), outcome=np.zeros(0, dtype=int),
+                               collapsed=np.zeros((0, 2), dtype=complex), counts=(0, 0),
+                               min_purity=1.0)
         assert written(tmp_path, write_trials, m, config_hash="abc") == \
             b"# config_hash=abc\ntrial_id,y,outcome,re_up,im_up,re_down,im_down\n"
 
