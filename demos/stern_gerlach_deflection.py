@@ -31,7 +31,7 @@ print(f"detection time (branch separation = 10 widths): {result.detection_time:.
 print(f"branch supports at detection: up {result.branches.up_interval}, "
       f"down {result.branches.down_interval}")
 print()
-for label, count, freq, born, hw in zip(stats.outcome_labels, stats.counts,
+for label, count, freq, born, hw in zip(("up", "down"), stats.counts,
                                         stats.frequencies, stats.born_probabilities,
                                         stats.three_sigma_halfwidths):
     print(f"outcome {label:>4}: {count:5d} trials, frequency {freq:.4f} "

@@ -51,7 +51,6 @@ class Check:
 
 @dataclass(frozen=True)
 class MeasurementStatistics:
-    outcome_labels: tuple
     counts: tuple
     frequencies: tuple
     born_probabilities: tuple
@@ -72,8 +71,7 @@ def measurement_statistics(counts, born_probabilities) -> MeasurementStatistics:
     halfwidths = tuple(3.0 * math.sqrt(p * (1.0 - p) / n) for p in born_probabilities)
     # (hbar/2)(f_up - f_down): a bookkeeping identity on the frequencies
     expectation = (HBAR / 2.0) * (freqs[0] - freqs[1])
-    return MeasurementStatistics(outcome_labels=("up", "down"), counts=counts,
-                                 frequencies=freqs,
+    return MeasurementStatistics(counts=counts, frequencies=freqs,
                                  born_probabilities=tuple(float(p) for p in born_probabilities),
                                  three_sigma_halfwidths=halfwidths,
                                  expectation_value=expectation)
@@ -84,7 +82,7 @@ def born_check(stats: MeasurementStatistics) -> Check:
     hw = stats.three_sigma_halfwidths
     ok = all(d <= max(h, 0.0) + 1e-15 for d, h in zip(devs, hw))
     detail = ", ".join(f"{lab}: |{f:.6f} - {p:.6f}| vs 3sigma {h:.6f}"
-                       for lab, f, p, h in zip(stats.outcome_labels, stats.frequencies,
+                       for lab, f, p, h in zip(("up", "down"), stats.frequencies,
                                                stats.born_probabilities, hw))
     return Check("born_within_3sigma", ok, detail)
 

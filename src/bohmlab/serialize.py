@@ -4,11 +4,13 @@ Doubles are written with 17 significant decimal digits, which is enough
 to round-trip any IEEE-754 double exactly, in any language.
 
 `fmt` is the definition of a scalar's text.  For a Python float the
-format spec `"{:.17g}"` gives the same bytes as `fmt` in every case,
-including `nan` of either sign (written `nan`), `inf`, `-inf` and `-0`;
-for a Python int `"{}"` gives the same bytes as `fmt`.  `write_table`
-relies on this rule: a table row is one `str.format` template over
-plain Python numbers, so large tables never call `fmt` per value.
+format spec `"{:.17g}"` and the `%` conversion `"%.17g"` both give the
+same bytes as `fmt` in every case, including `nan` of either sign
+(written `nan`), `inf`, `-inf`, `-0` and subnormals; for a Python int
+`"{}"` gives the same bytes as `fmt`.  The table writers rely on this
+rule, so large tables never call `fmt` per value: a `write_table` row is
+one `str.format` template over plain Python numbers, and
+`trajectories.write_ensemble` applies one `%` template per trajectory.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,8 @@ from bohmlab.config import (
 )
 
 from conftest import CONFIG_DIR
+
+ROOT = CONFIG_DIR.parent
 
 
 def manifest(subcommand, out, **kw):
@@ -234,3 +239,21 @@ class TestMain:
 def test_every_package_export_resolves():
     import bohmlab
     assert [name for name in bohmlab.__all__ if not hasattr(bohmlab, name)] == []
+
+
+def test_deflection_run_imports_no_process_pool(tmp_path):
+    # workers start only for ensembles of 2**18 values or more; a small
+    # run must not pay for importing them (set-up time, peak RSS)
+    code = ("import sys\n"
+            "import bohmlab.cli\n"
+            "status = bohmlab.cli.main(['sim', 'stern-gerlach', '--trajectories', '200',\n"
+            f"                           '--out', {str(tmp_path)!r}, '--quiet'])\n"
+            "assert status in (0, 1), status\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+            " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "ensemble.csv").exists()

@@ -7,11 +7,15 @@ produce exactly the same bytes, for real run data and for edge values.
 
 import json
 import math
+import os
+import signal
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bohmlab import trajectories
 from bohmlab.cli import _write_histograms
 from bohmlab.conditional import (
     CouplingSpec,
@@ -34,6 +38,7 @@ from conftest import analytic_free_gaussian
 NEG_NAN = math.copysign(math.nan, -1.0)
 EDGE_VALUES = [math.nan, NEG_NAN, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0]
+TEST_PID = os.getpid()
 
 
 def ref_ensemble(ensemble, config_hash, seed):
@@ -101,8 +106,9 @@ def free_run():
 
 
 def test_format_spec_matches_fmt():
-    for v in EDGE_VALUES:
+    for v in EDGE_VALUES + [1e16, 1e17]:
         assert f"{v:.17g}" == fmt(v)
+        assert "%.17g" % v == fmt(v)
     for n in (0, 7, -3, 10**6, 2**63):
         assert f"{n}" == fmt(n)
 
@@ -118,6 +124,51 @@ def test_json_text_keeps_float_type():
         back = json.loads(json_text(v))
         assert type(back) is float and back == v
         assert math.copysign(1.0, back) == math.copysign(1.0, v)
+
+
+@pytest.fixture(scope="module")
+def large_ensemble():
+    """6,500 x 41 positions, above the worker threshold of 2**18 values,
+    with NaN-aborted rows and every edge value scattered in, and its
+    reference text."""
+    rng = np.random.default_rng(9)
+    positions = rng.normal(scale=4.0, size=(6500, 41))
+    for i in range(0, 6500, 97):
+        positions[i, 1 + i % 40:] = np.nan
+    cells = rng.choice(positions.size, size=40 * len(EDGE_VALUES), replace=False)
+    positions.flat[cells] = np.resize(EDGE_VALUES, cells.size)
+    assert positions.size >= trajectories._WORKER_MIN_VALUES
+    ensemble = Ensemble(frame_times=np.linspace(0.0, 4.0, 41), positions=positions)
+    return ensemble, ref_ensemble(ensemble, "abc", 5).encode()
+
+
+def _exit_in_worker(lo, hi):
+    # stands in for trajectories._format_chunk; fork carries the patch
+    assert os.getpid() != TEST_PID, "chunk formatter ran in the test process"
+    os._exit(1)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError (not a RuntimeError) if the block hangs."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _on_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    forks = []
+    fork_context = trajectories._fork_context
+    monkeypatch.setattr(trajectories, "_fork_context",
+                        lambda: forks.append(1) or fork_context())
+    return forks
 
 
 class TestEnsemble:
@@ -141,6 +192,26 @@ class TestEnsemble:
         for ensemble in (no_trajectories, no_frames):
             assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=1) == header
             assert ref_ensemble(ensemble, "abc", 1).encode() == header
+
+    def test_worker_path(self, tmp_path, monkeypatch, large_ensemble):
+        ensemble, reference = large_ensemble
+        forks = _on_cpus(monkeypatch, 2)
+        with _deadline(60):
+            data = written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=5)
+        assert forks == [1]
+        assert data == reference
+
+    def test_one_cpu_streams_the_same_bytes(self, tmp_path, monkeypatch, large_ensemble):
+        ensemble, reference = large_ensemble
+        forks = _on_cpus(monkeypatch, 1)
+        assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=5) == reference
+        assert forks == []
+
+    def test_dead_worker_raises(self, tmp_path, monkeypatch, large_ensemble):
+        _on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(trajectories, "_format_chunk", _exit_in_worker)
+        with _deadline(60), pytest.raises(RuntimeError):
+            written(tmp_path, write_ensemble, large_ensemble[0], config_hash="abc", seed=5)
 
 
 class TestFrame:
