@@ -5,9 +5,10 @@ Subcommands:
     bohmlab nogo mermin|vonneumann|chsh
     bohmlab sim stern-gerlach|sequential|no-crossing|equilibrium|pointer
 
-Common flags: --config PATH, --seed N, --out DIR, --trajectories N,
---quiet, --dump-frames.  Seed precedence: --seed beats the config file,
-which beats the default 42.
+Flags: --config PATH, --seed N, --out DIR and --quiet on every
+subcommand; --trajectories N on `sim` only; --dump-frames on
+`sim stern-gerlach` and `sim equilibrium` only.  Seed precedence: --seed
+beats the config file, which beats the default 42.
 
 `SCENARIOS` maps each scenario to a runner that runs it, writes its own
 tables and returns its results tree and checks.  Every run writes
@@ -15,9 +16,10 @@ tables and returns its results tree and checks.  Every run writes
 `key = value` lines in the text report) and one PASS/FAIL line per
 declared check.  Trajectory scenarios add `ensemble.csv`, the
 pointer scenario `trials.csv`, the equilibrium scenario
-`histograms.csv`, and --dump-frames a `frames/` directory.  Each output
-file begins with the config hash; nothing in a file depends on the
-clock, so re-running a manifest reproduces every file byte for byte.
+`histograms.csv`, and --dump-frames a `frames/` directory.  Both reports
+and every CSV table begin with the config hash; the frame dumps do not.
+Nothing in a file depends on the clock, so re-running a manifest
+reproduces every file byte for byte.
 The exit status is 0 exactly when all declared checks pass.
 """
 
@@ -93,7 +95,7 @@ def _stern_gerlach(cfg, out, chash, dump_frames):
 def _sequential(cfg, out, chash, dump_frames):
     result = experiments.sequential(cfg)
     return ({"stages": [{"axis": axis, "statistics": asdict(st)}
-                        for axis, st in zip(result.axes, result.stage_statistics)]},
+                        for axis, st in zip(cfg.axes, result.stage_statistics)]},
             result.checks)
 
 
@@ -163,6 +165,9 @@ def _chsh(cfg, out, chash, dump_frames):
              "optimal_strategy_count": local.optimal_strategy_count,
              "quantum_value": quantum}, checks)
 
+
+# the runners that honour --dump-frames
+FRAME_SCENARIOS = ("stern_gerlach", "equilibrium")
 
 SCENARIOS = {
     "stern_gerlach": _stern_gerlach,
@@ -275,11 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", default=None, help="config file path")
             p.add_argument("--seed", type=int, default=None, help="seed override")
             p.add_argument("--out", default="bohmlab-out", help="output directory")
-            p.add_argument("--trajectories", type=int, default=None,
-                           help="override the number of trajectories/trials")
             p.add_argument("--quiet", action="store_true")
-            p.add_argument("--dump-frames", action="store_true",
-                           help="also write wave-function frames")
+            if group == "sim":
+                p.add_argument("--trajectories", type=int, default=None,
+                               help="override the number of trajectories/trials")
+            if scenario in FRAME_SCENARIOS:
+                p.add_argument("--dump-frames", action="store_true",
+                               help="also write wave-function frames")
     return parser
 
 
@@ -289,9 +296,9 @@ def manifest_from_args(args) -> RunManifest:
                        config_path=args.config,
                        seed_override=args.seed,
                        out_dir=args.out,
-                       trajectories_override=args.trajectories,
+                       trajectories_override=getattr(args, "trajectories", None),
                        quiet=args.quiet,
-                       dump_frames=args.dump_frames)
+                       dump_frames=getattr(args, "dump_frames", False))
 
 
 def main(argv=None) -> int:

@@ -17,8 +17,8 @@ known key suggested.
 
 The canonical form of a config is the sorted `key = value` listing of
 every effective field (defaults filled in, floats at 17 significant
-digits); its SHA-256 hex digest is the config hash stamped on every
-output file.
+digits); its SHA-256 hex digest is the config hash stamped on both
+reports and every CSV table of a run.
 """
 
 from __future__ import annotations
@@ -247,9 +247,12 @@ def validate_config(config: ExperimentConfig) -> None:
     if abs(spin_norm - 1.0) > 1e-9:
         raise ConfigError("spin normalization invariant violated: "
                           f"|alpha|^2 + |beta|^2 = {spin_norm:.12g}, must be 1 within 1e-9")
-    config.grid()          # raises on bad grid parameters
-    config.magnet()
-    config.potential()
+    try:
+        config.grid()
+        config.magnet()
+        config.potential()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.potential_kind != "free" and config.grid_n_points > EIGENBASIS_MAX_POINTS:
         raise ConfigError(f"grid.n_points = {config.grid_n_points} exceeds "
                           f"{EIGENBASIS_MAX_POINTS}, the limit for potential.kind = "

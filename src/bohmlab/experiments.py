@@ -161,7 +161,6 @@ def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
 class SequentialResult:
     stage_statistics: tuple
     outcomes: np.ndarray        # (n_trials, n_stages), 0 = up, 1 = down
-    axes: tuple
     checks: tuple
 
 
@@ -174,73 +173,44 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     stage sees, which is what makes the statistics order-dependent.
     """
     n = config.n_trials
-    axes = tuple(config.axes)
-    outcomes = np.zeros((n, len(axes)), dtype=int)
-
-    # groups: spin state (in the fixed lab basis) -> trial indices
-    groups: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.array([config.alpha, config.beta], dtype=complex), np.arange(n))
-    ]
+    outcomes = np.zeros((n, len(config.axes)), dtype=int)
+    # branches: (spin state in the fixed lab basis, Born weight, trial ids)
+    branches = [(np.array([config.alpha, config.beta], dtype=complex), 1.0, np.arange(n))]
     stage_stats = []
-    born_up = _sequential_born_chain(config, axes)
+    checks = []
 
-    for stage, axis in enumerate(axes):
+    for stage, axis in enumerate(config.axes):
         u = spin_rotation(_AXIS_VECTORS[axis])
         u_dag = u.conj().T
-        collected = {0: [], 1: []}
-        for g_index, (chi_lab, trial_ids) in enumerate(groups):
+        weight_up = weight_down = 0.0
+        ids_up, ids_down = [], []
+        for g_index, (chi_lab, weight, trial_ids) in enumerate(branches):
+            chi_meas = u @ chi_lab
+            p_up = float(abs(chi_meas[0]) ** 2)
+            weight_up += weight * p_up
+            weight_down += weight * (1.0 - p_up)
             if trial_ids.size == 0:
                 continue
-            chi_meas = u @ chi_lab
             run_seed = rng.derive(config.seed, stage * 4 + g_index)
             _, _, _, up_mask, _ = _sg_pipeline(config, complex(chi_meas[0]),
                                                complex(chi_meas[1]),
                                                trial_ids.size, run_seed)
-            collected[0].append(trial_ids[up_mask])
-            collected[1].append(trial_ids[~up_mask])
+            ids_up.append(trial_ids[up_mask])
+            ids_down.append(trial_ids[~up_mask])
         # all trials with the same outcome share the collapsed state, so the
-        # next stage sees at most two groups (and g_index stays < 4)
-        groups = []
-        for outcome, state in ((0, u_dag @ np.array([1.0, 0.0], dtype=complex)),
-                               (1, u_dag @ np.array([0.0, 1.0], dtype=complex))):
-            ids = np.sort(np.concatenate(collected[outcome])) if collected[outcome] \
-                else np.array([], dtype=int)
-            outcomes[ids, stage] = outcome
-            groups.append((state, ids))
-        n_up_total = groups[0][1].size
-        p_up = born_up[stage]
-        stage_stats.append(measurement_statistics((n_up_total, n - n_up_total),
-                                                  (p_up, 1.0 - p_up)))
+        # next stage sees two branches (and g_index stays < 4)
+        ids_up, ids_down = np.sort(np.concatenate(ids_up)), np.sort(np.concatenate(ids_down))
+        outcomes[ids_down, stage] = 1
+        branches = [(u_dag @ np.array([1.0, 0.0], dtype=complex), weight_up, ids_up),
+                    (u_dag @ np.array([0.0, 1.0], dtype=complex), weight_down, ids_down)]
+        stats = measurement_statistics((ids_up.size, n - ids_up.size),
+                                       (weight_up, 1.0 - weight_up))
+        stage_stats.append(stats)
+        base = born_check(stats)
+        checks.append(Check(f"stage{stage + 1}_{axis}_{base.name}", base.passed, base.detail))
 
-    checks = []
-    for i, st in enumerate(stage_stats):
-        base = born_check(st)
-        checks.append(Check(f"stage{i + 1}_{axes[i]}_{base.name}", base.passed, base.detail))
-    checks = tuple(checks)
     return SequentialResult(stage_statistics=tuple(stage_stats), outcomes=outcomes,
-                            axes=axes, checks=checks)
-
-
-def _sequential_born_chain(config: ExperimentConfig, axes) -> list[float]:
-    """Exact stage-wise up-probabilities from chained projections."""
-    dist = [(1.0, np.array([config.alpha, config.beta], dtype=complex))]
-    born_up = []
-    for axis in axes:
-        u = spin_rotation(_AXIS_VECTORS[axis])
-        u_dag = u.conj().T
-        p_up_stage = 0.0
-        up_state = u_dag @ np.array([1.0, 0.0], dtype=complex)
-        down_state = u_dag @ np.array([0.0, 1.0], dtype=complex)
-        new_weights = {0: 0.0, 1: 0.0}
-        for weight, chi in dist:
-            chi_meas = u @ chi
-            p_up = float(abs(chi_meas[0]) ** 2)
-            p_up_stage += weight * p_up
-            new_weights[0] += weight * p_up
-            new_weights[1] += weight * (1.0 - p_up)
-        born_up.append(p_up_stage)
-        dist = [(new_weights[0], up_state), (new_weights[1], down_state)]
-    return born_up
+                            checks=tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import pytest
 
 from bohmlab import experiments
 from bohmlab.config import default_config
-from bohmlab.experiments import detection_time, measurement_statistics
+from bohmlab.experiments import _AXIS_VECTORS, detection_time, measurement_statistics
+from bohmlab.hilbert import spin_rotation
 from bohmlab.trajectories import sample_positions, integrate
 from bohmlab.wavefield import evolve_frames, gaussian_packet, magnet_kick
 
@@ -105,7 +106,46 @@ class TestSternGerlach:
         assert misses <= 1
 
 
+def reference_born_chain(config, axes) -> list[float]:
+    """Exact stage-wise up-probabilities from chained projections, computed
+    apart from the simulated branches."""
+    dist = [(1.0, np.array([config.alpha, config.beta], dtype=complex))]
+    born_up = []
+    for axis in axes:
+        u = spin_rotation(_AXIS_VECTORS[axis])
+        u_dag = u.conj().T
+        p_up_stage = 0.0
+        up_state = u_dag @ np.array([1.0, 0.0], dtype=complex)
+        down_state = u_dag @ np.array([0.0, 1.0], dtype=complex)
+        new_weights = {0: 0.0, 1: 0.0}
+        for weight, chi in dist:
+            chi_meas = u @ chi
+            p_up = float(abs(chi_meas[0]) ** 2)
+            p_up_stage += weight * p_up
+            new_weights[0] += weight * p_up
+            new_weights[1] += weight * (1.0 - p_up)
+        born_up.append(p_up_stage)
+        dist = [(new_weights[0], up_state), (new_weights[1], down_state)]
+    return born_up
+
+
 class TestSequential:
+    @pytest.mark.parametrize("axes,alpha,beta", [
+        (("z", "x", "z"), 0.6, 0.8j),
+        (("y", "x", "y", "z"), 0.6 + 0.1j, 0.79372539331937720),
+        (("x", "x"), 1 / math.sqrt(2), 1 / math.sqrt(2)),
+    ])
+    def test_stages_match_the_reference_chain(self, axes, alpha, beta):
+        cfg = default_config("sequential", axes=axes, alpha=complex(alpha),
+                             beta=complex(beta), n_trials=300, n_frames=32)
+        res = experiments.sequential(cfg)
+        assert len(res.stage_statistics) == len(axes)
+        for stage, (st, p_up) in enumerate(zip(res.stage_statistics,
+                                               reference_born_chain(cfg, axes))):
+            assert st.born_probabilities == (p_up, 1.0 - p_up)
+            column = res.outcomes[:, stage]
+            assert st.counts == (int(np.sum(column == 0)), int(np.sum(column == 1)))
+
     def test_repeated_axis_is_deterministic(self):
         cfg = default_config("sequential", axes=("z", "z"), n_trials=400, n_frames=32)
         res = experiments.sequential(cfg)
