@@ -10,9 +10,9 @@ Config files are plain key-value text:
 
 One `key = value` pair per line; nesting is spelled with dots; `#`
 starts a comment; blank lines are ignored.  Keys may not repeat.
-Numbers are decimal; complex values use Python syntax (`0.6+0.2j`);
-`axes` is a whitespace- or comma-separated list of x/y/z letters;
-`flight_time` accepts `auto`.  Unknown keys are fatal, with a nearest
+Numbers are finite decimals (no inf or nan); complex values use Python
+syntax (`0.6+0.2j`); `axes` is a whitespace- or comma-separated list of
+x/y/z letters; `flight_time` accepts `auto`.  Unknown keys are fatal, with a nearest
 known key suggested.
 
 The canonical form of a config is the sorted `key = value` listing of
@@ -23,13 +23,14 @@ reports and every CSV table of a run.
 
 from __future__ import annotations
 
+import cmath
 import difflib
 import hashlib
 import math
 from dataclasses import dataclass, replace
 
 from .serialize import fmt
-from .wavefield import EIGENBASIS_MAX_POINTS, Grid1D, MagnetSpec, PotentialSpec
+from .wavefield import Grid1D, MagnetSpec, PotentialSpec
 
 SIM_SCENARIOS = ("stern_gerlach", "sequential", "no_crossing", "equilibrium", "pointer")
 NOGO_SCENARIOS = ("mermin", "vonneumann", "chsh")
@@ -89,7 +90,7 @@ class ExperimentConfig:
             return PotentialSpec.free()
         if self.potential_kind == "harmonic":
             return PotentialSpec.harmonic(self.potential_omega, self.potential_center)
-        raise ConfigError(f"unsupported potential kind {self.potential_kind!r}")
+        raise ConfigError(f"kind must be 'free' or 'harmonic', got {self.potential_kind!r}")
 
 
 _SCENARIO_DEFAULTS: dict[str, dict] = {
@@ -124,11 +125,17 @@ def _to_int(s: str) -> int:
 
 
 def _to_float(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
 
 
 def _to_complex(s: str) -> complex:
-    return complex(s.replace(" ", ""))
+    value = complex(s.replace(" ", ""))
+    if not cmath.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
 
 
 def _to_axes(s: str) -> tuple:
@@ -142,7 +149,7 @@ def _to_axes(s: str) -> tuple:
 
 
 def _to_flight(s: str):
-    return None if s.strip().lower() == "auto" else float(s)
+    return None if s.strip().lower() == "auto" else _to_float(s)
 
 
 _KEYS: dict[str, tuple] = {
@@ -247,16 +254,12 @@ def validate_config(config: ExperimentConfig) -> None:
     if abs(spin_norm - 1.0) > 1e-9:
         raise ConfigError("spin normalization invariant violated: "
                           f"|alpha|^2 + |beta|^2 = {spin_norm:.12g}, must be 1 within 1e-9")
-    try:
-        config.grid()
-        config.magnet()
-        config.potential()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if config.potential_kind != "free" and config.grid_n_points > EIGENBASIS_MAX_POINTS:
-        raise ConfigError(f"grid.n_points = {config.grid_n_points} exceeds "
-                          f"{EIGENBASIS_MAX_POINTS}, the limit for potential.kind = "
-                          f"{config.potential_kind} (its Hamiltonian is diagonalized)")
+    for prefix, build in (("grid", config.grid), ("magnet", config.magnet),
+                          ("potential", config.potential)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}.{exc}") from None
     if config.n_trials < 1:
         raise ConfigError("n_trials must be at least 1")
     if config.n_bins < 10:

@@ -12,16 +12,18 @@ The two components evolve independently under
 
     i dpsi/dt = H psi,   H = -1/2 d^2/dx^2 + V(x),
 
-and `evolve` applies the exact grid propagator exp(-i H t) for any t:
+and `evolve` applies the exact grid propagator exp(-i H t) for any t,
+one FFT pair per boundary-monitor checkpoint of length h:
 
-    V = 0:   psi -> IFFT( exp(-i k^2 t/2) FFT(psi) )
-    V != 0:  psi -> U exp(-i E t) U^T psi
+    V = 0:         psi -> IFFT( exp(-i k^2 h/2) FFT(psi) )
+    V = w^2 (x - c)^2 / 2:
+                   psi -> C IFFT( exp(-i k^2 s/2) FFT(C psi) ),
+                   C = exp(-i (w/2) tan(w h/2) (x - c)^2),  s = sin(w h)/w
 
-where E, U are the eigenvalues and eigenvectors of the grid Hamiltonian
-(spectral kinetic matrix plus diag(V)), computed once per (grid,
-potential) and limited to grids of at most 2048 points.  Both are
-unitary, so the norm is conserved to rounding noise, and neither splits
-the interval for accuracy.
+The harmonic step is the exact chirp-kinetic-chirp (x-p-x shear)
+factorization of the oscillator flow, the chirp-convolution-chirp form of
+the fractional Fourier transform.  Every factor is unitary, so the norm is
+conserved to rounding noise, and none splits the interval for accuracy.
 
 An idealized deflection magnet enters as an instantaneous phase kick
 exp(+-i mu_b tau x) on the two components, after which free flight
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from .serialize import fmt, write_table
 BOUNDARY_MASS_LIMIT = 1e-6
 BOUNDARY_EDGE_FRACTION = 0.05
 NODE_DENSITY_FRACTION = 1e-12   # velocity regularization threshold, x peak density
-EIGENBASIS_MAX_POINTS = 2048    # largest grid diagonalized for V != 0
 
 
 class BoundaryMassError(RuntimeError):
@@ -212,29 +213,6 @@ def check_boundary(grid: Grid1D, psi: np.ndarray) -> None:
             f"{BOUNDARY_EDGE_FRACTION:.0%} of the grid; enlarge the domain")
 
 
-@lru_cache(maxsize=4)
-def _eigenbasis(grid: Grid1D, potential: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues E and real orthogonal eigenvectors U (columns) of the
-    grid Hamiltonian K + diag(V), with K = F^-1 diag(k^2/2) F the spectral
-    kinetic matrix; its imaginary part is rounding noise and is dropped."""
-    n = grid.n_points
-    if n > EIGENBASIS_MAX_POINTS:
-        raise ValueError(f"n_points = {n} exceeds {EIGENBASIS_MAX_POINTS}, the largest grid "
-                         "whose Hamiltonian is diagonalized for V != 0")
-    kinetic = np.fft.ifft(0.5 * grid.wavenumbers[:, None] ** 2
-                          * np.fft.fft(np.eye(n), axis=0), axis=0).real
-    energies, vectors = np.linalg.eigh(kinetic + np.diag(potential.evaluate(grid)))
-    energies.flags.writeable = False
-    vectors.flags.writeable = False
-    return energies, vectors
-
-
-def _real_matmul(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """psi @ m for complex (2, n) psi and real m, as one real product."""
-    out = np.concatenate((psi.real, psi.imag)) @ m
-    return out[:2] + 1j * out[2:]
-
-
 def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) -> SpinorField:
     """Advance the field by steps*dt with the exact propagator (module
     docstring); only the product matters, and the returned time is
@@ -255,18 +233,21 @@ def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) 
     speed = math.hypot(grid.k_max, math.sqrt(2.0 * float(v.max())))
     checks = math.ceil(span * speed / (BOUNDARY_EDGE_FRACTION * grid.length))
 
+    h = span / max(checks, 1)
+    chirp = None
+    if potential.kind == "harmonic":
+        w = potential.omega
+        chirp = np.exp(-0.5j * w * math.tan(0.5 * w * h) * (grid.nodes - potential.center) ** 2)
+        h = math.sin(w * h) / w
+    kinetic_phase = np.exp(-0.5j * h * grid.wavenumbers**2)
     psi = field.psi
-    if not v.any():
-        kinetic_phase = np.exp(-0.5j * (span / max(checks, 1)) * grid.wavenumbers**2)
-        for _ in range(checks):
-            psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
-            check_boundary(grid, psi)
-    else:
-        energies, vectors = _eigenbasis(grid, potential)
-        coefficients = _real_matmul(psi, vectors)
-        for t in np.linspace(0.0, span, checks + 1)[1:]:
-            psi = _real_matmul(np.exp(-1j * t * energies) * coefficients, vectors.T)
-            check_boundary(grid, psi)
+    for _ in range(checks):
+        if chirp is not None:
+            psi = chirp * psi
+        psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
+        if chirp is not None:
+            psi = chirp * psi
+        check_boundary(grid, psi)
     return SpinorField(grid, *psi, time=field.time + span)
 
 
