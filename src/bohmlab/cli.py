@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 
 from . import experiments, nogo
@@ -188,11 +187,11 @@ def _write_frames(frames, frame_dir: Path) -> None:
 
 
 def _write_histograms(result, path, chash: str) -> None:
-    rows = (row for i, comp in enumerate(result.comparisons)
-            for row in zip(repeat(i), comp.bin_edges[:-1].tolist(), comp.bin_edges[1:].tolist(),
-                           comp.empirical_mass.tolist(), comp.theoretical_mass.tolist()))
+    comps = result.comparisons
     write_table(path, [f"# config_hash={chash}", "frame,bin_left,bin_right,empirical,theoretical"],
-                "{},{:.17g},{:.17g},{:.17g},{:.17g}", rows)
+                [[[i] for i in range(len(comps))], [c.bin_edges[:-1] for c in comps],
+                 [c.bin_edges[1:] for c in comps], [c.empirical_mass for c in comps],
+                 [c.theoretical_mass for c in comps]])
 
 
 def _result_lines(tree, prefix: str = ""):
@@ -215,48 +214,38 @@ def _check_lines(checks) -> list[str]:
 
 
 def dispatch(manifest: RunManifest) -> int:
-    """Run the manifest, write its reports, and return the exit status."""
+    """Run the manifest, write its reports, and return the exit status.
+    A bad config, a run that cannot complete or an output path that cannot
+    be written prints one `error:` line and returns 2."""
     try:
         cfg = _load_config(manifest)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    chash = config_hash(cfg)
-    try:
+        chash = config_hash(cfg)
         out = Path(manifest.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"
+        probe = out / ".write-probe"       # fail before the run, not after it
         probe.write_text("")
         probe.unlink()
-    except OSError as exc:
-        print(f"error: output directory not usable: {exc}", file=sys.stderr)
-        return 2
-
-    scenario = cfg.kind if isinstance(cfg, NogoRequest) else cfg.scenario
-    try:
+        scenario = cfg.kind if isinstance(cfg, NogoRequest) else cfg.scenario
         results, checks = SCENARIOS[scenario](cfg, out, chash, manifest.dump_frames)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+        status = 0 if all(c.passed for c in checks) else 1
+        echo = canonical_text(cfg).rstrip("\n")
+        report_lines = [f"config_hash: {chash}", f"subcommand: {manifest.subcommand}", "",
+                        "-- config --", echo, "", "-- results --", *_result_lines(results), "",
+                        "-- checks --", *_check_lines(checks), "", f"exit: {status}"]
+        (out / "report.txt").write_text("\n".join(report_lines) + "\n")
+        json_report = {
+            "config_hash": chash,
+            "subcommand": manifest.subcommand,
+            "config": {line.split(" = ")[0]: line.split(" = ", 1)[1]
+                       for line in echo.splitlines()},
+            "results": results,
+            "checks": [asdict(c) for c in checks],
+            "exit_status": status,
+        }
+        (out / "report.json").write_text(json_text(json_report) + "\n")
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    status = 0 if all(c.passed for c in checks) else 1
-    echo = canonical_text(cfg).rstrip("\n")
-    report_lines = [f"config_hash: {chash}", f"subcommand: {manifest.subcommand}", "",
-                    "-- config --", echo, "", "-- results --", *_result_lines(results), "",
-                    "-- checks --", *_check_lines(checks), "", f"exit: {status}"]
-    (out / "report.txt").write_text("\n".join(report_lines) + "\n")
-
-    json_report = {
-        "config_hash": chash,
-        "subcommand": manifest.subcommand,
-        "config": {line.split(" = ")[0]: line.split(" = ", 1)[1]
-                   for line in echo.splitlines()},
-        "results": results,
-        "checks": [asdict(c) for c in checks],
-        "exit_status": status,
-    }
-    (out / "report.json").write_text(json_text(json_report) + "\n")
 
     if not manifest.quiet:
         for line in report_lines:

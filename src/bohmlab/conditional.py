@@ -152,8 +152,7 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
 def write_trials(measurement: PointerMeasurement, path, config_hash: str) -> None:
     """Per-trial table: trial_id, pointer value, outcome, collapsed spinor."""
     up, down = measurement.collapsed.T
-    columns = (measurement.y, measurement.outcome, up.real, up.imag, down.real, down.imag)
     write_table(path, [f"# config_hash={config_hash}",
                        "trial_id,y,outcome,re_up,im_up,re_down,im_down"],
-                "{},{:.17g},{},{:.17g},{:.17g},{:.17g},{:.17g}",
-                zip(range(len(measurement.y)), *(c.tolist() for c in columns)))
+                [np.arange(len(measurement.y)), measurement.y, measurement.outcome,
+                 up.real, up.imag, down.real, down.imag])

@@ -10,13 +10,12 @@ each frame interval.  Everything is driven by the counter-based RNG in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .serialize import fmt
+from .serialize import write_table
 from .wavefield import SpinorField, velocity_field
 
 
@@ -184,80 +183,9 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
                                theoretical_mass=theoretical, total_variation=tv)
 
 
-# A table of at least this many values is formatted by forked workers,
-# in chunks of about _CHUNK_VALUES, when two or more CPUs are usable.
-_WORKER_MIN_VALUES = 2**18
-_CHUNK_VALUES = 2**14
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_context():
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _row_text(row_suffixes, i: int, values) -> str:
-    """All frames of trajectory i: one `%` template, with the id and the
-    frame times baked in, over the trajectory's Python floats."""
-    label = str(i)
-    return (label + label.join(row_suffixes)) % tuple(values)
-
-
-_chunk_source = None     # (positions, row_suffixes), set only in a forked worker
-
-
-def _set_chunk_source(positions, row_suffixes) -> None:
-    global _chunk_source
-    _chunk_source = (positions, row_suffixes)
-
-
-def _format_chunk(lo: int, hi: int) -> str:
-    positions, row_suffixes = _chunk_source
-    return "".join([_row_text(row_suffixes, i, xs)
-                    for i, xs in enumerate(positions[lo:hi].tolist(), lo)])
-
-
 def write_ensemble(ensemble: Ensemble, path, config_hash: str, seed: int) -> None:
     """Tabular text: one row per (trajectory, frame), under a header
-    naming the run's config hash and seed.
-
-    A table of at least 2**18 values, on a host with two or more usable
-    CPUs and the `fork` start method, is cut into chunks of rows that
-    forked workers format; they read the positions through fork's
-    copy-on-write memory, and `map` yields the chunks in submission
-    order, so the bytes never depend on scheduling.  A worker that dies
-    raises `BrokenProcessPool`, a `RuntimeError`.  Any other table
-    streams row by row in this process through the same row formatter.
-    """
-    positions = ensemble.positions
-    row_suffixes = [f",{fmt(float(t))},%.17g\n" for t in ensemble.frame_times]
-    n_rows = positions.shape[0] if row_suffixes else 0
-    cpus = _usable_cpus()
-    context = (_fork_context()
-               if n_rows * len(row_suffixes) >= _WORKER_MIN_VALUES and cpus >= 2 else None)
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={config_hash} seed={seed}\ntrajectory_id,time,position\n")
-        if context is None:
-            fh.writelines(_row_text(row_suffixes, i, xs.tolist())
-                          for i, xs in enumerate(positions[:n_rows]))
-            return
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker would re-import numpy and be
-        # sent the positions by pickle; a forked one shares them, and it
-        # runs only Python formatting, never a library that holds a lock
-        rows_per_chunk = max(1, _CHUNK_VALUES // len(row_suffixes))
-        starts = range(0, n_rows, rows_per_chunk)
-        stops = [min(lo + rows_per_chunk, n_rows) for lo in starts]
-        with ProcessPoolExecutor(min(cpus, len(starts)), context,
-                                 initializer=_set_chunk_source,
-                                 initargs=(positions, row_suffixes)) as ex:
-            fh.writelines(ex.map(_format_chunk, starts, stops))
+    naming the run's config hash and seed."""
+    ids = np.arange(ensemble.n_trajectories)[:, None]
+    write_table(path, [f"# config_hash={config_hash} seed={seed}", "trajectory_id,time,position"],
+                [ids, ensemble.frame_times, ensemble.positions])

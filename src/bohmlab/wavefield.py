@@ -353,6 +353,5 @@ def write_frame(field: SpinorField, path) -> None:
         "# x re_up im_up re_down im_down",
     ]
     up, down = field.up, field.down
-    rows = zip(field.grid.nodes.tolist(), up.real.tolist(), up.imag.tolist(),
-               down.real.tolist(), down.imag.tolist())
-    write_table(path, header, " ".join(["{:.17g}"] * 5), rows)
+    write_table(path, header, [field.grid.nodes, up.real, up.imag, down.real, down.imag],
+                sep=" ")

@@ -141,6 +141,21 @@ class TestDispatch:
         m = manifest("nogo mermin", blocker / "nested", quiet=True)
         assert cli.dispatch(m) != 0
 
+    @pytest.mark.parametrize("argv,blocker,make", [
+        (["sim", "stern-gerlach", "--trajectories", "100", "--dump-frames"], "frames",
+         lambda p: p.write_text("")),
+        (["sim", "pointer", "--trajectories", "100"], "trials.csv", lambda p: p.mkdir()),
+        (["nogo", "chsh"], "report.txt", lambda p: p.mkdir()),
+    ], ids=["frames-is-a-file", "trials-is-a-directory", "report-is-a-directory"])
+    def test_unwritable_output_path_fails_cleanly(self, tmp_path, capsys, argv, blocker, make):
+        out = tmp_path / "out"
+        out.mkdir()
+        make(out / blocker)
+        assert cli.main([*argv, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(out / blocker) in err[0]
+
     def test_bad_config_fails(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("spin.alpha = 1.0\nspin.beta = 1.0\n")
@@ -273,30 +288,32 @@ def test_every_package_export_resolves():
     assert [name for name in bohmlab.__all__ if not hasattr(bohmlab, name)] == []
 
 
-def test_deflection_run_imports_no_process_pool(tmp_path):
-    # workers start only for ensembles of 2**18 values or more; a small
-    # run must not pay for importing them (set-up time, peak RSS)
+def test_no_run_imports_a_process_pool(tmp_path):
+    # every table is written in the process; a worker pool would cost
+    # set-up time and peak RSS, and make the bytes depend on the host
     code = ("import sys\n"
             "import bohmlab.cli\n"
-            "status = bohmlab.cli.main(['sim', 'stern-gerlach', '--trajectories', '200',\n"
-            f"                           '--out', {str(tmp_path)!r}, '--quiet'])\n"
-            "assert status in (0, 1), status\n"
+            "for argv in (['sim', 'stern-gerlach', '--trajectories', '200'],\n"
+            "             ['sim', 'equilibrium', '--trajectories', '7000', '--config',\n"
+            f"              {str(CONFIG_DIR / 'equilibrium_free.cfg')!r}]):\n"
+            f"    out = {str(tmp_path)!r} + '/' + argv[1]\n"
+            "    status = bohmlab.cli.main(argv + ['--out', out, '--quiet'])\n"
+            "    assert status in (0, 1), status\n"
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
             " if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    assert (tmp_path / "ensemble.csv").exists()
-
+    assert (tmp_path / "stern-gerlach" / "ensemble.csv").exists()
+    assert (tmp_path / "equilibrium" / "ensemble.csv").stat().st_size > 10**7
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs 2 usable CPUs to compare against a one-CPU run")
 @pytest.mark.parametrize("name,trajectories,flags", [
-    # 7000 x 41 = 287,000 values: the unpinned run formats ensemble.csv in
-    # forked workers, the pinned one in the process
+    # 7000 x 41 = 287,000 values, more than one chunk of the table writer
     pytest.param("equilibrium_free", 7000, (), id="equilibrium_free-7000"),
     pytest.param("equilibrium_harmonic", 2000, (), id="equilibrium_harmonic-2000"),
     pytest.param("stern_gerlach", 200, ("--dump-frames",), id="stern_gerlach-200"),

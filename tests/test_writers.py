@@ -7,15 +7,12 @@ produce exactly the same bytes, for real run data and for edge values.
 
 import json
 import math
-import os
-import signal
-from contextlib import contextmanager
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bohmlab import trajectories
 from bohmlab.cli import _write_histograms
 from bohmlab.conditional import (
     CouplingSpec,
@@ -23,7 +20,7 @@ from bohmlab.conditional import (
     run_pointer_measurement,
     write_trials,
 )
-from bohmlab.serialize import fmt, json_text
+from bohmlab.serialize import fmt, json_text, write_table
 from bohmlab.trajectories import (
     Ensemble,
     equilibrium_distance,
@@ -38,7 +35,6 @@ from conftest import analytic_free_gaussian
 NEG_NAN = math.copysign(math.nan, -1.0)
 EDGE_VALUES = [math.nan, NEG_NAN, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0]
-TEST_PID = os.getpid()
 
 
 def ref_ensemble(ensemble, config_hash, seed):
@@ -126,49 +122,66 @@ def test_json_text_keeps_float_type():
         assert math.copysign(1.0, back) == math.copysign(1.0, v)
 
 
+def random_doubles(n, seed):
+    """n doubles with uniformly random bit patterns: every exponent,
+    subnormals, infinities and NaNs."""
+    return np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64,
+                                                endpoint=False).view(np.float64)
+
+
+def decimal_ties():
+    """Doubles whose 18th significant digit is an exact 5 after zeros, so
+    `%.17g` must round half to even: m / 2**(17 - E) for odd m, one
+    batch per fixed-notation exponent E."""
+    rng = np.random.default_rng(4)
+    ties = []
+    for e in range(-4, 16):
+        lo, hi = 10**e * 2**(17 - e), min(10**(e + 1) * 2**(17 - e), 2**53)
+        m = 2 * rng.integers(lo // 2, (hi - 1) // 2, size=400) + 1
+        ties.append(np.ldexp(m.astype(np.float64), e - 17))
+    return np.concatenate(ties)
+
+
+def formatter_inputs():
+    rng = np.random.default_rng(8)
+    powers = np.array([float(f"1e{k}") for k in range(-4, 17)])   # 1e-4 and 1e16 are the limits
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    k = rng.integers(10**15, 10**16, size=20000)
+    chosen = np.concatenate([
+        10.0 ** rng.uniform(-5, 17, size=10**5),
+        near, np.nextafter(near, 0.0), np.nextafter(near, np.inf),
+        (2 * k + 1) / 2, [1e15 + 0.5],
+        decimal_ties(),
+        EDGE_VALUES,
+    ])
+    return np.concatenate([random_doubles(10**6, seed=2), chosen, -chosen])
+
+
+def test_write_table_formats_floats_as_percent_17g(tmp_path):
+    values = formatter_inputs().tolist()
+    assert len(values) > 10**6
+    path = tmp_path / "floats.txt"
+    write_table(path, [], [np.array(values)])
+    want = ["%.17g" % v for v in values]
+    data = path.read_bytes()
+    if data != ("\n".join(want) + "\n").encode():
+        got = data.decode().splitlines()
+        assert len(got) == len(want)
+        assert [(v, g, w) for v, g, w in zip(values, got, want) if g != w][:5] == []
+
+
 @pytest.fixture(scope="module")
 def large_ensemble():
-    """6,500 x 41 positions, above the worker threshold of 2**18 values,
-    with NaN-aborted rows and every edge value scattered in, and its
-    reference text."""
+    """6,500 x 41 positions, with NaN-aborted rows and every edge value
+    scattered in, and its reference text."""
     rng = np.random.default_rng(9)
     positions = rng.normal(scale=4.0, size=(6500, 41))
     for i in range(0, 6500, 97):
         positions[i, 1 + i % 40:] = np.nan
     cells = rng.choice(positions.size, size=40 * len(EDGE_VALUES), replace=False)
     positions.flat[cells] = np.resize(EDGE_VALUES, cells.size)
-    assert positions.size >= trajectories._WORKER_MIN_VALUES
     ensemble = Ensemble(frame_times=np.linspace(0.0, 4.0, 41), positions=positions)
     return ensemble, ref_ensemble(ensemble, "abc", 5).encode()
-
-
-def _exit_in_worker(lo, hi):
-    # stands in for trajectories._format_chunk; fork carries the patch
-    assert os.getpid() != TEST_PID, "chunk formatter ran in the test process"
-    os._exit(1)
-
-
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError (not a RuntimeError) if the block hangs."""
-    def expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _on_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    forks = []
-    fork_context = trajectories._fork_context
-    monkeypatch.setattr(trajectories, "_fork_context",
-                        lambda: forks.append(1) or fork_context())
-    return forks
 
 
 class TestEnsemble:
@@ -193,25 +206,23 @@ class TestEnsemble:
             assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=1) == header
             assert ref_ensemble(ensemble, "abc", 1).encode() == header
 
-    def test_worker_path(self, tmp_path, monkeypatch, large_ensemble):
+    def test_large_table(self, tmp_path, large_ensemble):
         ensemble, reference = large_ensemble
-        forks = _on_cpus(monkeypatch, 2)
-        with _deadline(60):
-            data = written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=5)
-        assert forks == [1]
-        assert data == reference
-
-    def test_one_cpu_streams_the_same_bytes(self, tmp_path, monkeypatch, large_ensemble):
-        ensemble, reference = large_ensemble
-        forks = _on_cpus(monkeypatch, 1)
         assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=5) == reference
-        assert forks == []
 
-    def test_dead_worker_raises(self, tmp_path, monkeypatch, large_ensemble):
-        _on_cpus(monkeypatch, 2)
-        monkeypatch.setattr(trajectories, "_format_chunk", _exit_in_worker)
-        with _deadline(60), pytest.raises(RuntimeError):
-            written(tmp_path, write_ensemble, large_ensemble[0], config_hash="abc", seed=5)
+    def test_text_is_never_held_in_memory(self, tmp_path):
+        # 20,000 x 41 positions are 36 MB of text
+        positions = np.random.default_rng(5).normal(scale=4.0, size=(20000, 41))
+        ensemble = Ensemble(frame_times=np.linspace(0.0, 4.0, 41), positions=positions)
+        path = tmp_path / "ensemble.csv"
+        tracemalloc.start()
+        try:
+            write_ensemble(ensemble, path, config_hash="abc", seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 30e6
+        assert peak < 16e6
 
 
 class TestFrame:
