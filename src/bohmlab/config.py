@@ -260,6 +260,8 @@ def validate_config(config: ExperimentConfig) -> None:
             build()
         except ValueError as exc:
             raise ConfigError(f"{prefix}.{exc}") from None
+    if not 0 <= config.seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2**64)")
     if config.n_trials < 1:
         raise ConfigError("n_trials must be at least 1")
     if config.n_bins < 10:

@@ -179,7 +179,9 @@ class TestDispatch:
                                       # non-finite values, rejected while parsing
                                       "potential.kind = harmonic\npotential.center = inf",
                                       "duration = inf", "flight_time = inf", "spin.alpha = nan",
-                                      "potential.kind = harmonic\npotential.omega = inf"])
+                                      "potential.kind = harmonic\npotential.omega = inf",
+                                      # seeds are taken modulo 2**64
+                                      "seed = -1", "seed = 18446744073709551616"])
     def test_rejected_constructor_value_fails_cleanly(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -190,6 +192,14 @@ class TestDispatch:
         assert len(err) == 1 and err[0].startswith("error: ")
         key = line.splitlines()[-1].split("=")[0].strip()
         assert key in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_outside_64_bits_fails_cleanly(self, tmp_path, capsys):
+        status = cli.main(["sim", "pointer", "--seed", "-1", "--out", str(tmp_path / "out"),
+                           "--quiet"])
+        assert status == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",

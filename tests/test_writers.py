@@ -8,11 +8,13 @@ produce exactly the same bytes, for real run data and for edge values.
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bohmlab import experiments, serialize
 from bohmlab.cli import _write_histograms
 from bohmlab.conditional import (
     CouplingSpec,
@@ -30,7 +32,7 @@ from bohmlab.trajectories import (
 )
 from bohmlab.wavefield import Grid1D, SpinorField, write_frame
 
-from conftest import analytic_free_gaussian
+from conftest import analytic_free_gaussian, shipped_config
 
 NEG_NAN = math.copysign(math.nan, -1.0)
 EDGE_VALUES = [math.nan, NEG_NAN, math.inf, -math.inf, -0.0, 0.0, 5e-324,
@@ -131,27 +133,54 @@ def random_doubles(n, seed):
 
 def decimal_ties():
     """Doubles whose 18th significant digit is an exact 5 after zeros, so
-    `%.17g` must round half to even: m / 2**(17 - E) for odd m, one
-    batch per fixed-notation exponent E."""
+    `%.17g` must round half to even: m / 2**(17 - E) for odd m, every one
+    of them for E in -8...-5 and 400 per decimal exponent E in -4...15."""
     rng = np.random.default_rng(4)
     ties = []
-    for e in range(-4, 16):
-        lo, hi = 10**e * 2**(17 - e), min(10**(e + 1) * 2**(17 - e), 2**53)
-        m = 2 * rng.integers(lo // 2, (hi - 1) // 2, size=400) + 1
+    for e in range(-8, 16):
+        lo, hi = (math.ceil(Fraction(10)**k * 2**(17 - e)) for k in (e, e + 1))
+        hi = min(hi, 2**53)
+        if hi - lo < 800:
+            m = np.arange(lo | 1, hi, 2)
+        else:
+            m = 2 * rng.integers(lo // 2, (hi - 1) // 2, size=400) + 1
         ties.append(np.ldexp(m.astype(np.float64), e - 17))
     return np.concatenate(ties)
 
 
+def near_ties():
+    """Doubles x = m * 2**q (2**52 <= m < 2**53) with decimal exponent E
+    whose x * 10**(16 - E) = m * A / B lies within 50 / B of a half, for
+    E where 5**(16 - E) is not a double: m solves m * A = B // 2 + delta
+    (mod B).  Rounding them to 17 digits hangs on the last bits of the
+    product."""
+    found = []
+    for e in [*range(-11, -6), *range(38, 42)]:
+        for q in range(math.floor(e * math.log2(10)) - 54, math.ceil((e + 1) * math.log2(10)) - 51):
+            c = Fraction(2)**q * Fraction(10)**(16 - e)
+            a, b = c.numerator, c.denominator
+            for delta in [*range(-49, 0), *range(1, 50)]:
+                m = (b // 2 + delta) * pow(a, -1, b) % b
+                m += max(0, -(-(2**52 - m) // b)) * b
+                if 2**52 <= m < 2**53 and 10**16 <= m * c < 10**17:
+                    found.append(math.ldexp(m, q))
+    return np.array(found)
+
+
 def formatter_inputs():
     rng = np.random.default_rng(8)
-    powers = np.array([float(f"1e{k}") for k in range(-4, 17)])   # 1e-4 and 1e16 are the limits
-    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])  # notation switches at 1e-4, 1e17
+    limits = [np.finfo(np.float64).smallest_normal, 5e-324]       # subnormal/normal boundary
+    largest = np.finfo(np.float64).max
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                           limits])
     k = rng.integers(10**15, 10**16, size=20000)
     chosen = np.concatenate([
-        10.0 ** rng.uniform(-5, 17, size=10**5),
+        10.0 ** rng.uniform(-45, 17, size=10**5),
         near, np.nextafter(near, 0.0), np.nextafter(near, np.inf),
         (2 * k + 1) / 2, [1e15 + 0.5],
-        decimal_ties(),
+        decimal_ties(), near_ties(),
+        [largest, np.nextafter(largest, 0.0)],
         EDGE_VALUES,
     ])
     return np.concatenate([random_doubles(10**6, seed=2), chosen, -chosen])
@@ -168,6 +197,23 @@ def test_write_table_formats_floats_as_percent_17g(tmp_path):
         got = data.decode().splitlines()
         assert len(got) == len(want)
         assert [(v, g, w) for v, g, w in zip(values, got, want) if g != w][:5] == []
+
+
+def test_run_tables_need_no_per_value_fallback(tmp_path, monkeypatch):
+    # the tiny Gaussian tails of a frame dump and of trials.csv are
+    # written in exponent notation by the vectorized path, not by `%`
+    counted = []
+    fallback = serialize._percent_cells
+    monkeypatch.setattr(serialize, "_percent_cells",
+                        lambda values: counted.append(values.size) or fallback(values))
+    sg = experiments.stern_gerlach(shipped_config("stern_gerlach", seed=7))
+    write_frame(sg.frames[16], tmp_path / "frame.txt")
+    pointer = experiments.pointer_experiment(shipped_config("pointer", seed=7))
+    write_trials(pointer.measurement, tmp_path / "trials.csv", config_hash="abc")
+    for name, values in (("frame.txt", 5 * 512), ("trials.csv", 5 * pointer.measurement.y.size)):
+        text = (tmp_path / name).read_text()
+        assert text.count("e-") > values // 3
+    assert sum(counted) == 0
 
 
 @pytest.fixture(scope="module")
