@@ -7,12 +7,15 @@ the same bytes as `fmt` on every value.  For a finite nonzero x with
 decimal exponent E it forms the 17-digit significand |x|*10**(16-E) as
 |x|*2**(16-E) times 5**(16-E), held as a double-double table built
 exactly at import, with Dekker's TwoProduct (Numer. Math. 18, 224 (1971)),
-and rounds it half to even; the digits are laid out in fixed or exponent
-notation as `%.17g` chooses.  The product is exact where 5**(16-E) is a
+and rounds it half to even.  The product is exact where 5**(16-E) is a
 double; elsewhere its error is proved below 2**-47, and only a value
 within a margin of a rounding tie goes through `"%.17g" % x`, the fast
-path with an exact fallback of Grisu3 (Loitsch, PLDI 2010).  +-0, nan and
-+-inf are constant cells.
+path with an exact fallback of Grisu3 (Loitsch, PLDI 2010).  The digits
+are laid out in fixed or exponent notation as `%.17g` chooses, as a dense
+24-byte cell: the text left-aligned and contiguous, then zero bytes.
++-0, nan and +-inf are constant cells.  Each chunk of rows is one byte
+buffer in which every cell is written once at its column's offset; one
+`bytes.translate` drops the zero bytes before the chunk is written.
 """
 
 from __future__ import annotations
@@ -78,12 +81,19 @@ def _significand(a, e):
     (0 <= s <= 22) the error is 0: hi + lo is the product itself, exact
     ties included."""
     k = e - _E_MIN
-    b, p_hi, p_lo = a * _P2[k], _P5_HI[k], _P5_LO[k]
-    hi = b * (p_hi + p_lo)
-    b_hi, b_lo = _split(b)
-    lo = (((b_hi * p_hi - hi) + b_hi * p_lo + b_lo * p_hi) + b_lo * p_lo) + b * _P5_TAIL[k]
+    b = a * _P2[k]
+    hi, lo = _two_product(b, _P5_HI[k], _P5_LO[k])
+    lo += b * _P5_TAIL[k]
     r = np.rint(lo)
     return hi.astype(np.int64) + r.astype(np.int64), lo - r
+
+
+def _two_product(b, p_hi, p_lo):
+    """hi = fl(b*P) and r = b*P - hi exactly (Dekker's TwoProduct), for
+    P = p_hi + p_lo split as by `_split`."""
+    hi = b * (p_hi + p_lo)
+    b_hi, b_lo = _split(b)
+    return hi, ((b_hi * p_hi - hi) + b_hi * p_lo + b_lo * p_hi) + b_lo * p_lo
 
 
 def _divmod(a, b):
@@ -91,61 +101,87 @@ def _divmod(a, b):
     return q, a - q * b
 
 
-# A float's cell is 40 bytes, read as five 8-byte lanes.  In fixed
-# notation (-4 <= E <= 16) the sign and the "0.000" prefix of E < 0 sit
-# in bytes 0-5, then digit i of the significand at byte 6 + 2i, each
-# followed by a slot for the point.  In exponent notation the sign, digit
-# 0 and the point sit as for E = 0, digits 1-16 follow contiguously in
-# bytes 8-23 and the "e+XX" suffix fills bytes 24-28.  Zero bytes are
-# padding, dropped when a row is written.  The tables are built from
-# bytes, so their lanes combine with `|` and `&` on either byte order.
+# A float's cell is 24 bytes: its text, left-aligned, then zero bytes that
+# are dropped when a row is written.  The longest `%.17g` text,
+# -1.2345678901234567e-308, fills it.  A cell is computed as 8-byte lanes
+# whose byte k is bits 8k..8k+7 of a '<u8' value, so shifts and masks act
+# alike on either byte order.  The text is first framed in four lanes
+# w0-w3: the sign and the "0.000" prefix of E < 0 end at byte 6, digit 0
+# of the significand sits at byte 7 and digits 1-16 at bytes 8-23.  The
+# digits after the point move up one byte to make room for it, and the
+# frame moves down by 7 - (sign and prefix length) bytes into three
+# lanes.  Exponent notation is framed as for E = 0, with its "e+XX"
+# suffix right after the last digit.
 
 
 def _lanes(byte_rows):
-    return np.frombuffer(b"".join(row.ljust(8, b"\0") for row in byte_rows), np.uint64)
+    return np.frombuffer(b"".join(row.ljust(8, b"\0") for row in byte_rows), "<u8")
 
 
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, 10000)         # of 0000-9999
-_QUAD = np.zeros((10000, 8), np.uint8)                             # at bytes 0, 2, 4, 6
-_QUAD[:, ::2] = 48 + _DIGITS.T
-_QUAD = _QUAD.view(np.uint64).ravel()
 _DENSE = np.zeros((2, 10000, 8), np.uint8)                         # at bytes 0-3 or 4-7
 _DENSE[0, :, :4] = _DENSE[1, :, 4:] = 48 + _DIGITS.T
-_DENSE = _DENSE.view(np.uint64)[..., 0]
-# [k + 12]: keep the first k digits of a group, k clamped to 0-4
-_KEEP = _lanes(b"\xff" * 2 * min(max(k, 0), 4) for k in range(-12, 17))
-# [k + 8]: keep the first k digits of a contiguous lane, k clamped to 0-8
-_KEEP_DENSE = _lanes(b"\xff" * min(max(k, 0), 8) for k in range(-8, 17))
+_DENSE = _DENSE.view("<u8")[..., 0]
 # [g, v]: the last nonzero digit of group g holding v (digits 4g+1..4g+4), or 0
 _LAST = np.select(_DIGITS[::-1] > 0, [4, 3, 2, 1], 0)
 _LAST = np.where(_LAST > 0, _LAST + 4 * np.arange(4)[:, None], 0).astype(np.int8)
-_TOP = _lanes(b"\0" * 6 + bytes([48 + i]) for i in range(10))      # digit 0, at byte 6
-_LEAD = _lanes(sign + (b"0." + b"0" * (-1 - e) if e < 0 else b"")  # [sign, E + 4]
-               for sign in (b"\0", b"-") for e in range(-4, 17))
+_TOP = _lanes(b"\0" * 7 + bytes([48 + i]) for i in range(10))      # digit 0, at byte 7
 _EXP = _lanes(b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1))    # [E - _E_MIN]
-_CONST = np.frombuffer(b"".join(t.ljust(40, b"\0") for t in (b"nan", b"0", b"-0", b"inf", b"-inf")),
-                       np.uint64).reshape(5, 5)
+_CONST = _lanes(t.ljust(24, b"\0") for t in (b"nan", b"0", b"-0", b"inf", b"-inf")).reshape(5, 3)
+
+
+def _frame_tables():
+    """Tables indexed by (sign * 21 + p + 4) * 17 + last, for the point
+    after digit p (p = 0 in exponent notation) and the last nonzero digit
+    among 1-16 (or 0).  With q = p if last > p >= 0 (no point otherwise)
+    and kept = max(last, p): w0's sign and prefix, ending at byte 6; the
+    bits that align the frame; w1 and w2 masks keeping digits
+    1..min(q, kept); w1 and w2 masks keeping digits q+1..kept; and the
+    point after digit q, at byte 8 + q, in w1 and w2."""
+    prefix = [sign + (b"0." + b"0" * (-1 - e) if e < 0 else b"")
+              for sign in (b"", b"-") for e in range(-4, 17)]
+    i = np.arange(1, 17)                                           # at byte 7 + i
+    p, last = np.arange(-4, 17)[:, None, None], np.arange(17)[:, None]
+    q = np.where((last > p) & (p >= 0), p, 16)
+    kept = np.maximum(last, p)
+    masks = np.concatenate([np.where((i <= q) & (i <= kept), 255, 0),
+                            np.where((i > q) & (i <= kept), 255, 0),
+                            np.where(i == q + 1, ord("."), 0)], axis=-1)
+    masks = np.tile(masks.astype(np.uint8).view("<u8").reshape(21 * 17, 6), (2, 1))
+    return (np.repeat(_lanes(t.rjust(7, b"\0") for t in prefix), 17),
+            np.repeat(np.array([8 * (7 - len(t)) for t in prefix], np.uint64), 17),
+            *(m.copy() for m in masks.T))
+
+
+_LEAD, _ALIGN, _LOW1, _LOW2, _HIGH1, _HIGH2, _DOT1, _DOT2 = _frame_tables()
 
 
 def _percent_cells(values) -> np.ndarray:
-    """(n, 5) uint64 cells of `"%.17g" % v`, one value at a time."""
-    return np.array(["%.17g" % v for v in values.tolist()], "S40").view(np.uint64).reshape(-1, 5)
+    """(n, 3) lanes of `"%.17g" % v`, one value at a time."""
+    return np.array(["%.17g" % v for v in values.tolist()], "S24").view("<u8").reshape(-1, 3)
 
 
-def _fast_cells(x) -> np.ndarray:
-    """(n, 5) uint64 cells of `"%.17g" % v` for every float v of x.
+def _lane(v, g):
+    """The 8-digit values v, digit groups g and g + 1 of significands, as
+    lanes of their digits at bytes 0-7, and the index of each one's last
+    nonzero digit in the significand (or 0)."""
+    high, low = _divmod(v, 10**4)
+    last = np.maximum(_LAST[g].take(high), _LAST[g + 1].take(low))
+    return _DENSE[0].take(high) | _DENSE[1].take(low), last
 
-    A finite nonzero v with decimal exponent E is laid out from its
-    17-digit significand (`_significand`) in fixed notation for -4 <= E
-    <= 16 and in exponent notation otherwise; +-0, nan and +-inf are
-    constant cells.  Only an inexact significand within _MARGIN of a
-    half (about 2e-9 of them) goes through `_percent_cells`."""
+
+def _digits(x):
+    """The decimal exponent E of each float of x and its 17-digit
+    significand: digit 0, digits 1-8 and 9-16 as lanes w1 and w2, and the
+    last nonzero digit among 1-16 (or 0).  Also the indices of +-0, nan
+    and inf, and of the values that only `_percent_cells` can format: an
+    inexact significand within _MARGIN of a half (about 2e-9 of them)."""
     a = np.abs(x)
     with np.errstate(divide="ignore"):
-        lg = np.log10(a)
-    const = np.flatnonzero(~np.isfinite(lg))       # 0, nan and inf
-    a[const], lg[const] = 1.0, 0.0
-    e = np.floor(lg).astype(np.int64)
+        e = np.log10(a)
+    const = np.flatnonzero(~np.isfinite(e))        # 0, nan and inf
+    a[const], e[const] = 1.0, 0.0
+    e = np.floor(e).astype(np.int64)
     d, frac = _significand(a, e)
     # log10 can be off by one next to a power of ten; d must have 17 digits.
     # d = 10**16 can also come from an E one too large: try E - 1 and keep
@@ -158,85 +194,138 @@ def _fast_cells(x) -> np.ndarray:
         fix = fix[ok]
         e[fix] += step[ok]
         d[fix], frac[fix] = d_fix[ok], frac_fix[ok]
+    near = np.flatnonzero(np.abs(frac) > 0.5 - _MARGIN)
+    near = near[_P5_TAIL[e[near] - _E_MIN] != 0]       # an exact product is never near
+    del a, frac        # here and below: a chunk's memory peak is what is alive at once
     top, d = _divmod(d, 10**16)
     high, low = _divmod(d, 10**8)
-    groups = [*_divmod(high, 10**4), *_divmod(low, 10**4)]
-    last = _LAST[0, groups[0]]
-    for g in (1, 2, 3):
-        np.maximum(last, _LAST[g, groups[g]], out=last)
+    del d
+    w1, last = _lane(high, 0)
+    w2, last2 = _lane(low, 2)
+    return e, top, w1, w2, np.maximum(last, last2, out=last), const, near
+
+
+def _fast_cells(x) -> np.ndarray:
+    """(n, 3) '<u8' lanes of `"%.17g" % v` for every float v of x.
+
+    A finite nonzero v with decimal exponent E is laid out from its
+    17-digit significand (`_digits`) in fixed notation for -4 <= E <= 16
+    and in exponent notation otherwise; +-0, nan and +-inf are constant
+    cells."""
+    e, top, w1, w2, last, const, near = _digits(x)
     sci = np.flatnonzero((e < -4) | (e > 16))
     p = e                              # the point follows digit p; E = 0 for exponent notation
     if sci.size:
         p = e.copy()
         p[sci] = 0
-    kept = np.maximum(last, p)         # trailing zeros go, integer digits stay
-    cells = np.empty((x.size, 5), np.uint64)
-    cells[:, 0] = _LEAD[(x < 0) * 21 + p + 4] | _TOP[top]
-    for g, v in enumerate(groups):
-        cells[:, g + 1] = _QUAD[v] & _KEEP[kept - 4 * g + 12]
-    point = np.flatnonzero((last > p) & (p >= 0))
-    cells.view(np.uint8).reshape(-1)[40 * point + 7 + 2 * p[point]] = ord(".")
+    t = ((x < 0) * 21 + p + 4) * 17 + last
+    del p
+    high1 = w1 & _HIGH1.take(t)
+    high2 = w2 & _HIGH2.take(t)
+    w1 &= _LOW1.take(t)
+    w1 |= _DOT1.take(t) | (high1 << 8)
+    w2 &= _LOW2.take(t)
+    w2 |= _DOT2.take(t) | (high2 << 8) | (high1 >> 56)
+    w3 = high2 >> 56
+    del high1, high2
     if sci.size:
-        g0, g1, g2, g3 = (v[sci] for v in groups)
-        kept = last[sci]
-        cells[sci, 1] = (_DENSE[0, g0] | _DENSE[1, g1]) & _KEEP_DENSE[kept + 8]
-        cells[sci, 2] = (_DENSE[0, g2] | _DENSE[1, g3]) & _KEEP_DENSE[kept]
-        cells[sci, 3] = _EXP[e[sci] - _E_MIN]
-        cells[sci, 4] = 0
+        # the suffix goes to byte u of w1-w3: after digit 0, or after the
+        # point and digits 1..last
+        n = last[sci]
+        u = np.where(n > 0, n + 1, 0).astype(np.uint64)
+        suffix, at, lane = _EXP.take(e[sci] - _E_MIN), 8 * (u % 8), u // 8
+        low, spill = suffix << at, (suffix >> 1) >> (63 - at)
+        for k, w in enumerate((w1, w2, w3)):
+            w[sci] |= np.where(lane == k, low, 0) | np.where(lane + 1 == k, spill, 0)
+    w0 = _LEAD.take(t)
+    w0 |= _TOP.take(top)
+    s = _ALIGN.take(t)
+    del e, top, t
+    r = 64 - s
+    cells = np.empty((x.size, 3), np.uint64)
+    for k, (w, w_next) in enumerate(((w0, w1), (w1, w2), (w2, w3))):
+        np.bitwise_or(w >> s, w_next << r, out=cells[:, k])
     if const.size:
         v = x[const]
         cells[const] = _CONST[np.where(np.isnan(v), 0, np.where(v == 0, 1, 3) + np.signbit(v))]
-    near = np.flatnonzero(np.abs(frac) > 0.5 - _MARGIN)
     if near.size:
-        near = near[_P5_TAIL[e[near] - _E_MIN] != 0]     # an exact product is never near
         cells[near] = _percent_cells(x[near])
-    return cells
+    return cells.astype("<u8", copy=False)
 
 
 def _cells(arrays) -> list:
     """The text of each int or float array as zero-padded uint8 cells,
-    shaped `a.shape + (width,)`, without the bytes that are padding in
-    every cell.  The float values of all arrays are formatted together."""
-    x = np.concatenate([a.ravel() for a in arrays if a.dtype.kind == "f"] + [np.zeros(0)])
-    floats = _fast_cells(x)
+    shaped `a.shape + (width,)`: 24 bytes for a float, the longest
+    value's length for an int.  The float values of all arrays are
+    formatted in one batch, and each array's cells are a view of it."""
+    floats = [a.ravel() for a in arrays if a.dtype.kind == "f"]
+    if floats:
+        x = np.concatenate(floats) if len(floats) > 1 else floats[0]
+        lanes = _fast_cells(x.astype(np.float64, copy=False)).view(np.uint8).reshape(-1, 24)
     cells, at = [], 0
     for a in arrays:
         if a.dtype.kind == "f":
-            lanes, at = floats[at:at + a.size], at + a.size
+            cells.append(lanes[at:at + a.size].reshape(*a.shape, 24))
+            at += a.size
         else:
-            lanes = a.ravel().astype("S24").view(np.uint64).reshape(a.size, 3)
-        used = np.bitwise_or.reduce(np.ascontiguousarray(lanes.T), axis=1).view(np.uint8) != 0
-        cells.append(lanes.view(np.uint8)[:, used].reshape(*a.shape, -1))
+            width = max(len(str(a.min())), len(str(a.max())))
+            cells.append(a.astype(f"S{width}").view(np.uint8).reshape(*a.shape, width))
     return cells
 
 
-_CHUNK_VALUES = 2**13          # rows are written in chunks of about this many values
+def _rows(columns, fixed, sep: str, text: bytearray) -> bytearray:
+    """One chunk of rows as zero-padded text.  Column i's cells are
+    `fixed[i]` or, if that is None, formatted from `columns[i]`; each is
+    written once into one buffer of rows and followed by `sep` or, at the
+    end of a row, a newline.  The buffer is `text` if it has the size, so
+    every byte of it is written again, or else a new one."""
+    fresh = iter(_cells([c for c, f in zip(columns, fixed) if f is None]))
+    cells = [next(fresh) if f is None else f for f in fixed]
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in cells))
+    size = math.prod(shape) * sum(c.shape[-1] + 1 for c in cells)
+    if len(text) != size:
+        text = bytearray(size)
+    rows = np.frombuffer(text, np.uint8).reshape(*shape, -1)
+    at = 0
+    for c in cells:
+        w = c.shape[-1]
+        # as one w-byte item per cell, which numpy copies faster than w bytes
+        rows[..., at:at + w].view(f"V{w}")[..., 0] = c.view(f"V{w}")[..., 0]
+        rows[..., at + w] = ord(sep)
+        at += w + 1
+    rows[..., -1] = ord("\n")
+    return text
+
+
+_CHUNK_VALUES = 2**13          # values formatted per chunk, about; bounds the memory used
 
 
 def write_table(path, header, columns, sep: str = ",") -> None:
     """Write the `header` lines, then one line per row of `columns` (int
     or float arrays that broadcast together; rows run over the broadcast
     shape in C order), each value as `fmt` writes it, joined by `sep`.
-    Rows are written a chunk at a time, never the whole text at once."""
+
+    Rows are written a chunk at a time, never the whole text at once.  A
+    column of length 1 along the first axis (an ensemble's frame times)
+    is formatted once for the whole table; each chunk formats about
+    _CHUNK_VALUES values of the other columns."""
     columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.dtype.kind not in "iuf":
+            raise TypeError(f"cannot write a column of dtype {c.dtype}")
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
     with open(path, "wb") as fh:
         fh.write("".join(h + "\n" for h in header).encode())
         if 0 in shape:
             return
-        step = max(1, _CHUNK_VALUES // (math.prod(shape[1:]) * len(columns)))
+        fixed = [_cells([c])[0] if c.shape[0] == 1 else None for c in columns]
+        per_row = sum(math.prod(c.shape[1:]) for c, f in zip(columns, fixed) if f is None)
+        step = max(1, _CHUNK_VALUES // max(1, per_row))
+        text = bytearray()
         for lo in range(0, shape[0], step):
-            hi = min(lo + step, shape[0])
-            cells = _cells([c[lo:hi] if c.shape[0] > 1 else c for c in columns])
-            rows = np.empty((hi - lo, *shape[1:], sum(c.shape[-1] + 1 for c in cells)), np.uint8)
-            at = 0
-            for c in cells:
-                rows[..., at:at + c.shape[-1]] = c
-                rows[..., at + c.shape[-1]] = ord(sep)
-                at += c.shape[-1] + 1
-            rows[..., -1] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            text = _rows([c[lo:lo + step] for c in columns], fixed, sep, text)
+            fh.write(text.translate(None, b"\0"))
 
 
 _JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}

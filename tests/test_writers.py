@@ -217,6 +217,61 @@ def test_run_tables_need_no_per_value_fallback(tmp_path, monkeypatch):
 
 
 @pytest.fixture(scope="module")
+def edge_tables():
+    """Every table kind over the edge values, each with its writer and
+    its reference text: ids cross 9 -> 10 and 99,999 -> 100,000 inside
+    a chunk, and the ensemble's frame times are one broadcast column."""
+    values = np.array(EDGE_VALUES)
+    ensemble = Ensemble(frame_times=values, positions=np.resize(values, (13, values.size)))
+    collapsed = np.zeros((values.size, 2), dtype=complex)
+    collapsed.real = np.stack([values, -values], axis=1)
+    collapsed.imag = np.stack([values[::-1], values], axis=1)
+    trials = PointerMeasurement(y=values, outcome=1 + np.arange(values.size) % 2,
+                                collapsed=collapsed, counts=(6, 6), min_purity=0.0)
+    up = np.resize(values, 256).astype(complex)
+    up.imag = np.resize(values[::-1], 256)
+    field = SpinorField(Grid1D(-1.0, 1.0, 256), up, -up, time=1e300)
+    comp = SimpleNamespace(bin_edges=np.append(values, 2.0), empirical_mass=values[::-1],
+                           theoretical_mass=-values)
+    result = SimpleNamespace(comparisons=(comp,) * 12)
+    ids = np.arange(99_990, 100_010)
+    rows = np.resize(values, (ids.size, 3))
+    return {
+        "ensemble": (lambda path: write_ensemble(ensemble, path, config_hash="abc", seed=1),
+                     ref_ensemble(ensemble, "abc", 1)),
+        "trials": (lambda path: write_trials(trials, path, config_hash="abc"),
+                   ref_trials(trials, "abc")),
+        "frame": (lambda path: write_frame(field, path), ref_frame(field)),
+        "histograms": (lambda path: _write_histograms(result, path, chash="abc"),
+                       ref_histograms(result, "abc")),
+        "ids": (lambda path: write_table(path, [], [ids[:, None], values[:3], rows]),
+                "".join(f"{i},{fmt(t)},{fmt(v)}\n" for i, row in zip(ids, rows)
+                        for t, v in zip(values[:3], row))),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 97, serialize._CHUNK_VALUES])
+def test_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, edge_tables, chunk):
+    # a stale tail of a reused row buffer or an unwritten cell would
+    # show as a difference between chunk sizes
+    monkeypatch.setattr(serialize, "_CHUNK_VALUES", chunk)
+    for name, (write, reference) in edge_tables.items():
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == reference.encode(), name
+
+
+@pytest.mark.parametrize("column", [
+    np.array([True, False]), np.array([1 + 2j, 3j]), np.array(["a", "b"]), np.array([b"a", b"b"]),
+    np.array([1.0, None], dtype=object), np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"),
+], ids=lambda c: c.dtype.kind)
+def test_write_table_rejects_columns_fmt_would_write_differently(tmp_path, column):
+    path = tmp_path / "table.csv"
+    with pytest.raises(TypeError):
+        write_table(path, [], [np.arange(2), column])
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
 def large_ensemble():
     """6,500 x 41 positions, with NaN-aborted rows and every edge value
     scattered in, and its reference text."""
@@ -271,7 +326,22 @@ class TestEnsemble:
         assert peak < 16e6
 
 
+def traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFrame:
+    def test_memory_is_bounded(self, tmp_path, free_run):
+        # the 40-byte-cell writer's traced peak (0.525 MB) plus 10%
+        frames, _, _ = free_run
+        assert frames[-1].grid.n_points == 512
+        assert traced_peak(lambda: write_frame(frames[-1], tmp_path / "frame.txt")) < 0.578e6
+
     def test_evolved_frames(self, tmp_path, free_run):
         frames, _, _ = free_run
         for field in (frames[0], frames[-1]):
@@ -287,6 +357,14 @@ class TestFrame:
 
 
 class TestTrials:
+    def test_memory_is_bounded(self, tmp_path):
+        # the 40-byte-cell writer's traced peak (1.604 MB) plus 10%
+        m = run_pointer_measurement(0.6, 0.8, CouplingSpec(10.0), 10_000, 11,
+                                    Grid1D(-24.0, 24.0, 512))
+        path = tmp_path / "trials.csv"
+        assert traced_peak(lambda: write_trials(m, path, config_hash="abc")) < 1.765e6
+        assert path.read_bytes().count(b"\n") == 2 + 10_000
+
     def test_pointer_run(self, tmp_path):
         m = run_pointer_measurement(0.6, 0.8, CouplingSpec(10.0), 500, 11,
                                     Grid1D(-24.0, 24.0, 512))
