@@ -10,15 +10,19 @@ subcommand; --trajectories N on `sim` only; --dump-frames on
 `sim stern-gerlach` and `sim equilibrium` only.  Seed precedence: --seed
 beats the config file, which beats the default 42.
 
-`SCENARIOS` maps each scenario to a runner that runs it, writes its own
-tables and returns its results tree and checks.  Every run writes
+`main(argv)` parses the arguments once and hands the namespace to
+`dispatch(args)`.  `SCENARIOS` is the one scenario table: it maps each
+scenario to its runner and to whether it honours --dump-frames, and the
+parser is built from it (a scenario in `config.NOGO_SCENARIOS` is a `nogo`
+subcommand, any other a `sim` one).  A runner runs its scenario, writes its
+own tables and returns its results tree and checks.  Every run writes
 `report.json` and `report.txt`: the config echo, the results tree (as
 `key = value` lines in the text report) and one PASS/FAIL line per
 declared check.  Trajectory scenarios add `ensemble.csv`, the
 pointer scenario `trials.csv`, the equilibrium scenario
 `histograms.csv`, and --dump-frames a `frames/` directory.  Both reports
 and every CSV table begin with the config hash; the frame dumps do not.
-Nothing in a file depends on the clock, so re-running a manifest
+Nothing in a file depends on the clock, so re-running an invocation
 reproduces every file byte for byte.
 The exit status is 0 exactly when all declared checks pass.
 """
@@ -27,13 +31,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import experiments, nogo
 from .config import (
     NOGO_SCENARIOS,
-    SIM_SCENARIOS,
     ConfigError,
     NogoRequest,
     canonical_text,
@@ -47,35 +50,17 @@ from .serialize import fmt, json_text, write_table
 from .trajectories import write_ensemble
 from .wavefield import write_frame
 
-GROUPS = {"nogo": NOGO_SCENARIOS, "sim": SIM_SCENARIOS}
 
-
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str                  # e.g. "sim stern-gerlach", "nogo mermin"
-    config_path: str | None
-    seed_override: int | None
-    out_dir: str
-    trajectories_override: int | None = None
-    quiet: bool = False
-    dump_frames: bool = False
-
-
-def _load_config(manifest: RunManifest):
-    group, _, name = manifest.subcommand.partition(" ")
-    scenario = name.replace("-", "_")
-    if scenario not in GROUPS.get(group, ()) or name != scenario.replace("_", "-"):
-        raise ConfigError(f"unknown subcommand {manifest.subcommand!r}")
-    if manifest.config_path is not None:
-        cfg = parse_config(Path(manifest.config_path).read_text(), scenario=scenario)
-    elif group == "nogo":
+def _load_config(args, scenario: str):
+    if args.config is not None:
+        cfg = parse_config(Path(args.config).read_text(), scenario=scenario)
+    elif scenario in NOGO_SCENARIOS:
         cfg = NogoRequest(kind=scenario)
     else:
         cfg = default_config(scenario)
     if isinstance(cfg, NogoRequest):
         return cfg
-    return with_overrides(cfg, seed=manifest.seed_override,
-                          n_trials=manifest.trajectories_override)
+    return with_overrides(cfg, seed=args.seed, n_trials=args.trajectories)
 
 
 # Runners: (cfg, out, chash, dump_frames) -> (results, checks).  They look
@@ -165,18 +150,16 @@ def _chsh(cfg, out, chash, dump_frames):
              "quantum_value": quantum}, checks)
 
 
-# the runners that honour --dump-frames
-FRAME_SCENARIOS = ("stern_gerlach", "equilibrium")
-
+# scenario -> (runner, honours --dump-frames)
 SCENARIOS = {
-    "stern_gerlach": _stern_gerlach,
-    "sequential": _sequential,
-    "no_crossing": _no_crossing,
-    "equilibrium": _equilibrium,
-    "pointer": _pointer,
-    "mermin": _mermin,
-    "vonneumann": _vonneumann,
-    "chsh": _chsh,
+    "stern_gerlach": (_stern_gerlach, True),
+    "sequential": (_sequential, False),
+    "no_crossing": (_no_crossing, False),
+    "equilibrium": (_equilibrium, True),
+    "pointer": (_pointer, False),
+    "mermin": (_mermin, False),
+    "vonneumann": (_vonneumann, False),
+    "chsh": (_chsh, False),
 }
 
 
@@ -213,29 +196,31 @@ def _check_lines(checks) -> list[str]:
     return [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
 
 
-def dispatch(manifest: RunManifest) -> int:
-    """Run the manifest, write its reports, and return the exit status.
+def dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed invocation, write its reports, and return the exit status.
     A bad config, a run that cannot complete or an output path that cannot
     be written prints one `error:` line and returns 2."""
     try:
-        cfg = _load_config(manifest)
+        scenario = args.scenario.replace("-", "_")
+        cfg = _load_config(args, scenario)
         chash = config_hash(cfg)
-        out = Path(manifest.out_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write-probe"       # fail before the run, not after it
         probe.write_text("")
         probe.unlink()
-        scenario = cfg.kind if isinstance(cfg, NogoRequest) else cfg.scenario
-        results, checks = SCENARIOS[scenario](cfg, out, chash, manifest.dump_frames)
+        runner, _ = SCENARIOS[scenario]
+        results, checks = runner(cfg, out, chash, args.dump_frames)
         status = 0 if all(c.passed for c in checks) else 1
         echo = canonical_text(cfg).rstrip("\n")
-        report_lines = [f"config_hash: {chash}", f"subcommand: {manifest.subcommand}", "",
+        subcommand = f"{args.group} {args.scenario}"
+        report_lines = [f"config_hash: {chash}", f"subcommand: {subcommand}", "",
                         "-- config --", echo, "", "-- results --", *_result_lines(results), "",
                         "-- checks --", *_check_lines(checks), "", f"exit: {status}"]
         (out / "report.txt").write_text("\n".join(report_lines) + "\n")
         json_report = {
             "config_hash": chash,
-            "subcommand": manifest.subcommand,
+            "subcommand": subcommand,
             "config": {line.split(" = ")[0]: line.split(" = ", 1)[1]
                        for line in echo.splitlines()},
             "results": results,
@@ -247,7 +232,7 @@ def dispatch(manifest: RunManifest) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if not manifest.quiet:
+    if not args.quiet:
         for line in report_lines:
             print(line)
     return status
@@ -259,40 +244,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pilot-wave dynamics laboratory: deflection experiments, "
                     "equilibrium statistics, pointer measurements and "
                     "no-hidden-variables checks.")
+    parser.set_defaults(trajectories=None, dump_frames=False)
     sub = parser.add_subparsers(dest="group", required=True)
-    for group, dest, help_text in (("nogo", "check", "no-hidden-variables checks"),
-                                   ("sim", "scenario", "simulation scenarios")):
-        group_sub = sub.add_parser(group, help=help_text).add_subparsers(dest=dest,
-                                                                        required=True)
-        for scenario in GROUPS[group]:
-            p = group_sub.add_parser(scenario.replace("_", "-"))
-            p.add_argument("--config", default=None, help="config file path")
-            p.add_argument("--seed", type=int, default=None, help="seed override")
-            p.add_argument("--out", default="bohmlab-out", help="output directory")
-            p.add_argument("--quiet", action="store_true")
-            if group == "sim":
-                p.add_argument("--trajectories", type=int, default=None,
-                               help="override the number of trajectories/trials")
-            if scenario in FRAME_SCENARIOS:
-                p.add_argument("--dump-frames", action="store_true",
-                               help="also write wave-function frames")
+    groups = {group: sub.add_parser(group, help=help_text).add_subparsers(dest="scenario",
+                                                                          required=True)
+              for group, help_text in (("nogo", "no-hidden-variables checks"),
+                                       ("sim", "simulation scenarios"))}
+    for scenario, (_, dump_frames) in SCENARIOS.items():
+        sim = scenario not in NOGO_SCENARIOS
+        p = groups["sim" if sim else "nogo"].add_parser(scenario.replace("_", "-"))
+        p.add_argument("--config", default=None, help="config file path")
+        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--out", default="bohmlab-out", help="output directory")
+        p.add_argument("--quiet", action="store_true")
+        if sim:
+            p.add_argument("--trajectories", type=int, default=None,
+                           help="override the number of trajectories/trials")
+        if dump_frames:
+            p.add_argument("--dump-frames", action="store_true",
+                           help="also write wave-function frames")
     return parser
 
 
-def manifest_from_args(args) -> RunManifest:
-    name = args.check if args.group == "nogo" else args.scenario
-    return RunManifest(subcommand=f"{args.group} {name}",
-                       config_path=args.config,
-                       seed_override=args.seed,
-                       out_dir=args.out,
-                       trajectories_override=getattr(args, "trajectories", None),
-                       quiet=args.quiet,
-                       dump_frames=getattr(args, "dump_frames", False))
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return dispatch(manifest_from_args(args))
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

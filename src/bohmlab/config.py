@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from .serialize import fmt
 from .wavefield import Grid1D, MagnetSpec, PotentialSpec
 
-SIM_SCENARIOS = ("stern_gerlach", "sequential", "no_crossing", "equilibrium", "pointer")
 NOGO_SCENARIOS = ("mermin", "vonneumann", "chsh")
 DEFAULT_SEED = 42
 
@@ -93,6 +92,7 @@ class ExperimentConfig:
         raise ConfigError(f"kind must be 'free' or 'harmonic', got {self.potential_kind!r}")
 
 
+# every sim scenario, with the defaults it changes
 _SCENARIO_DEFAULTS: dict[str, dict] = {
     "stern_gerlach": {},
     "sequential": {"n_trials": 1000},
@@ -109,6 +109,7 @@ _SCENARIO_DEFAULTS: dict[str, dict] = {
         "grid_x_min": -24.0, "grid_x_max": 24.0,
     },
 }
+SIM_SCENARIOS = tuple(_SCENARIO_DEFAULTS)
 
 
 def default_config(scenario: str, **overrides) -> ExperimentConfig:

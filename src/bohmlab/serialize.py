@@ -180,7 +180,7 @@ def _digits(x):
     with np.errstate(divide="ignore"):
         e = np.log10(a)
     const = np.flatnonzero(~np.isfinite(e))        # 0, nan and inf
-    a[const], e[const] = 1.0, 0.0
+    a[const], e[const] = 2.0, 0.0                  # 17 digits: never in the fix-up below
     e = np.floor(e).astype(np.int64)
     d, frac = _significand(a, e)
     # log10 can be off by one next to a power of ten; d must have 17 digits.

@@ -171,12 +171,6 @@ class SpinorField:
     def norm(self) -> float:
         return float(np.sum(self.density()) * self.grid.dx)
 
-    def normalized(self) -> "SpinorField":
-        n = np.sqrt(self.norm())
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero field")
-        return SpinorField(self.grid, self.up / n, self.down / n, self.time)
-
 
 def check_packet(grid: Grid1D, center: float, width: float,
                  alpha: complex, beta: complex) -> None:

@@ -208,13 +208,12 @@ def test_c09_numerics():
     assert ok
 
 
-def _run_twice(tmp_path, name: str, manifest: dict) -> list[str]:
-    """Run one manifest twice; return the output files whose bytes differ."""
+def _run_twice(tmp_path, name: str, argv: list) -> list[str]:
+    """Run one invocation twice; return the output files whose bytes differ."""
     outputs = []
     for run in ("a", "b"):
         out = tmp_path / f"{name}-{run}"
-        assert cli.dispatch(cli.RunManifest(seed_override=None, out_dir=str(out), quiet=True,
-                                            **manifest)) == 0
+        assert cli.main([*argv, "--out", str(out), "--quiet"]) == 0
         outputs.append(out)
     files = sorted(p.relative_to(outputs[0]) for p in outputs[0].rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(outputs[1]) for p in outputs[1].rglob("*")
@@ -234,14 +233,14 @@ def test_c10_reproducibility(tmp_path):
     differing = []
     for path in config_paths:
         scenario = parse_config(path.read_text()).scenario
-        differing += _run_twice(tmp_path, path.stem, {
-            "subcommand": f"sim {scenario.replace('_', '-')}",
-            "config_path": str(path),
-            "trajectories_override": C10_TRAJECTORIES.get(path.stem),
-            "dump_frames": scenario == "stern_gerlach"})
+        argv = ["sim", scenario.replace("_", "-"), "--config", str(path)]
+        if path.stem in C10_TRAJECTORIES:
+            argv += ["--trajectories", str(C10_TRAJECTORIES[path.stem])]
+        if scenario == "stern_gerlach":
+            argv.append("--dump-frames")
+        differing += _run_twice(tmp_path, path.stem, argv)
     for kind in ("mermin", "vonneumann", "chsh"):
-        differing += _run_twice(tmp_path, f"nogo-{kind}",
-                                {"subcommand": f"nogo {kind}", "config_path": None})
+        differing += _run_twice(tmp_path, f"nogo-{kind}", ["nogo", kind])
     identical = not differing
     record_acceptance(
         "C10 reproducibility", identical,

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from bohmlab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
@@ -20,6 +22,19 @@ def test_bench_selftest_passes():
     proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_entry_argv_parses(tmp_path, name):
+    # an argv the CLI rejects fails every operation of its entry; this also
+    # covers entries, such as nogo_mermin, that no timed cycle runs
+    entry = ENTRIES[name]
+    args = cli.build_parser().parse_args([*entry.argv, "--seed", "7", "--out", str(tmp_path)])
+    assert args.seed == 7 and args.out == str(tmp_path) and args.quiet
+    assert args.dump_frames == entry.frames
+    if entry.scenario is not None:
+        assert args.scenario.replace("-", "_") == entry.scenario
+        assert (ROOT / args.config).is_file()
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

@@ -23,9 +23,8 @@ from conftest import CONFIG_DIR
 ROOT = CONFIG_DIR.parent
 
 
-def manifest(subcommand, out, **kw):
-    return cli.RunManifest(subcommand=subcommand, config_path=kw.pop("config_path", None),
-                           seed_override=kw.pop("seed", None), out_dir=str(out), **kw)
+def run(*argv, out):
+    return cli.main([*argv, "--out", str(out), "--quiet"])
 
 
 class TestParseConfig:
@@ -70,7 +69,7 @@ class TestParseConfig:
 
 class TestDispatch:
     def test_nogo_mermin(self, tmp_path, capsys):
-        status = cli.dispatch(manifest("nogo mermin", tmp_path / "out", quiet=True))
+        status = run("nogo", "mermin", out=tmp_path / "out")
         assert status == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["results"]["satisfying_assignments"] == 0
@@ -81,19 +80,18 @@ class TestDispatch:
 
     @pytest.mark.parametrize("check", ["vonneumann", "chsh"])
     def test_other_nogo_checks_pass(self, tmp_path, check):
-        assert cli.dispatch(manifest(f"nogo {check}", tmp_path / check, quiet=True)) == 0
+        assert run("nogo", check, out=tmp_path / check) == 0
 
     def test_report_json_keeps_float_type(self, tmp_path):
-        assert cli.dispatch(manifest("nogo chsh", tmp_path, quiet=True)) == 0
+        assert run("nogo", "chsh", out=tmp_path) == 0
         results = json.loads((tmp_path / "report.json").read_text())["results"]
         assert type(results["local_max_S"]) is float and results["local_max_S"] == 2.0
         assert type(results["optimal_strategy_count"]) is int
         assert "local_max_S = 2\n" in (tmp_path / "report.txt").read_text()
 
     def test_stern_gerlach_run(self, tmp_path):
-        m = manifest("sim stern-gerlach", tmp_path / "sg", quiet=True,
-                     config_path=str(CONFIG_DIR / "stern_gerlach.cfg"))
-        assert cli.dispatch(m) == 0
+        assert run("sim", "stern-gerlach", "--config", str(CONFIG_DIR / "stern_gerlach.cfg"),
+                   out=tmp_path / "sg") == 0
         out = tmp_path / "sg"
         report = json.loads((out / "report.json").read_text())
         assert all(c["passed"] for c in report["checks"])
@@ -102,14 +100,10 @@ class TestDispatch:
         assert report["config_hash"] in ensemble[0]
 
     def test_seed_override_changes_hash(self, tmp_path):
-        base = manifest("sim pointer", tmp_path / "a", quiet=True,
-                        config_path=str(CONFIG_DIR / "pointer.cfg"),
-                        trajectories_override=500)
-        assert cli.dispatch(base) == 0
-        reseeded = manifest("sim pointer", tmp_path / "b", quiet=True,
-                            config_path=str(CONFIG_DIR / "pointer.cfg"),
-                            trajectories_override=500, seed=7)
-        assert cli.dispatch(reseeded) == 0
+        base = ["sim", "pointer", "--config", str(CONFIG_DIR / "pointer.cfg"),
+                "--trajectories", "500"]
+        assert run(*base, out=tmp_path / "a") == 0
+        assert run(*base, "--seed", "7", out=tmp_path / "b") == 0
         ja = json.loads((tmp_path / "a" / "report.json").read_text())
         jb = json.loads((tmp_path / "b" / "report.json").read_text())
         assert ja["config"]["seed"] == "42"
@@ -118,28 +112,23 @@ class TestDispatch:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         for out in ("one", "two"):
-            m = manifest("sim stern-gerlach", tmp_path / out, quiet=True,
-                         config_path=str(CONFIG_DIR / "stern_gerlach.cfg"),
-                         trajectories_override=300)
-            assert cli.dispatch(m) == 0
+            assert run("sim", "stern-gerlach", "--config", str(CONFIG_DIR / "stern_gerlach.cfg"),
+                       "--trajectories", "300", out=tmp_path / out) == 0
         for name in ("report.txt", "report.json", "ensemble.csv"):
             a = (tmp_path / "one" / name).read_bytes()
             b = (tmp_path / "two" / name).read_bytes()
             assert a == b, name
 
     def test_dump_frames(self, tmp_path):
-        m = manifest("sim stern-gerlach", tmp_path / "sg", quiet=True,
-                     config_path=str(CONFIG_DIR / "stern_gerlach.cfg"),
-                     trajectories_override=100, dump_frames=True)
-        assert cli.dispatch(m) == 0
+        assert run("sim", "stern-gerlach", "--config", str(CONFIG_DIR / "stern_gerlach.cfg"),
+                   "--trajectories", "100", "--dump-frames", out=tmp_path / "sg") == 0
         frames = sorted((tmp_path / "sg" / "frames").glob("frame_*.txt"))
         assert len(frames) == 33            # initial frame + 32 saved frames
 
     def test_unusable_out_dir_fails(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        m = manifest("nogo mermin", blocker / "nested", quiet=True)
-        assert cli.dispatch(m) != 0
+        assert run("nogo", "mermin", out=blocker / "nested") != 0
 
     @pytest.mark.parametrize("argv,blocker,make", [
         (["sim", "stern-gerlach", "--trajectories", "100", "--dump-frames"], "frames",
@@ -159,9 +148,7 @@ class TestDispatch:
     def test_bad_config_fails(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("spin.alpha = 1.0\nspin.beta = 1.0\n")
-        m = manifest("sim stern-gerlach", tmp_path / "out", quiet=True,
-                     config_path=str(bad))
-        assert cli.dispatch(m) == 2
+        assert run("sim", "stern-gerlach", "--config", str(bad), out=tmp_path / "out") == 2
 
     def test_harmonic_grid_of_4096_points_runs(self, tmp_path):
         # no V != 0 grid-size cap: the well propagates by FFT like V = 0
@@ -202,11 +189,34 @@ class TestDispatch:
         assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
         assert not (tmp_path / "out").exists()
 
+    def test_nogo_config_naming_its_check_matches_the_plain_run(self, tmp_path):
+        cfg = tmp_path / "chsh.cfg"
+        cfg.write_text("scenario = chsh\n")
+        assert run("nogo", "chsh", "--config", str(cfg), out=tmp_path / "file") == 0
+        assert run("nogo", "chsh", out=tmp_path / "plain") == 0
+        for name in ("report.txt", "report.json"):
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("text,message", [
+        ("scenario = chsh\nspin.alpha = 0.6\n", "takes no parameters"),
+        ("scenario = mermin\n", "subcommand selects"),
+    ], ids=["sim-key", "other-check"])
+    def test_nogo_config_it_cannot_honour_fails_cleanly(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "nogo.cfg"
+        cfg.write_text(text)
+        assert run("nogo", "chsh", "--config", str(cfg), out=tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",
                                             "nogo stern-gerlach", "nogo bogus"])
     def test_subcommand_outside_the_table_fails(self, tmp_path, capsys, subcommand):
-        assert cli.dispatch(manifest(subcommand, tmp_path / "out", quiet=True)) == 2
-        assert capsys.readouterr().err.startswith("error: unknown subcommand")
+        with pytest.raises(SystemExit) as exc:
+            run(*subcommand.split(), out=tmp_path / "out")
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

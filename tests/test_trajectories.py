@@ -23,8 +23,8 @@ def plane_wave_frames(grid, k, times):
 class TestSampling:
     def test_uniform_density_deciles(self):
         grid = Grid1D(0.0, 1.0, 256)
-        f = SpinorField(grid, np.ones(256, complex), np.zeros(256, complex))
-        samples = sample_positions(f.normalized(), 100_000, seed=5)
+        f = SpinorField(grid, np.full(256, grid.length ** -0.5, complex), np.zeros(256, complex))
+        samples = sample_positions(f, 100_000, seed=5)
         for d in range(10):
             mass = np.mean((samples >= d / 10) & (samples < (d + 1) / 10))
             assert abs(mass - 0.1) < 0.01
@@ -32,8 +32,8 @@ class TestSampling:
     def test_point_mass(self):
         grid = Grid1D(-1.0, 1.0, 256)
         up = np.zeros(256, complex)
-        up[64] = 1.0
-        f = SpinorField(grid, up, np.zeros(256, complex)).normalized()
+        up[64] = grid.dx ** -0.5
+        f = SpinorField(grid, up, np.zeros(256, complex))
         samples = sample_positions(f, 200, seed=1)
         assert np.all(np.abs(samples - grid.nodes[64]) <= grid.dx / 2)
 
@@ -213,8 +213,8 @@ class TestEquilibriumDistance:
         # occupied bin carries theoretical mass 1 and the match is exact
         grid = Grid1D(-1.0, 1.0, 256)
         up = np.zeros(256, complex)
-        up[133] = 1.0
-        f = SpinorField(grid, up, np.zeros(256, complex)).normalized()
+        up[133] = grid.dx ** -0.5
+        f = SpinorField(grid, up, np.zeros(256, complex))
         times = np.array([0.0, 1.0])
         positions = np.array([[grid.nodes[133], grid.nodes[133]]])
         ens = Ensemble(frame_times=times, positions=positions)

@@ -216,6 +216,20 @@ def test_run_tables_need_no_per_value_fallback(tmp_path, monkeypatch):
     assert sum(counted) == 0
 
 
+def test_constants_need_one_significand_pass(monkeypatch):
+    # +-0, nan and +-inf are constant cells; their placeholder significand
+    # must not send them through the exponent fix-up, a second pass
+    counted = []
+    significand = serialize._significand
+    monkeypatch.setattr(serialize, "_significand",
+                        lambda a, e: counted.append(a.size) or significand(a, e))
+    values = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.5e-300, 3.25e300])
+    cells = serialize._fast_cells(values)
+    assert counted == [values.size]
+    assert [c.rstrip(b"\0").decode() for c in cells.view("S24").ravel()] == [
+        "%.17g" % v for v in values]
+
+
 @pytest.fixture(scope="module")
 def edge_tables():
     """Every table kind over the edge values, each with its writer and
