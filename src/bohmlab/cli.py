@@ -86,7 +86,10 @@ def _sequential(cfg, out, chash, dump_frames):
 def _no_crossing(cfg, out, chash, dump_frames):
     result = experiments.no_crossing_check(cfg)
     write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
+    first = result.crossing_report.first_violation
     return ({"violations": result.crossing_report.violations,
+             "first_violation": None if first is None else
+             {"trajectories": list(first[0]), "frame": first[1]},
              "inference_accuracy": result.inference_accuracy,
              "statistics": asdict(result.statistics)}, result.checks)
 
@@ -179,7 +182,8 @@ def _write_histograms(result, path, chash: str) -> None:
 
 def _result_lines(tree, prefix: str = ""):
     """`key = value` lines of a results tree: nested keys joined by `.`,
-    a list of dicts indexed by position, a list of scalars on one line."""
+    a list of dicts indexed by position, a list of scalars on one line,
+    None as `null` (as in report.json)."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree)
     for key, value in items:
         name = f"{prefix}{key}"
@@ -188,6 +192,8 @@ def _result_lines(tree, prefix: str = ""):
             yield from _result_lines(value, name + ".")
         elif isinstance(value, (list, tuple)):
             yield f"{name} = {' '.join(map(fmt, value))}"
+        elif value is None:
+            yield f"{name} = null"
         else:
             yield f"{name} = {fmt(value)}"
 

@@ -52,7 +52,7 @@ class ExperimentConfig:
     n_trials: int = 20000
     n_bins: int = 64
     n_frames: int = 64
-    substeps_per_frame: int = 4
+    substeps_per_frame: int = 1
     alpha: complex = complex(1 / math.sqrt(2))
     beta: complex = complex(1 / math.sqrt(2))
     grid_x_min: float = -20.0

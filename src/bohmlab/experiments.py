@@ -110,8 +110,8 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                              config.packet_momentum, alpha, beta)
     kicked = magnet_kick(packet, config.magnet())
     flight = detection_time(config)
-    frames = evolve_frames(kicked, config.potential(), flight / config.n_frames,
-                           config.n_frames)
+    potential = config.potential()
+    frames = evolve_frames(kicked, potential, flight / config.n_frames, config.n_frames)
 
     branches = branch_supports(frames[-1], config.branch_threshold)
     if not branches.separated:
@@ -119,7 +119,7 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                          "increase flight_time or the magnet kick")
 
     initial = sample_positions(frames[0], n_trials, seed)
-    ensemble = integrate(frames, initial, config.substeps_per_frame)
+    ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
     axis_position = config.packet_center + config.packet_momentum * flight
     finals = ensemble.positions[:, -1]
     up_mask = finals >= axis_position
@@ -266,7 +266,8 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     grid = config.grid()
     packet = gaussian_packet(grid, config.packet_center, config.packet_width,
                              config.packet_momentum, config.alpha, config.beta)
-    frames = evolve_frames(packet, config.potential(), config.duration / config.n_frames,
+    potential = config.potential()
+    frames = evolve_frames(packet, potential, config.duration / config.n_frames,
                            config.n_frames)
 
     if config.init_kind == "born":
@@ -274,7 +275,7 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     else:
         initial = config.init_a + (config.init_b - config.init_a) * \
             rng.uniforms(config.seed, config.n_trials)
-    ensemble = integrate(frames, initial, config.substeps_per_frame)
+    ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
     comparisons = tuple(
         equilibrium_distance(ensemble, i, frames[i], config.n_bins)
         for i in range(len(frames))

@@ -1,11 +1,14 @@
 """Quantum-equilibrium sampling and guided-trajectory integration.
 
 Initial positions are drawn from the |psi|^2 density of a stored frame;
-trajectories then follow dX/dt = v(X, t) with the guiding velocity read
-off the frame sequence: linear interpolation in time between frames,
-linear interpolation in space between grid nodes, classical RK4 inside
-each frame interval.  Everything is driven by the counter-based RNG in
-`rng`, so a (seed, configuration) pair reproduces positions bit for bit.
+trajectories then follow dX/dt = v(X, t) by classical RK4 inside each
+frame interval.  Bohm's law sets the velocity from psi at the same
+instant, so every RK4 stage reads the guiding field of psi at its own
+stage time, evolved there from the frame by the exact propagator: there
+is no blending in time between frames.  The one remaining approximation
+is linear interpolation in space between grid nodes.  Everything is
+driven by the counter-based RNG in `rng`, so a (seed, configuration)
+pair reproduces positions bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, wavefield
 from .serialize import write_table
-from .wavefield import SpinorField, velocity_field
+from .wavefield import PotentialSpec, SpinorField, velocity_field
 
 
 @dataclass(frozen=True)
@@ -59,13 +62,22 @@ def sample_positions(field: SpinorField, n: int, seed: int) -> np.ndarray:
     return rng.sample_from_density(field.grid.nodes, field.density(), n, seed)
 
 
-def integrate(frames: list[SpinorField], initial_positions,
-              substeps_per_frame: int = 4) -> Ensemble:
+def integrate(frames: list[SpinorField], initial_positions, potential: PotentialSpec,
+              substeps_per_frame: int = 1) -> Ensemble:
     """RK4 integration of all trajectories through the frame sequence.
+
+    The frames must be snapshots of one solution of the Schroedinger
+    equation under `potential`, uniformly spaced in time.  With h the
+    frame interval over substeps_per_frame, the RK4 stages inside the
+    interval after frame i sit at t_i + s h/2, s = 0 .. 2 substeps_per_frame;
+    a frame's own stage reads velocity_field(frame), every other stage
+    the velocity field of frame i evolved to its stage time (so the
+    boundary monitor checks those fields too).  Node velocities are
+    interpolated linearly in space.
 
     Trajectories are integrated in the order of their initial positions,
     which Bohmian motion preserves, so the position lookups in the
-    velocity frames run over (nearly) sorted points; each point's
+    velocity fields run over (nearly) sorted points; each point's
     arithmetic is independent of that order, and the result is stored
     in the caller's order.
 
@@ -83,7 +95,6 @@ def integrate(frames: list[SpinorField], initial_positions,
         raise ValueError("frames must be uniformly spaced in time")
     grid = frames[0].grid
     x_nodes = grid.nodes
-    node_velocities = [velocity_field(f) for f in frames]
 
     x0 = np.array(initial_positions, dtype=float)
     positions = np.full((x0.size, len(times)), np.nan)
@@ -93,17 +104,18 @@ def integrate(frames: list[SpinorField], initial_positions,
     alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
     x = np.where(alive, x, np.nan)
 
-    dt_frame = float(spacing[0])
-    h = dt_frame / substeps_per_frame
+    h = float(spacing[0]) / substeps_per_frame
+    v_end = velocity_field(frames[0])
     for i in range(len(times) - 1):
-        v0, v1 = node_velocities[i], node_velocities[i + 1]
+        # wavefield.evolve is looked up at call time, as evolve_frames looks
+        # it up, so a wrapper around it sees the stage evolutions too
+        stage = [v_end] + [
+            velocity_field(wavefield.evolve(frames[i], potential, 0.5 * s * h, 1))
+            for s in range(1, 2 * substeps_per_frame)]
+        v_end = velocity_field(frames[i + 1])
+        stage.append(v_end)
         for s in range(substeps_per_frame):
-            w0 = s / substeps_per_frame
-            wm = (s + 0.5) / substeps_per_frame
-            w1 = (s + 1.0) / substeps_per_frame
-            f0 = (1.0 - w0) * v0 + w0 * v1
-            fm = (1.0 - wm) * v0 + wm * v1
-            f1 = (1.0 - w1) * v0 + w1 * v1
+            f0, fm, f1 = stage[2 * s:2 * s + 3]
             k1 = np.interp(x, x_nodes, f0)
             k2 = np.interp(x + 0.5 * h * k1, x_nodes, fm)
             k3 = np.interp(x + 0.5 * h * k2, x_nodes, fm)

@@ -195,7 +195,8 @@ def test_c09_numerics():
     frames = [analytic_free_gaussian(grid, 0.5, t) for t in (0.0, 0.8, 1.6, 2.4)]
 
     def terminal(substeps):
-        return integrate(frames, np.array([1.0]), substeps_per_frame=substeps).positions[0, -1]
+        return integrate(frames, np.array([1.0]), PotentialSpec.free(),
+                         substeps_per_frame=substeps).positions[0, -1]
 
     reference = terminal(8)
     ratio = abs(terminal(1) - reference) / abs(terminal(2) - reference)

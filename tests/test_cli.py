@@ -18,6 +18,8 @@ from bohmlab.config import (
     parse_config,
 )
 
+from bohmlab.trajectories import NoCrossingReport
+
 from conftest import CONFIG_DIR
 
 ROOT = CONFIG_DIR.parent
@@ -239,10 +241,10 @@ class TestScenarioTable:
 
     def test_result_lines(self):
         tree = {"a": 1, "b": {"c": [0.5, float("nan"), -2], "d": "up"},
-                "e": [{"f": True}, {"f": False, "g": 0.1}]}
+                "e": [{"f": True}, {"f": False, "g": 0.1}], "h": None}
         assert list(cli._result_lines(tree)) == [
             "a = 1", "b.c = 0.5 nan -2", "b.d = up",
-            "e.0.f = true", "e.1.f = false", "e.1.g = 0.10000000000000001"]
+            "e.0.f = true", "e.1.f = false", "e.1.g = 0.10000000000000001", "h = null"]
 
     @pytest.mark.parametrize("scenario", list(cli.SCENARIOS))
     def test_report_txt_results_render_report_json(self, tmp_path, scenario):
@@ -255,6 +257,21 @@ class TestScenarioTable:
         results = lines[lines.index("-- results --") + 1:lines.index("-- checks --") - 1]
         assert results == list(cli._result_lines(report["results"]))
         assert results
+        if scenario == "no_crossing":
+            assert report["results"]["first_violation"] is None
+            assert "first_violation = null" in results
+
+    def test_no_crossing_report_names_the_first_violation(self, tmp_path, monkeypatch):
+        injected = NoCrossingReport(violations=2, first_violation=((3, 17), 5))
+        monkeypatch.setattr(experiments, "check_no_crossing", lambda ensemble: injected)
+        status = cli.main(["sim", "no-crossing", "--trajectories", "100",
+                           "--out", str(tmp_path), "--quiet"])
+        assert status == 1
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results["violations"] == 2
+        assert results["first_violation"] == {"trajectories": [3, 17], "frame": 5}
+        text = (tmp_path / "report.txt").read_text()
+        assert "first_violation.trajectories = 3 17\nfirst_violation.frame = 5\n" in text
 
     @pytest.mark.parametrize("argv", [["sim", "pointer", "--dump-frames"],
                                       ["sim", "no-crossing", "--dump-frames"],

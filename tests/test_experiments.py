@@ -99,7 +99,7 @@ class TestSternGerlach:
         misses = 0
         for seed in range(100):
             x0 = sample_positions(frames[0], cfg.n_trials, seed)
-            ens = integrate(frames, x0, cfg.substeps_per_frame)
+            ens = integrate(frames, x0, cfg.potential(), cfg.substeps_per_frame)
             f_up = float(np.mean(ens.positions[:, -1] >= 0))
             if abs(f_up - p) > halfwidth:
                 misses += 1

@@ -9,9 +9,20 @@ from bohmlab.trajectories import (
     sample_positions,
     write_ensemble,
 )
-from bohmlab.wavefield import Grid1D, SpinorField, gaussian_packet, velocity_field
+from bohmlab.wavefield import (
+    Grid1D,
+    PotentialSpec,
+    SpinorField,
+    evolve,
+    evolve_frames,
+    gaussian_packet,
+    velocity_field,
+)
 
-from conftest import analytic_free_gaussian
+from conftest import analytic_coherent_state, analytic_free_gaussian, shipped_config
+
+FREE = PotentialSpec.free()
+HARMONIC = PotentialSpec.harmonic(1.0)
 
 
 def plane_wave_frames(grid, k, times):
@@ -50,58 +61,63 @@ class TestSampling:
 
 class TestIntegrate:
     def test_constant_velocity_field(self, grid512):
-        k = 2 * np.pi * 8 / grid512.length
-        frames = plane_wave_frames(grid512, k, np.linspace(0.0, 2.0, 11))
+        # a coherent state swings rigidly: its velocity is the same at
+        # every x, p(t) = cos t here, so each position moves by sin t
+        times = np.linspace(0.0, 2.0, 11)
+        frames = [analytic_coherent_state(grid512, t, 0.0, 1.0) for t in times]
         x0 = np.array([-3.0, 0.0, 2.5])
-        ens = integrate(frames, x0, substeps_per_frame=2)
-        assert np.max(np.abs(ens.positions[:, -1] - (x0 + k * 2.0))) < 1e-6
+        ens = integrate(frames, x0, HARMONIC, substeps_per_frame=2)
+        assert np.max(np.abs(ens.positions[:, -1] - (x0 + np.sin(2.0)))) < 1e-6
 
     def test_static_real_field_keeps_positions(self, grid512):
-        # width 1 so the tails underflow at the periodic seam: the
-        # spectral velocity is then zero to rounding and positions freeze
-        f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
-        frames = [SpinorField(grid512, f.up, f.down, time=t) for t in (0.0, 0.5, 1.0)]
+        # the harmonic ground state is stationary: its spectral velocity
+        # is zero to rounding at every stage time and positions freeze
+        f = gaussian_packet(grid512, 0.0, 0.5**0.5, 0.0, 1.0, 0.0)
+        frames = evolve_frames(f, HARMONIC, 0.5, 2)
         x0 = np.array([-1.0, 0.3, 1.2])
-        ens = integrate(frames, x0, substeps_per_frame=4)
+        ens = integrate(frames, x0, HARMONIC, substeps_per_frame=4)
         assert np.max(np.abs(ens.positions[:, -1] - x0)) < 1e-12
 
     def test_center_trajectory_follows_packet(self, grid512):
         w0, k = 1.0, 1.0
         times = np.linspace(0.0, 2.0, 21)
         frames = [analytic_free_gaussian(grid512, w0, t, momentum=k) for t in times]
-        ens = integrate(frames, np.array([0.0]), substeps_per_frame=4)
+        ens = integrate(frames, np.array([0.0]), FREE, substeps_per_frame=4)
         width_t = w0 * np.sqrt(1 + (times[-1] / (2 * w0**2)) ** 2)
         assert abs(ens.positions[0, -1] - k * times[-1]) < 1e-3 * width_t
 
     def test_requires_uniform_spacing(self, grid512):
         frames = plane_wave_frames(grid512, 1.0, [0.0, 0.5, 1.5])
         with pytest.raises(ValueError):
-            integrate(frames, [0.0])
+            integrate(frames, [0.0], FREE)
 
     def test_requires_two_frames(self, grid512):
         frames = plane_wave_frames(grid512, 1.0, [0.0])
         with pytest.raises(ValueError):
-            integrate(frames, [0.0])
+            integrate(frames, [0.0], FREE)
 
     def test_escaping_trajectory_is_aborted_and_flagged(self, grid512):
-        k = 2 * np.pi * 16 / grid512.length    # ~ 3.14 per unit time
-        frames = plane_wave_frames(grid512, k, np.linspace(0.0, 4.0, 21))
-        ens = integrate(frames, np.array([0.0, 10.0]), substeps_per_frame=2)
+        # 15.9 lies in the underflowed tail ahead of the packet, whose
+        # nodes take the velocity of the nearest live node, so it leaves
+        times = np.linspace(0.0, 2.0, 11)
+        frames = [analytic_free_gaussian(grid512, 1.0, t, momentum=1.0) for t in times]
+        ens = integrate(frames, np.array([0.0, 15.9]), FREE, substeps_per_frame=2)
         assert ens.flagged
         assert ens.aborted == (1,)
         assert np.isnan(ens.positions[1, -1])
         assert np.isfinite(ens.positions[0, -1])
 
     def test_fourth_order_convergence(self, grid512):
-        # coarse frames on the spreading Gaussian: the reference at 8x
-        # substeps isolates the RK error from the frame interpolation
+        # coarse frames on the spreading Gaussian: every stage reads psi at
+        # its own time, so the runs differ only in the RK step and the
+        # reference at 8x substeps isolates the RK error
         w0 = 0.5
         times = [0.0, 0.8, 1.6, 2.4]
         frames = [analytic_free_gaussian(grid512, w0, t) for t in times]
         x0 = np.array([1.0])
 
         def terminal(substeps):
-            return integrate(frames, x0, substeps_per_frame=substeps).positions[0, -1]
+            return integrate(frames, x0, FREE, substeps_per_frame=substeps).positions[0, -1]
 
         reference = terminal(8)
         err1 = abs(terminal(1) - reference)
@@ -114,32 +130,34 @@ class TestIntegrate:
         times = np.linspace(0.0, 1.0, 6)
         frames = [analytic_free_gaussian(grid512, w0, t) for t in times]
         x0 = sample_positions(frames[0], 500, seed=9)
-        a = integrate(frames, x0, substeps_per_frame=4)
-        b = integrate(frames, x0, substeps_per_frame=4)
+        a = integrate(frames, x0, FREE, substeps_per_frame=4)
+        b = integrate(frames, x0, FREE, substeps_per_frame=4)
         assert np.array_equal(a.positions, b.positions)
 
 
-def integrate_in_given_order(frames, initial_positions, substeps_per_frame):
+def integrate_in_given_order(frames, initial_positions, potential, substeps_per_frame):
     """The RK4 loop of `integrate` run in the caller's order, as it was
     before `integrate` sorted by initial position; the reference for the
     bit-identity test."""
     grid = frames[0].grid
     times = np.array([f.time for f in frames])
-    v = [velocity_field(f) for f in frames]
     x = np.array(initial_positions, dtype=float)
     positions = np.full((x.size, len(times)), np.nan)
     positions[:, 0] = x
     alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
     x = np.where(alive, x, np.nan)
     h = float(times[1] - times[0]) / substeps_per_frame
+
+    def stage_velocity(i, t):
+        # psi of frame i evolved by t; the frame itself at t = 0
+        return velocity_field(evolve(frames[i], potential, t, 1) if t > 0.0 else frames[i])
+
     for i in range(len(times) - 1):
         for s in range(substeps_per_frame):
-            w0 = s / substeps_per_frame
-            wm = (s + 0.5) / substeps_per_frame
-            w1 = (s + 1.0) / substeps_per_frame
-            f0 = (1.0 - w0) * v[i] + w0 * v[i + 1]
-            fm = (1.0 - wm) * v[i] + wm * v[i + 1]
-            f1 = (1.0 - w1) * v[i] + w1 * v[i + 1]
+            f0 = stage_velocity(i, s * h)
+            fm = stage_velocity(i, (s + 0.5) * h)
+            f1 = (stage_velocity(i, (s + 1.0) * h) if s + 1 < substeps_per_frame
+                  else velocity_field(frames[i + 1]))
             k1 = np.interp(x, grid.nodes, f0)
             k2 = np.interp(x + 0.5 * h * k1, grid.nodes, fm)
             k3 = np.interp(x + 0.5 * h * k2, grid.nodes, fm)
@@ -153,6 +171,35 @@ def integrate_in_given_order(frames, initial_positions, substeps_per_frame):
     return positions, tuple(int(i) for i in np.where(~alive)[0])
 
 
+@pytest.mark.parametrize("name", ["equilibrium_free", "equilibrium_harmonic"])
+def test_shipped_equilibrium_trajectories_match_the_oracle(name):
+    # free: X = c + p t + (X0 - c) sigma_t / sigma; harmonic (coherent
+    # state, omega = 1 about 0): X = X0 - c + c cos t + p sin t
+    cfg = shipped_config(name)
+    potential = cfg.potential()
+    packet = gaussian_packet(cfg.grid(), cfg.packet_center, cfg.packet_width,
+                             cfg.packet_momentum, cfg.alpha, cfg.beta)
+    frames = evolve_frames(packet, potential, cfg.duration / cfg.n_frames, cfg.n_frames)
+    x0 = sample_positions(frames[0], 2000, cfg.seed)
+    start, t = x0[:, None], np.array([f.time for f in frames])
+    c, p = cfg.packet_center, cfg.packet_momentum
+    if cfg.potential_kind == "free":
+        spread = np.sqrt(1.0 + (t / (2.0 * cfg.packet_width**2)) ** 2)
+        oracle = c + p * t + (start - c) * spread
+    else:
+        assert (cfg.potential_omega, cfg.potential_center) == (1.0, 0.0)
+        oracle = start - c + c * np.cos(t) + p * np.sin(t)
+
+    def max_error(substeps):
+        ens = integrate(frames, x0, potential, substeps_per_frame=substeps)
+        assert not ens.flagged
+        return float(np.max(np.abs(ens.positions - oracle)))
+
+    err1, err2 = max_error(1), max_error(2)
+    assert err1 < 1e-6
+    assert err1 / err2 >= 8.0
+
+
 class TestOrderedIntegration:
     def test_bit_identical_to_the_given_order(self, grid512):
         # a drifting, spreading packet; unsorted starts with ties, a NaN
@@ -162,8 +209,8 @@ class TestOrderedIntegration:
         frames = [analytic_free_gaussian(grid512, 1.0, t, momentum=3.0) for t in times]
         x0 = sample_positions(frames[0], 300, seed=4)
         x0 = np.concatenate((x0, x0[:20], [np.nan, 40.0, -16.5, 12.0], x0[100:110]))
-        ens = integrate(frames, x0, substeps_per_frame=3)
-        positions, aborted = integrate_in_given_order(frames, x0, 3)
+        ens = integrate(frames, x0, FREE, substeps_per_frame=3)
+        positions, aborted = integrate_in_given_order(frames, x0, FREE, 3)
 
         escaper = 323
         assert np.all(np.isfinite(positions[escaper, :6]))
@@ -176,10 +223,10 @@ class TestOrderedIntegration:
 
 class TestNoCrossing:
     def test_rigid_translation_has_no_violations(self, grid512):
-        k = 2 * np.pi * 8 / grid512.length
-        frames = plane_wave_frames(grid512, k, np.linspace(0.0, 2.0, 11))
-        x0 = sample_positions(analytic_free_gaussian(grid512, 1.0, 0.0), 200, seed=2)
-        ens = integrate(frames, x0, substeps_per_frame=2)
+        frames = [analytic_coherent_state(grid512, t, 0.0, 1.0)
+                  for t in np.linspace(0.0, 2.0, 11)]
+        x0 = sample_positions(frames[0], 200, seed=2)
+        ens = integrate(frames, x0, HARMONIC, substeps_per_frame=2)
         assert check_no_crossing(ens).violations == 0
 
     def test_injected_swap_detected(self):
@@ -201,7 +248,7 @@ class TestEquilibriumDistance:
         f = analytic_free_gaussian(grid512, 1.0, 0.0)
         x0 = sample_positions(f, n, seed=17)
         frames = [analytic_free_gaussian(grid512, 1.0, t) for t in (0.0, 0.1)]
-        ens = integrate(frames, x0, substeps_per_frame=1)
+        ens = integrate(frames, x0, FREE, substeps_per_frame=1)
         comp = equilibrium_distance(ens, 0, frames[0], n_bins)
         # multinomial noise bound for n draws over n_bins cells
         assert comp.total_variation < 2 * np.sqrt(n_bins / n)
@@ -231,8 +278,8 @@ class TestEquilibriumDistance:
 
 class TestEnsembleExport:
     def test_header_and_shape(self, grid512, tmp_path):
-        frames = plane_wave_frames(grid512, 1.0, [0.0, 0.5, 1.0])
-        ens = integrate(frames, [0.0, 1.0], substeps_per_frame=1)
+        frames = [analytic_free_gaussian(grid512, 1.0, t) for t in (0.0, 0.5, 1.0)]
+        ens = integrate(frames, [0.0, 1.0], FREE, substeps_per_frame=1)
         path = tmp_path / "ensemble.csv"
         write_ensemble(ens, path, config_hash="deadbeef", seed=123)
         lines = path.read_text().splitlines()
