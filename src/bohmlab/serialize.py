@@ -14,8 +14,10 @@ path with an exact fallback of Grisu3 (Loitsch, PLDI 2010).  The digits
 are laid out in fixed or exponent notation as `%.17g` chooses, as a dense
 24-byte cell: the text left-aligned and contiguous, then zero bytes.
 +-0, nan and +-inf are constant cells.  Each chunk of rows is one byte
-buffer in which every cell is written once at its column's offset; one
-`bytes.translate` drops the zero bytes before the chunk is written.
+buffer in which every cell is written once at its column's offset; a
+numpy mask drops the zero bytes before the chunk is written.  A table of
+2**18 rows or more, on two usable CPUs (`threads.two_threads`), formats
+the next chunk on a helper thread while this one is written.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from . import threads
 
 
 def fmt(x) -> str:
@@ -273,14 +277,11 @@ def _cells(arrays) -> list:
     return cells
 
 
-def _rows(columns, fixed, sep: str, text: bytearray) -> bytearray:
-    """One chunk of rows as zero-padded text.  Column i's cells are
-    `fixed[i]` or, if that is None, formatted from `columns[i]`; each is
-    written once into one buffer of rows and followed by `sep` or, at the
-    end of a row, a newline.  The buffer is `text` if it has the size, so
-    every byte of it is written again, or else a new one."""
-    fresh = iter(_cells([c for c, f in zip(columns, fixed) if f is None]))
-    cells = [next(fresh) if f is None else f for f in fixed]
+def _rows(cells, sep: str, text: bytearray) -> bytearray:
+    """One chunk of rows as zero-padded text: the cells of each column
+    written once into one buffer of rows, each followed by `sep` or, at
+    the end of a row, a newline.  The buffer is `text` if it has the
+    size, so every byte of it is written again, or else a new one."""
     shape = np.broadcast_shapes(*(c.shape[:-1] for c in cells))
     size = math.prod(shape) * sum(c.shape[-1] + 1 for c in cells)
     if len(text) != size:
@@ -308,7 +309,8 @@ def write_table(path, header, columns, sep: str = ",") -> None:
     Rows are written a chunk at a time, never the whole text at once.  A
     column of length 1 along the first axis (an ensemble's frame times)
     is formatted once for the whole table; each chunk formats about
-    _CHUNK_VALUES values of the other columns."""
+    _CHUNK_VALUES values of the other columns, on a helper thread when
+    `threads.two_threads` holds for the table's rows."""
     columns = [np.asarray(c) for c in columns]
     for c in columns:
         if c.dtype.kind not in "iuf":
@@ -322,10 +324,24 @@ def write_table(path, header, columns, sep: str = ",") -> None:
         fixed = [_cells([c])[0] if c.shape[0] == 1 else None for c in columns]
         per_row = sum(math.prod(c.shape[1:]) for c, f in zip(columns, fixed) if f is None)
         step = max(1, _CHUNK_VALUES // max(1, per_row))
+
+        def chunk_cells(lo):
+            fresh = iter(_cells([c[lo:lo + step] for c, f in zip(columns, fixed) if f is None]))
+            return [next(fresh) if f is None else f for f in fixed]
+
         text = bytearray()
-        for lo in range(0, shape[0], step):
-            text = _rows([c[lo:lo + step] for c in columns], fixed, sep, text)
-            fh.write(text.translate(None, b"\0"))
+        with threads.Helper(threads.two_threads(math.prod(shape))) as helper:
+            pending = helper.submit(chunk_cells, 0)
+            for lo in range(0, shape[0], step):
+                cells = pending()
+                if lo + step < shape[0]:
+                    pending = helper.submit(chunk_cells, lo + step)
+                text = _rows(cells, sep, text)
+                del cells
+                # numpy drops the zero bytes without holding the interpreter
+                # lock; a mask kept for the next chunk would add to its peak
+                chars = np.frombuffer(text, np.uint8)
+                fh.write(chars[chars != 0])
 
 
 _JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, wavefield
+from . import rng, threads, wavefield
 from .serialize import write_table
 from .wavefield import PotentialSpec, SpinorField, velocity_field
 
@@ -79,7 +79,11 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     which Bohmian motion preserves, so the position lookups in the
     velocity fields run over (nearly) sorted points; each point's
     arithmetic is independent of that order, and the result is stored
-    in the caller's order.
+    in the caller's order.  Every stage velocity field is computed
+    first; then an ensemble for which `threads.two_threads` holds (2**18
+    positions or more, two usable CPUs) advances the lower half of that
+    order on a helper thread and the upper half on the calling thread.
+    The positions do not depend on the split.
 
     A trajectory that leaves the grid is aborted (NaN from that frame
     on) and the ensemble is flagged; a flagged run signals a mis-sized
@@ -100,32 +104,49 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     positions = np.full((x0.size, len(times)), np.nan)
     positions[:, 0] = x0
     order = np.argsort(x0, kind="stable")
-    x = x0[order]
-    alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
-    x = np.where(alive, x, np.nan)
 
     h = float(spacing[0]) / substeps_per_frame
-    v_end = velocity_field(frames[0])
+    # stage[2 * (substeps_per_frame * i + s) + j], j = 0, 1, 2: the fields
+    # at the start, middle and end of substep s after frame i.
+    # wavefield.evolve is looked up at call time, as evolve_frames looks it
+    # up, so a wrapper around it sees the stage evolutions too
+    stage = [velocity_field(frames[0])]
     for i in range(len(times) - 1):
-        # wavefield.evolve is looked up at call time, as evolve_frames looks
-        # it up, so a wrapper around it sees the stage evolutions too
-        stage = [v_end] + [
-            velocity_field(wavefield.evolve(frames[i], potential, 0.5 * s * h, 1))
-            for s in range(1, 2 * substeps_per_frame)]
-        v_end = velocity_field(frames[i + 1])
-        stage.append(v_end)
-        for s in range(substeps_per_frame):
-            f0, fm, f1 = stage[2 * s:2 * s + 3]
-            k1 = np.interp(x, x_nodes, f0)
-            k2 = np.interp(x + 0.5 * h * k1, x_nodes, fm)
-            k3 = np.interp(x + 0.5 * h * k2, x_nodes, fm)
-            k4 = np.interp(x + h * k3, x_nodes, f1)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        escaped = alive & ((x < grid.x_min) | (x > grid.x_max))
-        if escaped.any():
-            alive = alive & ~escaped
-            x = np.where(alive, x, np.nan)
-        positions[order, i + 1] = x
+        stage += [velocity_field(wavefield.evolve(frames[i], potential, 0.5 * s * h, 1))
+                  for s in range(1, 2 * substeps_per_frame)]
+        stage.append(velocity_field(frames[i + 1]))
+
+    def advance(lo, hi):
+        """Integrate the trajectories order[lo:hi] through every frame;
+        return which of them stayed on the grid."""
+        ids = order[lo:hi]
+        x = x0[ids]
+        alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
+        x = np.where(alive, x, np.nan)
+        for i in range(len(times) - 1):
+            for s in range(substeps_per_frame):
+                at = 2 * (substeps_per_frame * i + s)
+                f0, fm, f1 = stage[at:at + 3]
+                k1 = np.interp(x, x_nodes, f0)
+                k2 = np.interp(x + 0.5 * h * k1, x_nodes, fm)
+                k3 = np.interp(x + 0.5 * h * k2, x_nodes, fm)
+                k4 = np.interp(x + h * k3, x_nodes, f1)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            escaped = alive & ((x < grid.x_min) | (x > grid.x_max))
+            if escaped.any():
+                alive = alive & ~escaped
+                x = np.where(alive, x, np.nan)
+            positions[ids, i + 1] = x
+        return alive
+
+    n = x0.size
+    if threads.two_threads(positions.size):
+        with threads.Helper() as helper:
+            lower = helper.submit(advance, 0, n // 2)
+            upper = advance(n // 2, n)
+            alive = np.concatenate((lower(), upper))
+    else:
+        alive = advance(0, n)
 
     aborted = tuple(int(i) for i in np.sort(order[~alive]))
     positions.flags.writeable = False

@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from bohmlab.config import parse_config
+from bohmlab.trajectories import sample_positions
 from bohmlab.wavefield import Grid1D, SpinorField
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -80,3 +83,35 @@ def position_width(field: SpinorField) -> float:
 @pytest.fixture
 def grid512():
     return Grid1D(-16.0, 16.0, 512)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves behind a live thread it started."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the number of CPUs that `os.sched_getaffinity` reports, which
+    decides whether large tables and ensembles use a second thread."""
+    def usable(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return usable
+
+
+@pytest.fixture(scope="session")
+def escaping_run():
+    """41 frames of a drifting free packet and 7,000 starts in
+    random order, 287,000 positions in all: sampled starts, starts that
+    are NaN or off the grid, and starts in both tails that leave the grid
+    mid-run, so that both halves of the position order abort some."""
+    grid = Grid1D(-16.0, 16.0, 512)
+    frames = [analytic_free_gaussian(grid, 1.0, t, momentum=0.5)
+              for t in np.linspace(0.0, 2.0, 41)]
+    edges = [np.nan, -16.5, 16.5, np.inf, -15.9, -15.5, 15.5, 15.9]
+    x0 = np.concatenate((sample_positions(frames[0], 7000 - len(edges), seed=13), edges))
+    return frames, np.random.default_rng(2).permutation(x0)

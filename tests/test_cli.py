@@ -349,22 +349,32 @@ def test_no_run_imports_a_process_pool(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs 2 usable CPUs to compare against a one-CPU run")
-@pytest.mark.parametrize("name,trajectories,flags", [
+@pytest.mark.parametrize("name,trajectories,flags,threaded", [
     # 7000 x 41 = 287,000 values, more than one chunk of the table writer
-    pytest.param("equilibrium_free", 7000, (), id="equilibrium_free-7000"),
-    pytest.param("equilibrium_harmonic", 2000, (), id="equilibrium_harmonic-2000"),
-    pytest.param("stern_gerlach", 200, ("--dump-frames",), id="stern_gerlach-200"),
-    pytest.param("sequential_zx", 200, (), id="sequential_zx-200"),
-    pytest.param("no_crossing", 200, (), id="no_crossing-200"),
-    pytest.param("pointer", 200, (), id="pointer-200"),
+    # and at least threads.MIN_VALUES, so that unpinned, both the writer
+    # and integrate use a second thread
+    pytest.param("equilibrium_free", 7000, (), True, id="equilibrium_free-7000"),
+    pytest.param("equilibrium_harmonic", 2000, (), False, id="equilibrium_harmonic-2000"),
+    pytest.param("stern_gerlach", 200, ("--dump-frames",), False, id="stern_gerlach-200"),
+    pytest.param("sequential_zx", 200, (), False, id="sequential_zx-200"),
+    pytest.param("no_crossing", 200, (), False, id="no_crossing-200"),
+    pytest.param("pointer", 200, (), False, id="pointer-200"),
 ])
-def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, name, trajectories, flags):
-    # the pinned child pins itself before numpy loads its BLAS
-    code = ("import os, sys\n"
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, name, trajectories, flags, threaded):
+    # the pinned child pins itself before numpy loads its BLAS; each child
+    # prints which of write_table and integrate started a thread
+    code = ("import os, sys, threading, traceback\n"
             "if sys.argv[1] == 'pinned':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "import bohmlab.cli\n"
-            "sys.exit(bohmlab.cli.main(sys.argv[2:]))\n")
+            "callers, start = set(), threading.Thread.start\n"
+            "def spy(thread):\n"
+            "    callers.update(frame.name for frame in traceback.extract_stack())\n"
+            "    start(thread)\n"
+            "threading.Thread.start = spy\n"
+            "status = bohmlab.cli.main(sys.argv[2:])\n"
+            "print(sorted(callers & {'integrate', 'write_table'}))\n"
+            "sys.exit(status)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     config = CONFIG_DIR / f"{name}.cfg"
     subcommand = parse_config(config.read_text()).scenario.replace("_", "-")
@@ -376,6 +386,9 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, name, trajectories, fl
                               capture_output=True, text=True, timeout=300)
         # a FAIL verdict (1) is compared like a PASS: report.json holds it
         assert proc.returncode in (0, 1), proc.stderr
+        two_threads = threaded and mode == "unpinned"
+        assert proc.stdout.splitlines()[-1] == str(["integrate", "write_table"] if two_threads
+                                                   else [])
 
     def files(mode):
         root = tmp_path / mode

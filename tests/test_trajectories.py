@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bohmlab import threads
 from bohmlab.trajectories import (
     Ensemble,
     check_no_crossing,
@@ -219,6 +220,21 @@ class TestOrderedIntegration:
         assert np.array_equal(ens.positions.view(np.uint64), positions.view(np.uint64))
         assert ens.aborted == aborted
         assert ens.flagged
+
+    def test_bit_identical_on_one_and_two_threads(self, usable_cpus, escaping_run):
+        frames, x0 = escaping_run
+        assert x0.size * len(frames) >= threads.MIN_VALUES
+        runs = {}
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            runs[cpus] = integrate(frames, x0, FREE)
+        one, two = runs[1], runs[2]
+        assert np.array_equal(one.positions.view(np.uint64), two.positions.view(np.uint64))
+        assert one.aborted == two.aborted
+        # escapes from the grid in both halves of the position order
+        middle = np.sort(x0)[x0.size // 2]
+        escaped = [i for i in one.aborted if np.isfinite(one.positions[i, 1])]
+        assert min(x0[escaped]) < middle < max(x0[escaped])
 
 
 class TestNoCrossing:

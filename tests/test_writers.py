@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bohmlab import experiments, serialize
+from bohmlab import experiments, serialize, threads
 from bohmlab.cli import _write_histograms
 from bohmlab.conditional import (
     CouplingSpec,
@@ -324,6 +324,15 @@ class TestEnsemble:
     def test_large_table(self, tmp_path, large_ensemble):
         ensemble, reference = large_ensemble
         assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=5) == reference
+
+    def test_large_table_is_the_same_on_one_and_two_threads(self, tmp_path, usable_cpus,
+                                                             large_ensemble):
+        ensemble, reference = large_ensemble
+        assert ensemble.positions.size >= threads.MIN_VALUES
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=5) == \
+                reference
 
     def test_text_is_never_held_in_memory(self, tmp_path):
         # 20,000 x 41 positions are 36 MB of text
