@@ -17,16 +17,15 @@ from bohmlab.conditional import (
     apply_coupling,
     branch_overlap,
     conditional_state,
-    prepare_pointer_state,
     run_pointer_measurement,
 )
-from bohmlab.wavefield import Grid1D
+from bohmlab.wavefield import Grid1D, gaussian_packet
 
 ALPHA, BETA = 0.6, 0.8
 grid = Grid1D(-24.0, 24.0, 512)
 
 print(f"spin state ({ALPHA}, {BETA}), pointer packet width 1")
-prepared = prepare_pointer_state(ALPHA, BETA, grid)
+prepared = gaussian_packet(grid, 0.0, 1.0, 0.0, ALPHA, BETA)   # pointer at rest
 print("before coupling, conditioning cannot change the spin factor:")
 for y in (-2.0, 0.0, 3.0):
     print(f"  conditional state at Y = {y:+.1f}: {np.round(conditional_state(prepared, y), 6)}")

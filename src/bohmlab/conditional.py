@@ -3,8 +3,10 @@
 The joint wave function Psi(i, y) over (spin component i, pointer
 position y) is a `SpinorField` over the pointer coordinate, the same
 type that carries a Stern-Gerlach packet over the particle position.
-An ideal impulsive coupling translates the pointer packet of component 1
-by +shift and of component 2 by -shift, producing the branch form
+Its ready state, spin (alpha, beta) times a Gaussian pointer packet at
+rest, is built by `wavefield.gaussian_packet` with zero momentum.  An
+ideal impulsive coupling translates the pointer packet of component 1 by
++shift and of component 2 by -shift, producing the branch form
 
     Psi(i, y) = c_1 phi_1(i) Phi_1(y) + c_2 phi_2(i) Phi_2(y)
 
@@ -28,7 +30,7 @@ from .wavefield import (
     Grid1D,
     SpinorField,
     check_boundary,
-    check_packet,
+    gaussian_packet,
 )
 
 
@@ -42,17 +44,6 @@ class CouplingSpec:
     def __post_init__(self):
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
-
-
-def prepare_pointer_state(alpha: complex, beta: complex, grid: Grid1D,
-                          center: float = 0.0, width: float = 1.0) -> SpinorField:
-    """Product state: spin (alpha, beta) times a ready-state Gaussian
-    pointer packet, validated by `check_packet`."""
-    check_packet(grid, center, width, alpha, beta)
-    y = grid.nodes
-    packet = np.exp(-((y - center) ** 2) / (4.0 * width**2))
-    packet = packet / np.sqrt(np.sum(np.abs(packet) ** 2) * grid.dx)
-    return SpinorField(grid, alpha * packet, beta * packet)
 
 
 def apply_coupling(field: SpinorField, coupling: CouplingSpec) -> SpinorField:
@@ -136,8 +127,8 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    prepared = prepare_pointer_state(alpha, beta, grid, center, width)
-    coupled = apply_coupling(prepared, coupling)
+    ready = gaussian_packet(grid, center, width, 0.0, alpha, beta)
+    coupled = apply_coupling(ready, coupling)
 
     ys = rng.sample_from_density(grid.nodes, coupled.density(), n_trials, seed)
     collapsed = conditional_state(coupled, ys)

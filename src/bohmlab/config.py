@@ -302,7 +302,7 @@ def canonical_text(config) -> str:
     if isinstance(config, NogoRequest):
         return f"scenario = {config.kind}\n"
     lines = [f"scenario = {config.scenario}"]
-    for attr, key in sorted(_ATTR_TO_KEY.items(), key=lambda kv: kv[1]):
+    for attr, key in _ATTR_TO_KEY.items():
         if attr == "scenario":
             continue
         lines.append(f"{key} = {_format_value(attr, getattr(config, attr))}")

@@ -104,7 +104,9 @@ def detection_time(config: ExperimentConfig) -> float:
 def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                  n_trials: int, seed: int):
     """Shared deflection pipeline: prepare, kick, fly, sample, integrate,
-    classify by side of the symmetry axis (ties count as up)."""
+    classify by side of the symmetry axis (ties count as up).  Returns the
+    up mask and the survivor mask; an aborted trajectory ends at NaN, so it
+    is neither up nor down."""
     grid = config.grid()
     packet = gaussian_packet(grid, config.packet_center, config.packet_width,
                              config.packet_momentum, alpha, beta)
@@ -122,8 +124,11 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
     ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
     axis_position = config.packet_center + config.packet_momentum * flight
     finals = ensemble.positions[:, -1]
-    up_mask = finals >= axis_position
-    return frames, ensemble, branches, up_mask, flight
+    return frames, ensemble, branches, finals >= axis_position, np.isfinite(finals), flight
+
+
+def _no_aborted_check(n_aborted: int) -> Check:
+    return Check("no_aborted_trajectories", n_aborted == 0, f"{n_aborted} aborted")
 
 
 @dataclass(frozen=True)
@@ -140,17 +145,14 @@ def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
     """Deflection measurement of the spin state (alpha, beta): empirical
     up/down frequencies against |alpha|^2, |beta|^2, and the frequency
     expectation value against (hbar/2)(|alpha|^2 - |beta|^2)."""
-    frames, ensemble, branches, up_mask, flight = _sg_pipeline(
+    frames, ensemble, branches, up_mask, alive, flight = _sg_pipeline(
         config, config.alpha, config.beta, config.n_trials, config.seed)
-    valid = np.isfinite(ensemble.positions[:, -1])
-    stats = measurement_statistics(
-        (int(np.sum(up_mask & valid)), int(np.sum(~up_mask & valid))),
-        (abs(config.alpha) ** 2, abs(config.beta) ** 2))
+    stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(alive & ~up_mask))),
+                                   (abs(config.alpha) ** 2, abs(config.beta) ** 2))
     checks = (
         Check("branches_separated", branches.separated,
               f"up {branches.up_interval}, down {branches.down_interval}"),
-        Check("no_aborted_trajectories", not ensemble.flagged,
-              f"{len(ensemble.aborted)} aborted"),
+        _no_aborted_check(len(ensemble.aborted)),
         born_check(stats),
     )
     return SternGerlachResult(statistics=stats, ensemble=ensemble, frames=frames,
@@ -160,7 +162,8 @@ def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
 @dataclass(frozen=True)
 class SequentialResult:
     stage_statistics: tuple
-    outcomes: np.ndarray        # (n_trials, n_stages), 0 = up, 1 = down
+    outcomes: np.ndarray        # (n_trials, n_stages), 0 = up, 1 = down,
+                                # -1 = aborted at this or an earlier stage
     checks: tuple
 
 
@@ -170,7 +173,9 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     Between stages the occupied branch is kept, the packet re-centered
     with its net momentum removed, and the next stage measures along its
     own axis; a stage therefore changes the spin state that the next
-    stage sees, which is what makes the statistics order-dependent.
+    stage sees, which is what makes the statistics order-dependent.  A
+    trial whose trajectory aborts takes no later stage, and each stage's
+    statistics count its surviving trials only.
     """
     n = config.n_trials
     outcomes = np.zeros((n, len(config.axes)), dtype=int)
@@ -178,6 +183,7 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     branches = [(np.array([config.alpha, config.beta], dtype=complex), 1.0, np.arange(n))]
     stage_stats = []
     checks = []
+    n_aborted = 0
 
     for stage, axis in enumerate(config.axes):
         u = spin_rotation(_AXIS_VECTORS[axis])
@@ -192,25 +198,27 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
             if trial_ids.size == 0:
                 continue
             run_seed = rng.derive(config.seed, stage * 4 + g_index)
-            _, _, _, up_mask, _ = _sg_pipeline(config, complex(chi_meas[0]),
-                                               complex(chi_meas[1]),
-                                               trial_ids.size, run_seed)
+            _, _, _, up_mask, alive, _ = _sg_pipeline(config, complex(chi_meas[0]),
+                                                      complex(chi_meas[1]),
+                                                      trial_ids.size, run_seed)
             ids_up.append(trial_ids[up_mask])
-            ids_down.append(trial_ids[~up_mask])
+            ids_down.append(trial_ids[alive & ~up_mask])
+            outcomes[trial_ids[~alive], stage:] = -1
+            n_aborted += int(np.sum(~alive))
         # all trials with the same outcome share the collapsed state, so the
         # next stage sees two branches (and g_index stays < 4)
         ids_up, ids_down = np.sort(np.concatenate(ids_up)), np.sort(np.concatenate(ids_down))
         outcomes[ids_down, stage] = 1
         branches = [(u_dag @ np.array([1.0, 0.0], dtype=complex), weight_up, ids_up),
                     (u_dag @ np.array([0.0, 1.0], dtype=complex), weight_down, ids_down)]
-        stats = measurement_statistics((ids_up.size, n - ids_up.size),
+        stats = measurement_statistics((ids_up.size, ids_down.size),
                                        (weight_up, 1.0 - weight_up))
         stage_stats.append(stats)
         base = born_check(stats)
         checks.append(Check(f"stage{stage + 1}_{axis}_{base.name}", base.passed, base.detail))
 
     return SequentialResult(stage_statistics=tuple(stage_stats), outcomes=outcomes,
-                            checks=tuple(checks))
+                            checks=(_no_aborted_check(n_aborted), *checks))
 
 
 @dataclass(frozen=True)
@@ -230,17 +238,17 @@ def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     equivalence)."""
     symmetric = abs(abs(config.alpha) ** 2 - 0.5) < 1e-12 and \
         abs(abs(config.beta) ** 2 - 0.5) < 1e-12
-    frames, ensemble, branches, up_mask, flight = _sg_pipeline(
+    frames, ensemble, branches, up_mask, alive, flight = _sg_pipeline(
         config, config.alpha, config.beta, config.n_trials, config.seed)
     report = check_no_crossing(ensemble)
-    started_above = ensemble.positions[:, 0] >= config.packet_center
-    agree = up_mask == started_above
-    accuracy = float(np.mean(agree))
-    stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(~up_mask))),
+    stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(alive & ~up_mask))),
                                    (abs(config.alpha) ** 2, abs(config.beta) ** 2))
+    started_above = ensemble.positions[alive, 0] >= config.packet_center
+    accuracy = float(np.mean(up_mask[alive] == started_above))
     checks = (
         Check("symmetric_preparation", symmetric,
               f"|alpha|^2 = {abs(config.alpha) ** 2:.6f}"),
+        _no_aborted_check(len(ensemble.aborted)),
         Check("zero_crossings", report.violations == 0,
               f"{report.violations} ordering violations"),
         Check("side_inference_exact", accuracy == 1.0 and symmetric,
@@ -282,8 +290,7 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     )
     max_tv = max(c.total_variation for c in comparisons)
     checks = (
-        Check("no_aborted_trajectories", not ensemble.flagged,
-              f"{len(ensemble.aborted)} aborted"),
+        _no_aborted_check(len(ensemble.aborted)),
         Check("equivariance_total_variation", max_tv < config.tv_tolerance,
               f"max TV {max_tv:.6f} vs tolerance {config.tv_tolerance}"),
     )

@@ -1,9 +1,9 @@
-"""Dense complex linear algebra on small Hilbert spaces (dim <= 16).
+"""Spin-1/2 operators: Pauli matrices, Hermitian spectra and the
+rotation that takes a measurement axis to z.
 
-Operators are plain complex ndarrays.  Everything here is exact up to
-double-precision rounding; identity checks elsewhere in the package use
-a 1e-12 Frobenius threshold, many orders of magnitude above rounding
-noise for matrices with entries in {0, +-1, +-i}.
+Operators are plain complex ndarrays; tensor products, identities and
+norms are numpy's own (`np.kron`, `np.eye`, `np.linalg.norm`).
+Everything here is exact up to double-precision rounding.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-MAX_DIM = 16
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -28,42 +27,10 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'") from None
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; result dimension capped at 16."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor product dimension {dim} exceeds {MAX_DIM}")
-    return np.kron(a, b)
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a), ord="fro"))
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of AB - BA."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return frobenius_norm(a @ b - b @ a)
-
-
-def is_hermitian(a: np.ndarray) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) < HERMITIAN_TOL)
-
-
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, ascending."""
     a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a):
+    if not np.max(np.abs(a - a.conj().T)) < HERMITIAN_TOL:
         raise ValueError("operator is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)
 
@@ -89,10 +56,10 @@ def spin_rotation(axis) -> np.ndarray:
     cross_norm = np.linalg.norm(cross)
     if cross_norm < 1e-12:
         if cos_theta > 0.0:
-            return identity(2)
+            return np.eye(2, dtype=complex)
         n_hat, theta = np.array([1.0, 0.0, 0.0]), np.pi
     else:
         n_hat = cross / cross_norm
         theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
     n_sigma = n_hat[0] * _PAULI["x"] + n_hat[1] * _PAULI["y"] + n_hat[2] * _PAULI["z"]
-    return np.cos(theta / 2) * identity(2) - 1j * np.sin(theta / 2) * n_sigma
+    return np.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2) * n_sigma

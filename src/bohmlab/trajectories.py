@@ -31,10 +31,6 @@ class Ensemble:
     aborted: tuple = ()              # trajectory ids that left the grid
 
     @property
-    def flagged(self) -> bool:
-        return bool(self.aborted)
-
-    @property
     def n_trajectories(self) -> int:
         return self.positions.shape[0]
 
@@ -86,8 +82,8 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     The positions do not depend on the split.
 
     A trajectory that leaves the grid is aborted (NaN from that frame
-    on) and the ensemble is flagged; a flagged run signals a mis-sized
-    domain and its statistics should not be trusted.
+    on) and listed in `aborted`; such a run signals a mis-sized domain
+    and its statistics should not be trusted.
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames")

@@ -172,11 +172,15 @@ class SpinorField:
         return float(np.sum(self.density()) * self.grid.dx)
 
 
-def check_packet(grid: Grid1D, center: float, width: float,
-                 alpha: complex, beta: complex) -> None:
-    """Reject a Gaussian packet with spin part (alpha, beta) that is not
-    normalized, has no width, or sits within 5 widths of a grid edge (the
-    margin that keeps a fresh packet clear of the boundary monitor)."""
+def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
+                    alpha: complex, beta: complex) -> SpinorField:
+    """Normalized spinor Gaussian exp(-(x-center)^2/(4 width^2) + i k x),
+    with the spin part (alpha, beta).
+
+    Rejects a spin part that is not normalized, a width that is not
+    positive, and a packet within 5 widths of a grid edge (the margin that
+    keeps a fresh packet clear of the boundary monitor).
+    """
     spin_norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(spin_norm - 1.0) > 1e-9:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {spin_norm}, must be 1 within 1e-9")
@@ -184,13 +188,6 @@ def check_packet(grid: Grid1D, center: float, width: float,
         raise ValueError("width must be positive")
     if center - 5 * width < grid.x_min or center + 5 * width > grid.x_max:
         raise ValueError("packet must stay at least 5 widths from the grid boundaries")
-
-
-def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
-                    alpha: complex, beta: complex) -> SpinorField:
-    """Normalized spinor Gaussian exp(-(x-center)^2/(4 width^2) + i k x),
-    with the spin part (alpha, beta), validated by `check_packet`."""
-    check_packet(grid, center, width, alpha, beta)
     x = grid.nodes
     envelope = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
     envelope /= np.sqrt(np.sum(np.abs(envelope) ** 2) * grid.dx)

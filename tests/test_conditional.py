@@ -6,11 +6,12 @@ from bohmlab.conditional import (
     apply_coupling,
     branch_overlap,
     conditional_state,
-    prepare_pointer_state,
     run_pointer_measurement,
     write_trials,
 )
-from bohmlab.wavefield import BoundaryMassError, Grid1D, SpinorField
+from bohmlab.wavefield import BoundaryMassError, Grid1D, SpinorField, gaussian_packet
+
+from conftest import analytic_free_gaussian
 
 ALPHA, BETA = 0.6, 0.8
 
@@ -26,48 +27,55 @@ def spin_fidelity(a, b):
 
 
 class TestPrepare:
+    """The pointer's ready state: `gaussian_packet` at zero momentum."""
+
+    def test_ready_state_is_the_free_gaussian_oracle(self, pointer_grid):
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA)
+        oracle = analytic_free_gaussian(pointer_grid, 1.0, 0.0, alpha=ALPHA, beta=BETA)
+        assert np.max(np.abs(f.psi - oracle.psi)) < 1e-15
+
     def test_pure_component(self, pointer_grid):
-        f = prepare_pointer_state(1.0, 0.0, pointer_grid)
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, 1.0, 0.0)
         assert isinstance(f, SpinorField)
         assert np.all(f.down == 0.0)
 
     def test_normalized(self, pointer_grid):
-        f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA)
         assert abs(f.norm() - 1.0) < 1e-9
 
     def test_product_state_conditioning_preserves_spin(self, pointer_grid):
-        f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA)
         target = np.array([ALPHA, BETA])
         for y in (-1.3, 0.0, 2.4):
             assert spin_fidelity(conditional_state(f, y), target) > 1 - 1e-12
 
     def test_spin_normalization_required(self, pointer_grid):
         with pytest.raises(ValueError):
-            prepare_pointer_state(1.0, 1.0, pointer_grid)
+            gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, 1.0, 1.0)
 
     def test_packet_near_boundary_rejected(self, pointer_grid):
         with pytest.raises(ValueError):
-            prepare_pointer_state(1.0, 0.0, pointer_grid, center=21.0, width=1.0)
+            gaussian_packet(pointer_grid, 21.0, 1.0, 0.0, 1.0, 0.0)
 
     def test_width_must_be_positive(self, pointer_grid):
         for width in (0.0, -1.0):
             with pytest.raises(ValueError, match="width must be positive"):
-                prepare_pointer_state(1.0, 0.0, pointer_grid, width=width)
+                gaussian_packet(pointer_grid, 0.0, width, 0.0, 1.0, 0.0)
 
 
 class TestCoupling:
     def test_zero_shift_is_identity(self, pointer_grid):
-        f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA)
         out = apply_coupling(f, CouplingSpec(0.0))
         assert np.array_equal(out.psi, f.psi)
 
     def test_norm_preserved(self, pointer_grid):
-        f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA)
         out = apply_coupling(f, CouplingSpec(10.0))
         assert abs(out.norm() - f.norm()) < 1e-12
 
     def test_branch_weights_are_born_weights_exactly(self, pointer_grid):
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA),
                            CouplingSpec(10.0))
         w1, w2 = np.sum(np.abs(f.psi) ** 2, axis=1) * pointer_grid.dx
         assert abs(w1 - ALPHA**2) < 1e-12
@@ -76,18 +84,18 @@ class TestCoupling:
     def test_overlap_matches_gaussian_formula(self, pointer_grid):
         # normalized branches displaced by 2*shift: overlap exp(-shift^2/(2 w^2))
         width, shift = 1.0, 2.0
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid, width=width),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, width, 0.0, ALPHA, BETA),
                            CouplingSpec(shift))
         expected = np.exp(-(2 * shift) ** 2 / (8 * width**2))
         assert abs(branch_overlap(f) - expected) / expected < 1e-3
 
     def test_large_shift_overlap_vanishes(self, pointer_grid):
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA),
                            CouplingSpec(10.0))
         assert branch_overlap(f) < 1e-6
 
     def test_boundary_monitor(self, pointer_grid):
-        f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA)
         with pytest.raises(BoundaryMassError):
             apply_coupling(f, CouplingSpec(22.0))
 
@@ -98,7 +106,7 @@ class TestCoupling:
 
 class TestConditionalState:
     def test_deep_in_branch_collapses(self, pointer_grid):
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA),
                            CouplingSpec(10.0))
         up = conditional_state(f, 10.0)
         assert abs(up[1]) ** 2 < 1e-6
@@ -107,24 +115,24 @@ class TestConditionalState:
         assert abs(down[0]) ** 2 < 1e-6
 
     def test_midpoint_recovers_spin_state(self, pointer_grid):
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA),
                            CouplingSpec(3.0))
         mid = conditional_state(f, 0.0)
         assert spin_fidelity(mid, np.array([ALPHA, BETA])) > 1 - 1e-9
 
     def test_outside_grid_rejected(self, pointer_grid):
-        f = prepare_pointer_state(ALPHA, BETA, pointer_grid)
+        f = gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA)
         with pytest.raises(ValueError):
             conditional_state(f, 30.0)
 
     def test_dead_region_rejected(self, pointer_grid):
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA),
                            CouplingSpec(10.0))
         with pytest.raises(ValueError):
             conditional_state(f, 22.0)   # 12 widths past the nearer branch
 
     def test_array_matches_stacked_scalar_calls(self, pointer_grid):
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA),
                            CouplingSpec(3.0))
         ys = np.linspace(-9.0, 9.0, 1001)
         batch = conditional_state(f, ys)
@@ -134,7 +142,7 @@ class TestConditionalState:
         assert np.array_equal(batch.view(np.float64), stacked.view(np.float64))
 
     def test_array_names_the_first_failing_value(self, pointer_grid):
-        f = apply_coupling(prepare_pointer_state(ALPHA, BETA, pointer_grid),
+        f = apply_coupling(gaussian_packet(pointer_grid, 0.0, 1.0, 0.0, ALPHA, BETA),
                            CouplingSpec(10.0))
         # y = 0 sits in the node between the two disjoint branches
         with pytest.raises(ValueError, match=r"^pointer density at y = 0\.0 is below"):

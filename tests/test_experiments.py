@@ -7,7 +7,7 @@ from bohmlab import experiments
 from bohmlab.config import default_config
 from bohmlab.experiments import _AXIS_VECTORS, detection_time, measurement_statistics
 from bohmlab.hilbert import spin_rotation
-from bohmlab.trajectories import sample_positions, integrate
+from bohmlab.trajectories import Ensemble, sample_positions, integrate
 from bohmlab.wavefield import evolve_frames, gaussian_packet, magnet_kick
 
 from conftest import shipped_config
@@ -19,6 +19,54 @@ FAST = dict(n_trials=2000, n_frames=32)
 def sg_result():
     cfg = default_config("stern_gerlach", alpha=complex(0.6), beta=complex(0.8), **FAST)
     return cfg, experiments.stern_gerlach(cfg)
+
+
+@pytest.fixture
+def one_aborted_per_run(monkeypatch):
+    """`experiments.integrate` with the first trajectory of every call
+    aborted from frame 2 on, as `integrate` reports one leaving the grid."""
+    def integrate_aborting_one(frames, initial_positions, *args, **kwargs):
+        ens = integrate(frames, initial_positions, *args, **kwargs)
+        positions = ens.positions.copy()
+        positions[0, 2:] = np.nan
+        return Ensemble(ens.frame_times, positions, aborted=(0,))
+    monkeypatch.setattr(experiments, "integrate", integrate_aborting_one)
+
+
+class TestAbortedTrajectories:
+    """An aborted trajectory has no outcome: every harness counts
+    survivors only and fails `no_aborted_trajectories`."""
+
+    def test_stern_gerlach(self, one_aborted_per_run):
+        res = experiments.stern_gerlach(default_config("stern_gerlach", n_trials=200, n_frames=8))
+        assert res.statistics.n_trials == 199
+        assert not {c.name: c.passed for c in res.checks}["no_aborted_trajectories"]
+
+    def test_no_crossing(self, one_aborted_per_run):
+        res = experiments.no_crossing_check(default_config("no_crossing", n_trials=200,
+                                                           n_frames=8))
+        assert res.statistics.n_trials == 199
+        assert res.inference_accuracy == 1.0
+        flags = {c.name: c.passed for c in res.checks}
+        assert not flags["no_aborted_trajectories"]
+        assert flags["zero_crossings"] and flags["side_inference_exact"]
+
+    def test_sequential(self, one_aborted_per_run):
+        cfg = default_config("sequential", n_trials=200, n_frames=8)
+        res = experiments.sequential(cfg)
+        # one trial aborts in every pipeline run: one in stage 1, one per
+        # non-empty branch in each later stage
+        aborted = np.cumsum([1] + [sum(c > 0 for c in st.counts)
+                                   for st in res.stage_statistics[:-1]])
+        for stage, st in enumerate(res.stage_statistics):
+            column = res.outcomes[:, stage]
+            assert st.counts == (int(np.sum(column == 0)), int(np.sum(column == 1)))
+            assert int(np.sum(column == -1)) == aborted[stage]
+        # an aborted trial takes no later stage
+        assert np.all(np.diff((res.outcomes == -1).astype(int), axis=1) >= 0)
+        checks = [c for c in res.checks if c.name == "no_aborted_trajectories"]
+        assert len(checks) == 1 and not checks[0].passed
+        assert checks[0].detail == f"{aborted[-1]} aborted"
 
 
 class TestStatistics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bohmlab import nogo
-from bohmlab.hilbert import commutator_norm, hermitian_eigenvalues, identity, pauli, tensor
+from bohmlab.hilbert import hermitian_eigenvalues, pauli
 
 SQRT2 = np.sqrt(2.0)
 B = (pauli("z") + pauli("x")) / SQRT2
@@ -15,7 +15,7 @@ def chsh_max_eigenvalue(b, b2):
     """Largest eigenvalue of the CHSH operator with A = sigma_z,
     A' = sigma_x and the given B, B'."""
     a, a2 = pauli("z"), pauli("x")
-    op = tensor(a, b) + tensor(a, b2) + tensor(a2, b) - tensor(a2, b2)
+    op = np.kron(a, b) + np.kron(a, b2) + np.kron(a2, b) - np.kron(a2, b2)
     return hermitian_eigenvalues(op)[-1]
 
 
@@ -26,9 +26,9 @@ def square():
 
 class TestSquareConstruction:
     def test_corner_cells(self, square):
-        assert np.array_equal(square.cell(0, 0), tensor(pauli("x"), identity(2)))
-        assert np.array_equal(square.cell(2, 2), tensor(pauli("z"), pauli("z")))
-        assert np.array_equal(square.cell(0, 2), tensor(pauli("x"), pauli("x")))
+        assert np.array_equal(square.cell(0, 0), np.kron(pauli("x"), np.eye(2)))
+        assert np.array_equal(square.cell(2, 2), np.kron(pauli("z"), pauli("z")))
+        assert np.array_equal(square.cell(0, 2), np.kron(pauli("x"), pauli("x")))
 
     def test_all_cells_have_unit_spectrum(self, square):
         for r in range(3):
@@ -37,6 +37,9 @@ class TestSquareConstruction:
                 assert np.max(np.abs(np.abs(eigs) - 1.0)) < 1e-10
 
     def test_rows_and_columns_commute(self, square):
+        def commutator_norm(a, b):
+            return np.linalg.norm(a @ b - b @ a)
+
         for r in range(3):
             for c1, c2 in itertools.combinations(range(3), 2):
                 assert commutator_norm(square.cell(r, c1), square.cell(r, c2)) < 1e-12
@@ -51,6 +54,25 @@ class TestSquareIdentities:
         assert len(checks) == 24  # 18 commutators + 6 products
         assert all(c.passed for c in checks)
         assert max(c.residual for c in checks) < 1e-12
+
+    def test_labels_in_order(self, square):
+        labels = [c.constraint for c in nogo.verify_square_identities(square)]
+        assert labels[:3] == ["commute row1: x.,.x", "commute row1: x.,xx", "commute row1: .x,xx"]
+        assert labels[9:12] == ["commute col1: x.,.y", "commute col1: x.,xy",
+                                "commute col1: .y,xy"]
+        assert labels[17] == "commute col3: yy,zz"
+        assert labels[18:] == ["product row1 = +I", "product row2 = +I", "product row3 = +I",
+                               "product col1 = +I", "product col2 = +I", "product col3 = -I"]
+
+    def test_identities_read_the_constraint_signs(self, square, monkeypatch):
+        # with column 3 required to give +I, its product (-I) must fail
+        flipped = [c if c.label != "col3" else
+                   nogo.ContextConstraint(c.member_indices, +1, c.label)
+                   for c in nogo.mermin_constraints()]
+        monkeypatch.setattr(nogo, "mermin_constraints", lambda: flipped)
+        failed = [c for c in nogo.verify_square_identities(square) if not c.passed]
+        assert [c.constraint for c in failed] == ["product col3 = +I"]
+        assert failed[0].residual == pytest.approx(4.0)
 
     def test_row_and_column_product_signs(self, square):
         # parity obstruction: row signs multiply to +1, column signs to -1

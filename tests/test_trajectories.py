@@ -103,7 +103,6 @@ class TestIntegrate:
         times = np.linspace(0.0, 2.0, 11)
         frames = [analytic_free_gaussian(grid512, 1.0, t, momentum=1.0) for t in times]
         ens = integrate(frames, np.array([0.0, 15.9]), FREE, substeps_per_frame=2)
-        assert ens.flagged
         assert ens.aborted == (1,)
         assert np.isnan(ens.positions[1, -1])
         assert np.isfinite(ens.positions[0, -1])
@@ -193,7 +192,7 @@ def test_shipped_equilibrium_trajectories_match_the_oracle(name):
 
     def max_error(substeps):
         ens = integrate(frames, x0, potential, substeps_per_frame=substeps)
-        assert not ens.flagged
+        assert not ens.aborted
         return float(np.max(np.abs(ens.positions - oracle)))
 
     err1, err2 = max_error(1), max_error(2)
@@ -219,7 +218,7 @@ class TestOrderedIntegration:
         assert aborted == (320, 321, 322, escaper)
         assert np.array_equal(ens.positions.view(np.uint64), positions.view(np.uint64))
         assert ens.aborted == aborted
-        assert ens.flagged
+        assert ens.aborted
 
     def test_bit_identical_on_one_and_two_threads(self, usable_cpus, escaping_run):
         frames, x0 = escaping_run

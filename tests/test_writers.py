@@ -302,7 +302,7 @@ def large_ensemble():
 class TestEnsemble:
     def test_integrated_run(self, tmp_path, free_run):
         _, ensemble, _ = free_run
-        assert ensemble.flagged and np.isnan(ensemble.positions[-1, -1])
+        assert ensemble.aborted and np.isnan(ensemble.positions[-1, -1])
         assert written(tmp_path, write_ensemble, ensemble, config_hash="abc", seed=3) == \
             ref_ensemble(ensemble, "abc", 3).encode()
 
