@@ -8,7 +8,8 @@ Subcommands:
 Flags: --config PATH, --seed N, --out DIR and --quiet on every
 subcommand; --trajectories N on `sim` only; --dump-frames on
 `sim stern-gerlach` and `sim equilibrium` only.  Seed precedence: --seed
-beats the config file, which beats the default 42.
+beats the config file, which beats the default 42; a no-go check reads
+no seed, so `nogo` ignores --seed.
 
 `main(argv)` parses the arguments once and hands the namespace to
 `dispatch(args)`.  `SCENARIOS` is the one scenario table: it maps each
@@ -38,7 +39,6 @@ from . import experiments, nogo
 from .config import (
     NOGO_SCENARIOS,
     ConfigError,
-    NogoRequest,
     canonical_text,
     config_hash,
     default_config,
@@ -52,14 +52,8 @@ from .wavefield import write_frame
 
 
 def _load_config(args, scenario: str):
-    if args.config is not None:
-        cfg = parse_config(Path(args.config).read_text(), scenario=scenario)
-    elif scenario in NOGO_SCENARIOS:
-        cfg = NogoRequest(kind=scenario)
-    else:
-        cfg = default_config(scenario)
-    if isinstance(cfg, NogoRequest):
-        return cfg
+    cfg = (default_config(scenario) if args.config is None
+           else parse_config(Path(args.config).read_text(), scenario=scenario))
     return with_overrides(cfg, seed=args.seed, n_trials=args.trajectories)
 
 
@@ -108,6 +102,7 @@ def _pointer(cfg, out, chash, dump_frames):
     result = experiments.pointer_experiment(cfg)
     write_trials(result.measurement, out / "trials.csv", config_hash=chash)
     return ({"min_purity": result.measurement.min_purity,
+             "branch_overlap": result.measurement.branch_overlap,
              "statistics": asdict(result.statistics)}, result.checks)
 
 

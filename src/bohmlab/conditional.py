@@ -112,6 +112,7 @@ class PointerMeasurement:
     collapsed: np.ndarray         # (n, 2) normalized conditional spinors
     counts: tuple                 # (n outcome 1, n outcome 2)
     min_purity: float
+    branch_overlap: float         # of the coupled state, see `branch_overlap`
 
 
 def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpec,
@@ -123,7 +124,8 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     stream, classifies the outcome by the branch the pointer landed in
     (sign of y; the exact midpoint counts as branch 1), and records the
     collapsed conditional spin state.  Its purity is the weight of the
-    collapsed state on the outcome's spin component.
+    collapsed state on the outcome's spin component.  The overlap of the
+    two pointer branches of the coupled state is reported with the trials.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -137,7 +139,8 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     n1 = int(np.count_nonzero(outcome == 1))
     return PointerMeasurement(y=ys, outcome=outcome, collapsed=collapsed,
                               counts=(n1, n_trials - n1),
-                              min_purity=min(1.0, float(purity.min())))
+                              min_purity=min(1.0, float(purity.min())),
+                              branch_overlap=branch_overlap(coupled))
 
 
 def write_trials(measurement: PointerMeasurement, path, config_hash: str) -> None:

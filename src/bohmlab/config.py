@@ -1,4 +1,4 @@
-"""Experiment configuration: defaults, file parsing, canonical hashing.
+"""Experiment configuration: the scenario table, file parsing, canonical hashing.
 
 Config files are plain key-value text:
 
@@ -12,37 +12,46 @@ One `key = value` pair per line; nesting is spelled with dots; `#`
 starts a comment; blank lines are ignored.  Keys may not repeat.
 Numbers are finite decimals (no inf or nan); complex values use Python
 syntax (`0.6+0.2j`); `axes` is a whitespace- or comma-separated list of
-x/y/z letters; `flight_time` accepts `auto`.  Unknown keys are fatal, with a nearest
-known key suggested.
+x/y/z letters; `flight_time` accepts `auto`.
+
+`SCENARIO_KEYS` says which keys each scenario reads, built from key
+groups (`scenario` itself aside):
+
+    stern_gerlach, no_crossing  run, spin, grid, packet, magnet, potential (19)
+    sequential                  the same plus axes (20)
+    equilibrium                 run, spin, grid, packet, potential, equilibrium (21)
+    pointer                     run, spin, grid, pointer (10)
+    mermin, vonneumann, chsh    none
+
+A key read only under a condition (`potential.omega` and
+`potential.center`, `init.a` and `init.b`) belongs to every scenario that
+may read it.  A key its scenario does not read is fatal, in a file and
+in `default_config` alike; an unknown key is fatal with a nearest known
+key suggested.
 
 The canonical form of a config is the sorted `key = value` listing of
-every effective field (defaults filled in, floats at 17 significant
-digits); its SHA-256 hex digest is the config hash stamped on both
+`scenario` and the keys its scenario reads (defaults filled in, floats
+at 17 significant digits), so a no-go check's is `scenario = <name>`
+alone; its SHA-256 hex digest is the config hash stamped on both
 reports and every CSV table of a run.
 """
 
 from __future__ import annotations
 
 import cmath
-import difflib
 import hashlib
 import math
 from dataclasses import dataclass, replace
 
+from .conditional import CouplingSpec
 from .serialize import fmt
 from .wavefield import Grid1D, MagnetSpec, PotentialSpec
 
-NOGO_SCENARIOS = ("mermin", "vonneumann", "chsh")
 DEFAULT_SEED = 42
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class NogoRequest:
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -92,35 +101,6 @@ class ExperimentConfig:
         raise ConfigError(f"kind must be 'free' or 'harmonic', got {self.potential_kind!r}")
 
 
-# every sim scenario, with the defaults it changes
-_SCENARIO_DEFAULTS: dict[str, dict] = {
-    "stern_gerlach": {},
-    "sequential": {"n_trials": 1000},
-    "no_crossing": {"n_trials": 1000},
-    "equilibrium": {
-        "n_trials": 50000,
-        "n_frames": 40,
-        "grid_x_min": -16.0, "grid_x_max": 16.0,
-        "packet_center": -2.0, "packet_momentum": 1.0,
-        "duration": 2.0,
-    },
-    "pointer": {
-        "n_trials": 10000,
-        "grid_x_min": -24.0, "grid_x_max": 24.0,
-    },
-}
-SIM_SCENARIOS = tuple(_SCENARIO_DEFAULTS)
-
-
-def default_config(scenario: str, **overrides) -> ExperimentConfig:
-    if scenario not in SIM_SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    fields = dict(_SCENARIO_DEFAULTS[scenario])
-    fields.update(overrides)
-    return ExperimentConfig(scenario=scenario, **fields)
-
-
-# key in config file -> (attribute, converter)
 def _to_int(s: str) -> int:
     return int(s, 10)
 
@@ -153,40 +133,71 @@ def _to_flight(s: str):
     return None if s.strip().lower() == "auto" else _to_float(s)
 
 
-_KEYS: dict[str, tuple] = {
-    "scenario": ("scenario", str),
-    "seed": ("seed", _to_int),
-    "n_trials": ("n_trials", _to_int),
-    "n_bins": ("n_bins", _to_int),
-    "n_frames": ("n_frames", _to_int),
-    "substeps_per_frame": ("substeps_per_frame", _to_int),
-    "spin.alpha": ("alpha", _to_complex),
-    "spin.beta": ("beta", _to_complex),
-    "grid.x_min": ("grid_x_min", _to_float),
-    "grid.x_max": ("grid_x_max", _to_float),
-    "grid.n_points": ("grid_n_points", _to_int),
-    "packet.center": ("packet_center", _to_float),
-    "packet.width": ("packet_width", _to_float),
-    "packet.momentum": ("packet_momentum", _to_float),
-    "magnet.mu_b": ("magnet_mu_b", _to_float),
-    "magnet.tau": ("magnet_tau", _to_float),
-    "flight_time": ("flight_time", _to_flight),
-    "branch_threshold": ("branch_threshold", _to_float),
-    "potential.kind": ("potential_kind", str),
-    "potential.omega": ("potential_omega", _to_float),
-    "potential.center": ("potential_center", _to_float),
-    "duration": ("duration", _to_float),
-    "tolerance.total_variation": ("tv_tolerance", _to_float),
-    "axes": ("axes", _to_axes),
-    "pointer.shift": ("pointer_shift", _to_float),
-    "pointer.width": ("pointer_width", _to_float),
-    "pointer.center": ("pointer_center", _to_float),
-    "init.kind": ("init_kind", str),
-    "init.a": ("init_a", _to_float),
-    "init.b": ("init_b", _to_float),
-}
+# key groups: config key -> (attribute, converter)
+_RUN = {"seed": ("seed", _to_int), "n_trials": ("n_trials", _to_int)}
+_SPIN = {"spin.alpha": ("alpha", _to_complex), "spin.beta": ("beta", _to_complex)}
+_GRID = {"grid.x_min": ("grid_x_min", _to_float), "grid.x_max": ("grid_x_max", _to_float),
+         "grid.n_points": ("grid_n_points", _to_int)}
+_PACKET = {"n_frames": ("n_frames", _to_int),
+           "substeps_per_frame": ("substeps_per_frame", _to_int),
+           "packet.center": ("packet_center", _to_float),
+           "packet.width": ("packet_width", _to_float),
+           "packet.momentum": ("packet_momentum", _to_float)}
+_MAGNET = {"magnet.mu_b": ("magnet_mu_b", _to_float), "magnet.tau": ("magnet_tau", _to_float),
+           "flight_time": ("flight_time", _to_flight),
+           "branch_threshold": ("branch_threshold", _to_float)}
+_POTENTIAL = {"potential.kind": ("potential_kind", str),
+              "potential.omega": ("potential_omega", _to_float),
+              "potential.center": ("potential_center", _to_float)}
+_EQUILIBRIUM = {"n_bins": ("n_bins", _to_int), "duration": ("duration", _to_float),
+                "tolerance.total_variation": ("tv_tolerance", _to_float),
+                "init.kind": ("init_kind", str), "init.a": ("init_a", _to_float),
+                "init.b": ("init_b", _to_float)}
+_POINTER = {"pointer.shift": ("pointer_shift", _to_float),
+            "pointer.width": ("pointer_width", _to_float),
+            "pointer.center": ("pointer_center", _to_float)}
+_AXES = {"axes": ("axes", _to_axes)}
+_DEFLECTION = (_RUN, _SPIN, _GRID, _PACKET, _MAGNET, _POTENTIAL)
 
+# every scenario: (the key groups it reads, the defaults it changes); a
+# no-go check reads no key
+_SCENARIOS: dict[str, tuple] = {
+    "stern_gerlach": (_DEFLECTION, {}),
+    "sequential": ((*_DEFLECTION, _AXES), {"n_trials": 1000}),
+    "no_crossing": (_DEFLECTION, {"n_trials": 1000}),
+    "equilibrium": ((_RUN, _SPIN, _GRID, _PACKET, _POTENTIAL, _EQUILIBRIUM), {
+        "n_trials": 50000,
+        "n_frames": 40,
+        "grid_x_min": -16.0, "grid_x_max": 16.0,
+        "packet_center": -2.0, "packet_momentum": 1.0,
+        "duration": 2.0,
+    }),
+    "pointer": ((_RUN, _SPIN, _GRID, _POINTER), {
+        "n_trials": 10000,
+        "grid_x_min": -24.0, "grid_x_max": 24.0,
+    }),
+    "mermin": ((), {}),
+    "vonneumann": ((), {}),
+    "chsh": ((), {}),
+}
+SCENARIO_KEYS = {scenario: {key: spec for group in groups for key, spec in group.items()}
+                 for scenario, (groups, _) in _SCENARIOS.items()}
+SIM_SCENARIOS = tuple(s for s, keys in SCENARIO_KEYS.items() if keys)
+NOGO_SCENARIOS = tuple(s for s, keys in SCENARIO_KEYS.items() if not keys)
+_KEYS = {key: spec for keys in SCENARIO_KEYS.values() for key, spec in keys.items()}
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
+
+
+def default_config(scenario: str, **fields) -> ExperimentConfig:
+    """The scenario's defaults with `fields` (attribute names) replaced.
+    A field the scenario does not read raises ConfigError."""
+    if scenario not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}")
+    for attr in fields:
+        key = _ATTR_TO_KEY.get(attr, attr)
+        if key not in SCENARIO_KEYS[scenario]:
+            raise ConfigError(f"key {key!r} is not read by scenario {scenario!r}")
+    return ExperimentConfig(scenario=scenario, **{**_SCENARIOS[scenario][1], **fields})
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -206,8 +217,8 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def parse_config(text: str, scenario: str | None = None):
-    """Parse config text into an ExperimentConfig or a NogoRequest.
+def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
+    """Parse config text into an ExperimentConfig.
 
     `scenario`, when given (from a CLI subcommand), must agree with any
     scenario named in the file.  All module invariants that can be
@@ -223,18 +234,14 @@ def parse_config(text: str, scenario: str | None = None):
     if effective is None:
         raise ConfigError("no scenario given (config key 'scenario' or subcommand)")
 
-    if effective in NOGO_SCENARIOS:
-        extra = [k for k in pairs if k != "seed"]
-        if extra:
-            raise ConfigError(f"scenario {effective!r} takes no parameters, got {extra}")
-        return NogoRequest(kind=effective)
-    if effective not in SIM_SCENARIOS:
+    if effective not in _SCENARIOS:
         raise ConfigError(f"unknown scenario {effective!r}")
 
     overrides = {}
     for key, value in pairs.items():
         if key not in _KEYS:
-            hint = difflib.get_close_matches(key, _KEYS, n=1)
+            import difflib
+            hint = difflib.get_close_matches(key, [*_KEYS, "scenario"], n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"unknown key {key!r}{suggestion}")
         attr, convert = _KEYS[key]
@@ -256,7 +263,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("spin normalization invariant violated: "
                           f"|alpha|^2 + |beta|^2 = {spin_norm:.12g}, must be 1 within 1e-9")
     for prefix, build in (("grid", config.grid), ("magnet", config.magnet),
-                          ("potential", config.potential)):
+                          ("potential", config.potential),
+                          ("pointer", lambda: CouplingSpec(config.pointer_shift))):
         try:
             build()
         except ValueError as exc:
@@ -285,8 +293,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("init.b must exceed init.a for a uniform initialization")
     if not config.pointer_width > 0:
         raise ConfigError("pointer.width must be positive")
-    if config.pointer_shift < 0:
-        raise ConfigError("pointer.shift must be nonnegative")
 
 
 def _format_value(attr: str, value) -> str:
@@ -297,29 +303,24 @@ def _format_value(attr: str, value) -> str:
     return fmt(value)
 
 
-def canonical_text(config) -> str:
-    """Sorted `key = value` listing of every effective field."""
-    if isinstance(config, NogoRequest):
-        return f"scenario = {config.kind}\n"
+def canonical_text(config: ExperimentConfig) -> str:
+    """Sorted `key = value` listing of the scenario and every key it reads."""
     lines = [f"scenario = {config.scenario}"]
-    for attr, key in _ATTR_TO_KEY.items():
-        if attr == "scenario":
-            continue
-        lines.append(f"{key} = {_format_value(attr, getattr(config, attr))}")
+    lines += [f"{key} = {_format_value(attr, getattr(config, attr))}"
+              for key, (attr, _) in SCENARIO_KEYS[config.scenario].items()]
     return "\n".join(sorted(lines)) + "\n"
 
 
-def config_hash(config) -> str:
+def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical_text(config).encode()).hexdigest()
 
 
 def with_overrides(config: ExperimentConfig, *, seed: int | None = None,
                    n_trials: int | None = None) -> ExperimentConfig:
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if n_trials is not None:
-        updates["n_trials"] = n_trials
+    """`config` with the CLI's --seed and --trajectories applied where its
+    scenario reads them: a no-go check reads neither, so ignores --seed."""
+    updates = {key: value for key, value in (("seed", seed), ("n_trials", n_trials))
+               if value is not None and key in SCENARIO_KEYS[config.scenario]}
     if not updates:
         return config
     new = replace(config, **updates)

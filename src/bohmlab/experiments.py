@@ -105,8 +105,8 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                  n_trials: int, seed: int):
     """Shared deflection pipeline: prepare, kick, fly, sample, integrate,
     classify by side of the symmetry axis (ties count as up).  Returns the
-    up mask and the survivor mask; an aborted trajectory ends at NaN, so it
-    is neither up nor down."""
+    branch supports at detection time, the up mask and the survivor mask;
+    an aborted trajectory ends at NaN, so it is neither up nor down."""
     grid = config.grid()
     packet = gaussian_packet(grid, config.packet_center, config.packet_width,
                              config.packet_momentum, alpha, beta)
@@ -116,10 +116,6 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
     frames = evolve_frames(kicked, potential, flight / config.n_frames, config.n_frames)
 
     branches = branch_supports(frames[-1], config.branch_threshold)
-    if not branches.separated:
-        raise ValueError("branches are not separated at detection time; "
-                         "increase flight_time or the magnet kick")
-
     initial = sample_positions(frames[0], n_trials, seed)
     ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
     axis_position = config.packet_center + config.packet_momentum * flight
@@ -129,6 +125,15 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
 
 def _no_aborted_check(n_aborted: int) -> Check:
     return Check("no_aborted_trajectories", n_aborted == 0, f"{n_aborted} aborted")
+
+
+def _separated_check(supports) -> Check:
+    """One check over the branch supports of every deflection in a run,
+    reporting the smallest gap."""
+    worst = min(supports, key=lambda s: s.gap)
+    return Check("branches_separated", worst.separated,
+                 f"gap {worst.gap:.6g} between up {worst.up_interval} "
+                 f"and down {worst.down_interval}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,7 @@ def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
     stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(alive & ~up_mask))),
                                    (abs(config.alpha) ** 2, abs(config.beta) ** 2))
     checks = (
-        Check("branches_separated", branches.separated,
-              f"up {branches.up_interval}, down {branches.down_interval}"),
+        _separated_check([branches]),
         _no_aborted_check(len(ensemble.aborted)),
         born_check(stats),
     )
@@ -183,6 +187,7 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     branches = [(np.array([config.alpha, config.beta], dtype=complex), 1.0, np.arange(n))]
     stage_stats = []
     checks = []
+    supports = []
     n_aborted = 0
 
     for stage, axis in enumerate(config.axes):
@@ -198,9 +203,9 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
             if trial_ids.size == 0:
                 continue
             run_seed = rng.derive(config.seed, stage * 4 + g_index)
-            _, _, _, up_mask, alive, _ = _sg_pipeline(config, complex(chi_meas[0]),
-                                                      complex(chi_meas[1]),
-                                                      trial_ids.size, run_seed)
+            _, _, support, up_mask, alive, _ = _sg_pipeline(
+                config, complex(chi_meas[0]), complex(chi_meas[1]), trial_ids.size, run_seed)
+            supports.append(support)
             ids_up.append(trial_ids[up_mask])
             ids_down.append(trial_ids[alive & ~up_mask])
             outcomes[trial_ids[~alive], stage:] = -1
@@ -218,7 +223,8 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
         checks.append(Check(f"stage{stage + 1}_{axis}_{base.name}", base.passed, base.detail))
 
     return SequentialResult(stage_statistics=tuple(stage_stats), outcomes=outcomes,
-                            checks=(_no_aborted_check(n_aborted), *checks))
+                            checks=(_separated_check(supports), _no_aborted_check(n_aborted),
+                                    *checks))
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,7 @@ def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     checks = (
         Check("symmetric_preparation", symmetric,
               f"|alpha|^2 = {abs(config.alpha) ** 2:.6f}"),
+        _separated_check([branches]),
         _no_aborted_check(len(ensemble.aborted)),
         Check("zero_crossings", report.violations == 0,
               f"{report.violations} ordering violations"),

@@ -265,7 +265,12 @@ def magnet_kick(field: SpinorField, magnet: MagnetSpec) -> SpinorField:
 class BranchSupports:
     up_interval: tuple | None      # (left, right) or None when the branch is empty
     down_interval: tuple | None
-    separated: bool
+    gap: float                     # between the intervals: < 0 where they overlap,
+                                   # inf when a branch is empty
+
+    @property
+    def separated(self) -> bool:
+        return self.gap > 0
 
 
 def _smallest_mass_interval(grid: Grid1D, component: np.ndarray, fraction: float):
@@ -293,16 +298,16 @@ def _smallest_mass_interval(grid: Grid1D, component: np.ndarray, fraction: float
 
 def branch_supports(field: SpinorField, threshold: float) -> BranchSupports:
     """Smallest intervals holding fraction 1 - threshold of each spin
-    component's mass, and whether those intervals are disjoint."""
+    component's mass, and the gap between them."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     up_iv = _smallest_mass_interval(field.grid, field.up, 1.0 - threshold)
     down_iv = _smallest_mass_interval(field.grid, field.down, 1.0 - threshold)
     if up_iv is None or down_iv is None:
-        separated = True
+        gap = math.inf
     else:
-        separated = up_iv[1] < down_iv[0] or down_iv[1] < up_iv[0]
-    return BranchSupports(up_interval=up_iv, down_interval=down_iv, separated=separated)
+        gap = max(up_iv[0], down_iv[0]) - min(up_iv[1], down_iv[1])
+    return BranchSupports(up_interval=up_iv, down_interval=down_iv, gap=gap)
 
 
 def velocity_field(field: SpinorField) -> np.ndarray:

@@ -9,9 +9,10 @@ import pytest
 from bohmlab import cli, experiments
 from bohmlab.config import (
     NOGO_SCENARIOS,
+    SCENARIO_KEYS,
     SIM_SCENARIOS,
     ConfigError,
-    NogoRequest,
+    ExperimentConfig,
     canonical_text,
     config_hash,
     default_config,
@@ -20,7 +21,7 @@ from bohmlab.config import (
 
 from bohmlab.trajectories import NoCrossingReport
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, shipped_config
 
 ROOT = CONFIG_DIR.parent
 
@@ -56,7 +57,15 @@ class TestParseConfig:
 
     def test_nogo_request(self):
         req = parse_config("scenario = mermin\n")
-        assert req == NogoRequest(kind="mermin")
+        assert type(req) is ExperimentConfig and req == default_config("mermin")
+        assert canonical_text(req) == "scenario = mermin\n"
+
+    def test_key_the_scenario_does_not_read_is_fatal(self):
+        message = "key 'magnet.mu_b' is not read by scenario 'pointer'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config("magnet.mu_b = 7.0\n", scenario="pointer")
+        with pytest.raises(ConfigError, match=message):
+            default_config("pointer", magnet_mu_b=7.0)
 
     def test_hash_tracks_semantic_changes(self):
         a = default_config("stern_gerlach")
@@ -174,13 +183,14 @@ class TestDispatch:
     def test_rejected_constructor_value_fails_cleanly(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
-        status = cli.main(["sim", "stern-gerlach", "--config", str(bad),
+        key = line.splitlines()[-1].split("=")[0].strip()
+        subcommand = "equilibrium" if key == "duration" else "stern-gerlach"
+        status = cli.main(["sim", subcommand, "--config", str(bad),
                            "--out", str(tmp_path / "out"), "--quiet"])
         assert status == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        key = line.splitlines()[-1].split("=")[0].strip()
-        assert key in err[0]
+        assert key in err[0] and "not read" not in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_outside_64_bits_fails_cleanly(self, tmp_path, capsys):
@@ -201,9 +211,10 @@ class TestDispatch:
                     == (tmp_path / "plain" / name).read_bytes()), name
 
     @pytest.mark.parametrize("text,message", [
-        ("scenario = chsh\nspin.alpha = 0.6\n", "takes no parameters"),
+        ("scenario = chsh\nspin.alpha = 0.6\n", "key 'spin.alpha' is not read by scenario 'chsh'"),
         ("scenario = mermin\n", "subcommand selects"),
-    ], ids=["sim-key", "other-check"])
+        ("scenario = chsh\nseed = 5\n", "key 'seed' is not read by scenario 'chsh'"),
+    ], ids=["sim-key", "other-check", "seed-key"])
     def test_nogo_config_it_cannot_honour_fails_cleanly(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "nogo.cfg"
         cfg.write_text(text)
@@ -211,6 +222,33 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "out").exists()
+
+    def test_key_the_scenario_does_not_read_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "pointer.cfg"
+        cfg.write_text((CONFIG_DIR / "pointer.cfg").read_text() + "magnet.mu_b = 7.0\n")
+        assert run("sim", "pointer", "--config", str(cfg), out=tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: key 'magnet.mu_b' is not read by scenario 'pointer'"]
+        assert not (tmp_path / "out").exists()
+
+    def test_nogo_seed_flag_is_ignored(self, tmp_path):
+        assert run("nogo", "chsh", "--seed", "5", out=tmp_path / "seeded") == 0
+        assert run("nogo", "chsh", out=tmp_path / "plain") == 0
+        for name in ("report.txt", "report.json"):
+            assert ((tmp_path / "seeded" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("subcommand", ["stern-gerlach", "no-crossing", "sequential"])
+    def test_unseparated_branches_fail_the_check(self, tmp_path, subcommand):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("flight_time = 0.05\n")
+        status = run("sim", subcommand, "--config", str(cfg), "--trajectories", "100",
+                     out=tmp_path / "out")
+        assert status == 1
+        assert (tmp_path / "out" / "report.txt").exists()
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        (separated,) = [c for c in checks if c["name"] == "branches_separated"]
+        assert not separated["passed"] and separated["detail"].startswith("gap -")
 
     @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",
                                             "nogo stern-gerlach", "nogo bogus"])
@@ -260,6 +298,8 @@ class TestScenarioTable:
         if scenario == "no_crossing":
             assert report["results"]["first_violation"] is None
             assert "first_violation = null" in results
+        if scenario == "pointer":
+            assert report["results"]["branch_overlap"] < 1e-6
 
     def test_no_crossing_report_names_the_first_violation(self, tmp_path, monkeypatch):
         injected = NoCrossingReport(violations=2, first_violation=((3, 17), 5))
@@ -301,6 +341,55 @@ class TestScenarioTable:
                            "--out", str(tmp_path), "--quiet"])
         assert status in (0, 1)
         assert calls == ["no_crossing_check", "write_ensemble"]
+
+
+# every shipped config, plus the runs that read the keys no shipped config
+# reaches: a harmonic well under each deflection scenario, a uniform start
+KEY_RUNS = [(name, {}) for name in ("stern_gerlach", "sequential_zx", "no_crossing",
+                                    "equilibrium_free", "equilibrium_harmonic", "pointer")]
+KEY_RUNS += [(name, {"potential_kind": "harmonic"})
+             for name in ("stern_gerlach", "sequential_zx", "no_crossing")]
+KEY_RUNS += [("equilibrium_free", {"init_kind": "uniform", "init_a": -2.5, "init_b": -1.5})]
+
+
+class TestKeyTable:
+    def test_keys_per_scenario(self):
+        assert {s: len(keys) for s, keys in SCENARIO_KEYS.items()} == {
+            "stern_gerlach": 19, "sequential": 20, "no_crossing": 19, "equilibrium": 21,
+            "pointer": 10, "mermin": 0, "vonneumann": 0, "chsh": 0}
+
+    def test_each_scenario_reads_exactly_its_keys(self, tmp_path, monkeypatch):
+        # record the ExperimentConfig fields each runner reads, as config keys
+        key_of = {attr: key for keys in SCENARIO_KEYS.values()
+                  for key, (attr, _) in keys.items()}
+        reads = set()
+        get = ExperimentConfig.__getattribute__
+
+        def recording(self, name):
+            if name in key_of:
+                reads.add(key_of[name])
+            return get(self, name)
+
+        union = {scenario: set() for scenario in SCENARIO_KEYS}
+        runs = [(shipped_config(name, **fields, n_trials=200), f"{name}{fields}")
+                for name, fields in KEY_RUNS]
+        runs += [(default_config(check), check) for check in NOGO_SCENARIOS]
+        for i, (cfg, label) in enumerate(runs):
+            runner, dump_frames = cli.SCENARIOS[cfg.scenario]
+            out = tmp_path / str(i)
+            out.mkdir()
+            reads.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ExperimentConfig, "__getattribute__", recording)
+                runner(cfg, out, "0" * 64, dump_frames)
+            assert reads <= set(SCENARIO_KEYS[cfg.scenario]), label
+            union[cfg.scenario] |= reads
+        assert union == {scenario: set(keys) for scenario, keys in SCENARIO_KEYS.items()}
+
+    def test_echo_lists_exactly_the_scenario_keys(self):
+        for scenario, keys in SCENARIO_KEYS.items():
+            lines = canonical_text(default_config(scenario)).splitlines()
+            assert [line.split(" = ")[0] for line in lines] == sorted([*keys, "scenario"])
 
 
 class TestMain:

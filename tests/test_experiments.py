@@ -262,3 +262,10 @@ class TestPointerExperiment:
         res = experiments.pointer_experiment(cfg)
         assert all(c.passed for c in res.checks)
         assert res.statistics.n_trials == 2000
+
+    def test_branch_overlap_of_the_coupled_state(self):
+        disjoint = experiments.pointer_experiment(shipped_config("pointer", n_trials=200))
+        assert disjoint.measurement.branch_overlap < 1e-6
+        uncoupled = experiments.pointer_experiment(
+            shipped_config("pointer", n_trials=200, pointer_shift=0.0))
+        assert abs(uncoupled.measurement.branch_overlap - 1.0) < 1e-12

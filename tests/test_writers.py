@@ -241,7 +241,8 @@ def edge_tables():
     collapsed.real = np.stack([values, -values], axis=1)
     collapsed.imag = np.stack([values[::-1], values], axis=1)
     trials = PointerMeasurement(y=values, outcome=1 + np.arange(values.size) % 2,
-                                collapsed=collapsed, counts=(6, 6), min_purity=0.0)
+                                collapsed=collapsed, counts=(6, 6), min_purity=0.0,
+                                branch_overlap=1.0)
     up = np.resize(values, 256).astype(complex)
     up.imag = np.resize(values[::-1], 256)
     field = SpinorField(Grid1D(-1.0, 1.0, 256), up, -up, time=1e300)
@@ -400,14 +401,15 @@ class TestTrials:
         collapsed.real = np.stack([values, -values], axis=1)
         collapsed.imag = np.stack([values[::-1], values], axis=1)
         m = PointerMeasurement(y=values, outcome=1 + np.arange(values.size) % 2,
-                               collapsed=collapsed, counts=(6, 6), min_purity=0.0)
+                               collapsed=collapsed, counts=(6, 6), min_purity=0.0,
+                               branch_overlap=1.0)
         assert written(tmp_path, write_trials, m, config_hash="abc") == \
             ref_trials(m, "abc").encode()
 
     def test_zero_rows(self, tmp_path):
         m = PointerMeasurement(y=np.zeros(0), outcome=np.zeros(0, dtype=int),
                                collapsed=np.zeros((0, 2), dtype=complex), counts=(0, 0),
-                               min_purity=1.0)
+                               min_purity=1.0, branch_overlap=0.0)
         assert written(tmp_path, write_trials, m, config_hash="abc") == \
             b"# config_hash=abc\ntrial_id,y,outcome,re_up,im_up,re_down,im_down\n"
 
