@@ -20,10 +20,10 @@ from bohmlab import nogo
 print("=" * 72)
 print("1. Linearity counterexample")
 print("=" * 72)
-report = nogo.von_neumann_counterexample()
-print(f"eig(sigma_x + sigma_z)          = {report.sum_eigenvalues}")
-print(f"sums of individual eigenvalues  = {report.individual_sums}")
-print(f"minimum gap between the sets    = {report.min_gap:.12f}  (= 2 - sqrt 2)")
+sum_eigenvalues, individual_sums, min_gap = nogo.von_neumann_counterexample()
+print(f"eig(sigma_x + sigma_z)          = {sum_eigenvalues}")
+print(f"sums of individual eigenvalues  = {individual_sums}")
+print(f"minimum gap between the sets    = {min_gap:.12f}  (= 2 - sqrt 2)")
 print("A value map with Z(A+B) = Z(A) + Z(B) would need the first set")
 print("to be contained in the second; the gap says it is not even close.")
 
@@ -36,23 +36,21 @@ for row in square.labels:
     print("   ".join(f"{lab:>3}" for lab in row))
 identities = nogo.verify_square_identities(square)
 print(f"identities checked: {len(identities)}, worst residual "
-      f"{max(c.residual for c in identities):.2e}")
+      f"{max(residual for _, _, residual in identities):.2e}")
 print("row products are +I +I +I, column products +I +I -I, so a value")
 print("table would need the product of all nine values to be both +1 and -1.")
 start = time.perf_counter()
-search = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
+satisfying = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
 elapsed = time.perf_counter() - start
-print(f"exhaustive search: {search.satisfying_assignments} of "
-      f"{search.total_assignments} assignments survive "
+print(f"exhaustive search: {satisfying} of 512 assignments survive "
       f"({elapsed * 1000:.1f} ms)")
 
 print()
 print("=" * 72)
 print("3. Correlation bounds")
 print("=" * 72)
-local = nogo.chsh_local_bound()
+local_max, optimal = nogo.chsh_local_bound()
 quantum = nogo.chsh_quantum_value()
-print(f"deterministic local strategies: max S = {local.max_S} "
-      f"({local.optimal_strategy_count}/16 attain it)")
+print(f"deterministic local strategies: max S = {local_max} ({optimal}/16 attain it)")
 print(f"quantum operator value:         {quantum:.10f} = 2 sqrt(2)")
-print(f"violation factor: {quantum / local.max_S:.6f} (= sqrt 2)")
+print(f"violation factor: {quantum / local_max:.6f} (= sqrt 2)")

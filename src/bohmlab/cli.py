@@ -31,13 +31,16 @@ The exit status is 0 exactly when all declared checks pass.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import experiments, nogo
+import numpy as np
+
 from .config import (
     NOGO_SCENARIOS,
+    Check,
     ConfigError,
     canonical_text,
     config_hash,
@@ -45,10 +48,7 @@ from .config import (
     parse_config,
     with_overrides,
 )
-from .conditional import write_trials
-from .serialize import fmt, json_text, write_table
-from .trajectories import write_ensemble
-from .wavefield import write_frame
+from .serialize import fmt, json_text
 
 
 def _load_config(args, scenario: str):
@@ -57,11 +57,14 @@ def _load_config(args, scenario: str):
     return with_overrides(cfg, seed=args.seed, n_trials=args.trajectories)
 
 
-# Runners: (cfg, out, chash, dump_frames) -> (results, checks).  They look
-# experiments.* and the writers up at call time, so wrapping those names
-# (as a tracer does) reaches every run.
+# Runners: (cfg, out, chash, dump_frames) -> (results, checks).  A sim
+# runner imports `experiments`, a no-go runner `nogo`, when it runs, so an
+# invocation loads only the modules of its own subcommand.  They look
+# experiments.*, nogo.* and the writers below up at call time, so wrapping
+# those names (as a tracer does) reaches every run.
 
 def _stern_gerlach(cfg, out, chash, dump_frames):
+    from . import experiments
     result = experiments.stern_gerlach(cfg)
     write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
     if dump_frames:
@@ -71,6 +74,7 @@ def _stern_gerlach(cfg, out, chash, dump_frames):
 
 
 def _sequential(cfg, out, chash, dump_frames):
+    from . import experiments
     result = experiments.sequential(cfg)
     return ({"stages": [{"axis": axis, "statistics": asdict(st)}
                         for axis, st in zip(cfg.axes, result.stage_statistics)]},
@@ -78,6 +82,7 @@ def _sequential(cfg, out, chash, dump_frames):
 
 
 def _no_crossing(cfg, out, chash, dump_frames):
+    from . import experiments
     result = experiments.no_crossing_check(cfg)
     write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
     first = result.crossing_report.first_violation
@@ -89,6 +94,7 @@ def _no_crossing(cfg, out, chash, dump_frames):
 
 
 def _equilibrium(cfg, out, chash, dump_frames):
+    from . import experiments
     result = experiments.equilibrium_experiment(cfg)
     write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
     _write_histograms(result, out / "histograms.csv", chash)
@@ -99,6 +105,7 @@ def _equilibrium(cfg, out, chash, dump_frames):
 
 
 def _pointer(cfg, out, chash, dump_frames):
+    from . import experiments
     result = experiments.pointer_experiment(cfg)
     write_trials(result.measurement, out / "trials.csv", config_hash=chash)
     return ({"min_purity": result.measurement.min_purity,
@@ -107,44 +114,44 @@ def _pointer(cfg, out, chash, dump_frames):
 
 
 def _mermin(cfg, out, chash, dump_frames):
+    from . import nogo
     square = nogo.build_mermin_square()
     identities = nogo.verify_square_identities(square)
-    worst = max(c.residual for c in identities)
-    report = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
+    worst = max(residual for _, _, residual in identities)
+    satisfying = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
     checks = (
-        experiments.Check("square_identities", all(c.passed for c in identities),
-                          f"worst residual {worst:.3e}"),
-        experiments.Check(
-            "no_consistent_assignment", report.satisfying_assignments == 0,
-            f"{report.satisfying_assignments}/{report.total_assignments} "
-            "satisfy the six sign constraints"),
+        Check("square_identities", all(passed for _, passed, _ in identities),
+              f"worst residual {worst:.3e}"),
+        Check("no_consistent_assignment", satisfying == 0,
+              f"{satisfying}/512 satisfy the six sign constraints"),
     )
-    return ({"identities": [asdict(c) for c in identities],
-             "total_assignments": report.total_assignments,
-             "satisfying_assignments": report.satisfying_assignments}, checks)
+    return ({"identities": [{"constraint": name, "passed": passed, "residual": residual}
+                            for name, passed, residual in identities],
+             "total_assignments": 512,
+             "satisfying_assignments": satisfying}, checks)
 
 
 def _vonneumann(cfg, out, chash, dump_frames):
-    report = nogo.von_neumann_counterexample()
+    from . import nogo
+    sum_eigenvalues, individual_sums, min_gap = nogo.von_neumann_counterexample()
     expected = 2.0 - 2.0**0.5
-    check = experiments.Check(
-        "spectrum_not_additive", abs(report.min_gap - expected) < 1e-12,
-        f"min gap {fmt(report.min_gap)} (2 - sqrt(2) = {fmt(expected)})")
-    return asdict(report), (check,)
+    check = Check("spectrum_not_additive", abs(min_gap - expected) < 1e-12,
+                  f"min gap {fmt(min_gap)} (2 - sqrt(2) = {fmt(expected)})")
+    return ({"sum_eigenvalues": sum_eigenvalues, "individual_sums": individual_sums,
+             "min_gap": min_gap}, (check,))
 
 
 def _chsh(cfg, out, chash, dump_frames):
-    local = nogo.chsh_local_bound()
+    from . import nogo
+    local_max, optimal = nogo.chsh_local_bound()
     quantum = nogo.chsh_quantum_value()
     checks = (
-        experiments.Check("local_bound_is_two", local.max_S == 2.0,
-                          f"max S = {fmt(local.max_S)}"),
-        experiments.Check("quantum_value", abs(quantum - 2 * 2**0.5) < 1e-9, f"{fmt(quantum)}"),
-        experiments.Check("quantum_exceeds_local", local.max_S < quantum,
-                          f"{fmt(local.max_S)} < {fmt(quantum)}"),
+        Check("local_bound_is_two", local_max == 2.0, f"max S = {fmt(local_max)}"),
+        Check("quantum_value", abs(quantum - 2 * 2**0.5) < 1e-9, f"{fmt(quantum)}"),
+        Check("quantum_exceeds_local", local_max < quantum,
+              f"{fmt(local_max)} < {fmt(quantum)}"),
     )
-    return ({"local_max_S": local.max_S,
-             "optimal_strategy_count": local.optimal_strategy_count,
+    return ({"local_max_S": local_max, "optimal_strategy_count": optimal,
              "quantum_value": quantum}, checks)
 
 
@@ -161,6 +168,44 @@ SCENARIOS = {
 }
 
 
+# The tables of a sim run.  Each imports the table writer when it runs, so
+# a no-go run, which writes none, does not load it.
+
+def write_ensemble(ensemble, path, config_hash: str, seed: int) -> None:
+    """Tabular text: one row per (trajectory, frame) of a
+    `trajectories.Ensemble`, under a header naming the run's config hash
+    and seed."""
+    from .table import write_table
+    ids = np.arange(ensemble.n_trajectories)[:, None]
+    write_table(path, [f"# config_hash={config_hash} seed={seed}", "trajectory_id,time,position"],
+                [ids, ensemble.frame_times, ensemble.positions])
+
+
+def write_frame(field, path) -> None:
+    """Dump one `wavefield.SpinorField` frame as structured text; it
+    round-trips bit-exactly."""
+    from .table import write_table
+    grid = field.grid
+    header = [
+        f"# spinor-frame x_min={fmt(grid.x_min)} x_max={fmt(grid.x_max)}"
+        f" n_points={grid.n_points} time={fmt(field.time)}",
+        "# x re_up im_up re_down im_down",
+    ]
+    up, down = field.up, field.down
+    write_table(path, header, [grid.nodes, up.real, up.imag, down.real, down.imag], sep=" ")
+
+
+def write_trials(measurement, path, config_hash: str) -> None:
+    """Per-trial table of a `conditional.PointerMeasurement`: trial_id,
+    pointer value, outcome, collapsed spinor."""
+    from .table import write_table
+    up, down = measurement.collapsed.T
+    write_table(path, [f"# config_hash={config_hash}",
+                       "trial_id,y,outcome,re_up,im_up,re_down,im_down"],
+                [np.arange(len(measurement.y)), measurement.y, measurement.outcome,
+                 up.real, up.imag, down.real, down.imag])
+
+
 def _write_frames(frames, frame_dir: Path) -> None:
     frame_dir.mkdir(exist_ok=True)
     for i, frame in enumerate(frames):
@@ -168,6 +213,7 @@ def _write_frames(frames, frame_dir: Path) -> None:
 
 
 def _write_histograms(result, path, chash: str) -> None:
+    from .table import write_table
     comps = result.comparisons
     write_table(path, [f"# config_hash={chash}", "frame,bin_left,bin_right,empirical,theoretical"],
                 [[[i] for i in range(len(comps))], [c.bin_edges[:-1] for c in comps],
@@ -268,6 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one invocation.  Called with no arguments it is the process
+    entry point (`python -m bohmlab.cli`, the `bohmlab` script): it reads
+    sys.argv and first freezes every object made so far, the interpreter's
+    and the imports', out of the garbage collector.  They live until exit,
+    so the collections during the run and the final one at exit need not
+    walk them.  A library call with an argument list freezes nothing."""
+    if argv is None:
+        gc.freeze()
     return dispatch(build_parser().parse_args(argv))
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .serialize import write_table
 from .wavefield import (
     NODE_DENSITY_FRACTION,
     Grid1D,
@@ -141,12 +140,3 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
                               counts=(n1, n_trials - n1),
                               min_purity=min(1.0, float(purity.min())),
                               branch_overlap=branch_overlap(coupled))
-
-
-def write_trials(measurement: PointerMeasurement, path, config_hash: str) -> None:
-    """Per-trial table: trial_id, pointer value, outcome, collapsed spinor."""
-    up, down = measurement.collapsed.T
-    write_table(path, [f"# config_hash={config_hash}",
-                       "trial_id,y,outcome,re_up,im_up,re_down,im_down"],
-                [np.arange(len(measurement.y)), measurement.y, measurement.outcome,
-                 up.real, up.imag, down.real, down.imag])

@@ -26,8 +26,8 @@ groups (`scenario` itself aside):
 A key read only under a condition (`potential.omega` and
 `potential.center`, `init.a` and `init.b`) belongs to every scenario that
 may read it.  A key its scenario does not read is fatal, in a file and
-in `default_config` alike; an unknown key is fatal with a nearest known
-key suggested.
+in `default_config` alike; an unknown key is fatal, with the nearest key
+its scenario reads suggested.
 
 The canonical form of a config is the sorted `key = value` listing of
 `scenario` and the keys its scenario reads (defaults filled in, floats
@@ -43,15 +43,22 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from .conditional import CouplingSpec
 from .serialize import fmt
-from .wavefield import Grid1D, MagnetSpec, PotentialSpec
 
 DEFAULT_SEED = 42
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named PASS/FAIL verdict of a run, as its reports print it."""
+
+    name: str
+    passed: bool
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -87,13 +94,19 @@ class ExperimentConfig:
     init_a: float = 0.0
     init_b: float = 1.0
 
-    def grid(self) -> Grid1D:
+    # the specs are imported where they are built, so that a no-go run,
+    # which builds none, does not load the wave layer
+
+    def grid(self):
+        from .wavefield import Grid1D
         return Grid1D(self.grid_x_min, self.grid_x_max, self.grid_n_points)
 
-    def magnet(self) -> MagnetSpec:
+    def magnet(self):
+        from .wavefield import MagnetSpec
         return MagnetSpec(self.magnet_mu_b, self.magnet_tau)
 
-    def potential(self) -> PotentialSpec:
+    def potential(self):
+        from .wavefield import PotentialSpec
         if self.potential_kind == "free":
             return PotentialSpec.free()
         if self.potential_kind == "harmonic":
@@ -241,7 +254,7 @@ def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
     for key, value in pairs.items():
         if key not in _KEYS:
             import difflib
-            hint = difflib.get_close_matches(key, [*_KEYS, "scenario"], n=1)
+            hint = difflib.get_close_matches(key, [*SCENARIO_KEYS[effective], "scenario"], n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"unknown key {key!r}{suggestion}")
         attr, convert = _KEYS[key]
@@ -258,6 +271,9 @@ def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    if not SCENARIO_KEYS[config.scenario]:
+        return                          # a no-go check reads no key
+    from .conditional import CouplingSpec
     spin_norm = abs(config.alpha) ** 2 + abs(config.beta) ** 2
     if abs(spin_norm - 1.0) > 1e-9:
         raise ConfigError("spin normalization invariant violated: "

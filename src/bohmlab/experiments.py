@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .config import ExperimentConfig
+from .config import Check, ExperimentConfig
 from .conditional import CouplingSpec, run_pointer_measurement
 from .hilbert import spin_rotation
 from .trajectories import (
@@ -40,13 +40,6 @@ _AXIS_VECTORS = {
     "y": np.array([0.0, 1.0, 0.0]),
     "z": np.array([0.0, 0.0, 1.0]),
 }
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str
 
 
 @dataclass(frozen=True)

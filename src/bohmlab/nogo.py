@@ -57,32 +57,6 @@ class ContextConstraint:
                 raise ValueError(f"cell index {(r, c)} outside the square")
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    constraint: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class AssignmentSearchReport:
-    total_assignments: int
-    satisfying_assignments: int
-
-
-@dataclass(frozen=True)
-class VonNeumannReport:
-    sum_eigenvalues: tuple
-    individual_sums: tuple
-    min_gap: float
-
-
-@dataclass(frozen=True)
-class ChshLocalReport:
-    max_S: float
-    optimal_strategy_count: int
-
-
 def build_mermin_square() -> ObservableSquare:
     """Two-qubit magic square: single-qubit x/y observables and their products.
 
@@ -117,31 +91,33 @@ def mermin_constraints() -> list[ContextConstraint]:
     return rows + cols
 
 
-def verify_square_identities(square: ObservableSquare) -> list[IdentityCheck]:
+def verify_square_identities(square: ObservableSquare) -> list[tuple]:
     """Commutation within each context of `mermin_constraints()`, then each
-    context's product against its required sign times the identity.
+    context's product against its required sign times the identity, as
+    (identity, passed, residual) triples.
 
     Failures are reported, never raised: the point is the verdict list.
     """
     contexts = mermin_constraints()
-    checks: list[IdentityCheck] = []
+    checks = []
     for con in contexts:
         for (r1, c1), (r2, c2) in itertools.combinations(con.member_indices, 2):
             a, b = square.cell(r1, c1), square.cell(r2, c2)
             res = float(np.linalg.norm(a @ b - b @ a))
             pair = f"{square.labels[r1][c1]},{square.labels[r2][c2]}"
-            checks.append(IdentityCheck(f"commute {con.label}: {pair}", res < IDENTITY_TOL, res))
+            checks.append((f"commute {con.label}: {pair}", res < IDENTITY_TOL, res))
     for con in contexts:
         prod = functools.reduce(np.matmul, (square.cell(*i) for i in con.member_indices))
         res = float(np.linalg.norm(prod - con.required_product_sign * np.eye(len(prod))))
         sign = "+I" if con.required_product_sign > 0 else "-I"
-        checks.append(IdentityCheck(f"product {con.label} = {sign}", res < IDENTITY_TOL, res))
+        checks.append((f"product {con.label} = {sign}", res < IDENTITY_TOL, res))
     return checks
 
 
 def search_noncontextual_assignment(square: ObservableSquare,
-                                    constraints: list[ContextConstraint]) -> AssignmentSearchReport:
-    """Exhaustively test all 2^9 +-1 assignments against the constraints."""
+                                    constraints: list[ContextConstraint]) -> int:
+    """How many of the 2^9 = 512 +-1 assignments satisfy the constraints,
+    by exhaustive search."""
     for r in range(3):
         for c in range(3):
             eigs = hermitian_eigenvalues(square.cell(r, c))
@@ -161,11 +137,12 @@ def search_noncontextual_assignment(square: ObservableSquare,
                 break
         if ok:
             count += 1
-    return AssignmentSearchReport(total_assignments=512, satisfying_assignments=count)
+    return count
 
 
-def von_neumann_counterexample() -> VonNeumannReport:
-    """Eigenvalues of sigma_x + sigma_z versus all sums of their eigenvalues.
+def von_neumann_counterexample() -> tuple:
+    """Eigenvalues of sigma_x + sigma_z versus all sums of their eigenvalues,
+    as (eigenvalues of the sum, sums of eigenvalues, minimum gap).
 
     A value map linear over non-commuting observables would need the
     spectrum of the sum to consist of sums of individual eigenvalues;
@@ -176,20 +153,18 @@ def von_neumann_counterexample() -> VonNeumannReport:
     eig_z = hermitian_eigenvalues(pauli("z"))
     sums = sorted(set(float(a) + float(b) for a in eig_x for b in eig_z))
     min_gap = min(abs(float(e) - s) for e in sum_eigs for s in sums)
-    return VonNeumannReport(sum_eigenvalues=tuple(float(e) for e in sum_eigs),
-                            individual_sums=tuple(sums),
-                            min_gap=float(min_gap))
+    return tuple(float(e) for e in sum_eigs), tuple(sums), float(min_gap)
 
 
-def chsh_local_bound() -> ChshLocalReport:
+def chsh_local_bound() -> tuple:
     """Maximum of S = E(a,b) + E(a,b') + E(a',b) - E(a',b') over the 16
-    deterministic local strategies (two +-1 outputs per side)."""
+    deterministic local strategies (two +-1 outputs per side), and how
+    many strategies reach it."""
     values = []
     for a, a2, b, b2 in itertools.product((+1, -1), repeat=4):
         values.append(a * b + a * b2 + a2 * b - a2 * b2)
     max_s = max(values)
-    return ChshLocalReport(max_S=float(max_s),
-                           optimal_strategy_count=sum(1 for s in values if s == max_s))
+    return float(max_s), sum(1 for s in values if s == max_s)
 
 
 def chsh_quantum_value() -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, threads, wavefield
-from .serialize import write_table
 from .wavefield import PotentialSpec, SpinorField, velocity_field
 
 
@@ -210,11 +209,3 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
     tv = 0.5 * float(np.sum(np.abs(empirical - theoretical)))
     return HistogramComparison(bin_edges=edges, empirical_mass=empirical,
                                theoretical_mass=theoretical, total_variation=tv)
-
-
-def write_ensemble(ensemble: Ensemble, path, config_hash: str, seed: int) -> None:
-    """Tabular text: one row per (trajectory, frame), under a header
-    naming the run's config hash and seed."""
-    ids = np.arange(ensemble.n_trajectories)[:, None]
-    write_table(path, [f"# config_hash={config_hash} seed={seed}", "trajectory_id,time,position"],
-                [ids, ensemble.frame_times, ensemble.positions])

@@ -45,8 +45,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .serialize import fmt, write_table
-
 BOUNDARY_MASS_LIMIT = 1e-6
 BOUNDARY_EDGE_FRACTION = 0.05
 NODE_DENSITY_FRACTION = 1e-12   # velocity regularization threshold, x peak density
@@ -339,15 +337,3 @@ def velocity_field(field: SpinorField) -> np.ndarray:
         nearest = np.where(np.abs(idx[~live] - left) <= np.abs(right - idx[~live]), left, right)
         v[~live] = v[nearest]
     return np.clip(v, -grid.k_max, grid.k_max)
-
-
-def write_frame(field: SpinorField, path) -> None:
-    """Dump one frame as structured text; round-trips bit-exactly."""
-    header = [
-        f"# spinor-frame x_min={fmt(field.grid.x_min)} x_max={fmt(field.grid.x_max)}"
-        f" n_points={field.grid.n_points} time={fmt(field.time)}",
-        "# x re_up im_up re_down im_down",
-    ]
-    up, down = field.up, field.down
-    write_table(path, header, [field.grid.nodes, up.real, up.imag, down.real, down.imag],
-                sep=" ")

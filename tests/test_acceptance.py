@@ -37,32 +37,30 @@ def test_c01_mermin_square_impossibility():
     start = time.perf_counter()
     square = nogo.build_mermin_square()
     identities = nogo.verify_square_identities(square)
-    commutators = [c for c in identities if c.constraint.startswith("commute")]
-    products = [c for c in identities if c.constraint.startswith("product")]
-    report = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
+    commutators = [res for name, _, res in identities if name.startswith("commute")]
+    products = [res for name, _, res in identities if name.startswith("product")]
+    satisfying = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
     elapsed = time.perf_counter() - start
 
     ok = (len(commutators) == 18
-          and all(c.residual < 1e-12 for c in commutators)
+          and all(res < 1e-12 for res in commutators)
           and len(products) == 6
-          and all(c.residual < 1e-12 for c in products)
-          and report.total_assignments == 512
-          and report.satisfying_assignments == 0
+          and all(res < 1e-12 for res in products)
+          and satisfying == 0
           and elapsed < 1.0)
     record_acceptance(
         "C01 magic-square impossibility", ok,
-        f"18 commutators + 6 products < 1e-12, {report.satisfying_assignments}/512 "
+        f"18 commutators + 6 products < 1e-12, {satisfying}/512 "
         f"assignments, {elapsed:.3f} s")
     assert ok
 
 
 def test_c02_linearity_counterexample():
     start = time.perf_counter()
-    report = nogo.von_neumann_counterexample()
+    sum_eigenvalues, _, min_gap = nogo.von_neumann_counterexample()
     elapsed = time.perf_counter() - start
-    eig_err = max(abs(report.sum_eigenvalues[0] + SQRT2),
-                  abs(report.sum_eigenvalues[1] - SQRT2))
-    gap_err = abs(report.min_gap - (2.0 - SQRT2))
+    eig_err = max(abs(sum_eigenvalues[0] + SQRT2), abs(sum_eigenvalues[1] - SQRT2))
+    gap_err = abs(min_gap - (2.0 - SQRT2))
     ok = eig_err < 1e-12 and gap_err < 1e-12 and elapsed < 1.0
     record_acceptance(
         "C02 eigenvalue non-additivity", ok,
@@ -73,13 +71,13 @@ def test_c02_linearity_counterexample():
 
 def test_c03_chsh_bounds():
     start = time.perf_counter()
-    local = nogo.chsh_local_bound()
+    local_max, _ = nogo.chsh_local_bound()
     quantum = nogo.chsh_quantum_value()
     elapsed = time.perf_counter() - start
-    ok = local.max_S == 2.0 and abs(quantum - 2 * SQRT2) < 1e-9 and elapsed < 1.0
+    ok = local_max == 2.0 and abs(quantum - 2 * SQRT2) < 1e-9 and elapsed < 1.0
     record_acceptance(
         "C03 correlation bounds", ok,
-        f"local max S = {local.max_S}, quantum = {quantum:.10f} "
+        f"local max S = {local_max}, quantum = {quantum:.10f} "
         f"(2 sqrt2 = {2 * SQRT2:.10f}), {elapsed:.3f} s")
     assert ok
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -50,6 +51,17 @@ class TestParseConfig:
     def test_unknown_key_suggests(self):
         with pytest.raises(ConfigError, match="did you mean 'magnet.mu_b'"):
             parse_config("magnet.mub = 5\n", scenario="stern_gerlach")
+
+    @pytest.mark.parametrize("key,scenario,hint", [
+        ("magnet.mub", "pointer", None), ("spin.alfa", "chsh", None),
+        ("pointer.shfit", "pointer", "pointer.shift")])
+    def test_unknown_key_hint_is_a_key_of_its_scenario(self, key, scenario, hint):
+        # a key of another scenario would be rejected in turn
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'") as error:
+            parse_config(f"{key} = 5\n", scenario=scenario)
+        assert ("did you mean" in str(error.value)) == (hint is not None)
+        if hint is not None:
+            assert str(error.value).endswith(f"did you mean {hint!r}?")
 
     def test_scenario_mismatch(self):
         with pytest.raises(ConfigError, match="subcommand selects"):
@@ -434,6 +446,51 @@ def test_no_run_imports_a_process_pool(tmp_path):
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "stern-gerlach" / "ensemble.csv").exists()
     assert (tmp_path / "equilibrium" / "ensemble.csv").stat().st_size > 10**7
+
+
+class TestImportScope:
+    """An invocation loads only the modules of its subcommand, each run in
+    a fresh interpreter."""
+
+    SIM_ONLY = {"bohmlab.conditional", "bohmlab.experiments", "bohmlab.rng", "bohmlab.table",
+                "bohmlab.trajectories", "bohmlab.wavefield"}
+
+    @staticmethod
+    def loaded(code, *argv):
+        """The bohmlab modules loaded after `code` ran with sys.argv[1:] =
+        argv, and what else it printed."""
+        code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('bohmlab'))))"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code, *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        *printed, modules = proc.stdout.splitlines()
+        return set(json.loads(modules)), printed
+
+    def test_importing_the_package_loads_no_module(self):
+        assert self.loaded("import bohmlab") == ({"bohmlab"}, [])
+
+    def test_the_entry_point_freezes_and_a_nogo_run_loads_no_sim_module(self, tmp_path):
+        # main() without arguments is the process entry point
+        code = ("import gc\nimport bohmlab.cli\n"
+                "assert bohmlab.cli.main() == 0\nprint(gc.get_freeze_count() > 0)")
+        modules, printed = self.loaded(code, "nogo", "chsh", "--out", str(tmp_path), "--quiet")
+        assert printed == ["True"]
+        assert "bohmlab.nogo" in modules and not modules & self.SIM_ONLY
+
+    def test_no_sim_run_loads_nogo(self, tmp_path):
+        code = "import bohmlab.cli\n"
+        for scenario in SIM_SCENARIOS:
+            argv = ["sim", scenario.replace("_", "-"), "--trajectories", "200",
+                    "--out", str(tmp_path / scenario), "--quiet"]
+            code += f"assert bohmlab.cli.main({argv!r}) in (0, 1)\n"
+        modules, _ = self.loaded(code)
+        assert modules >= self.SIM_ONLY and "bohmlab.nogo" not in modules
+
+    def test_a_library_call_freezes_nothing(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run("nogo", "chsh", out=tmp_path) == 0
+        assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,

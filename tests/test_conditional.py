@@ -7,8 +7,8 @@ from bohmlab.conditional import (
     branch_overlap,
     conditional_state,
     run_pointer_measurement,
-    write_trials,
 )
+from bohmlab.cli import write_trials
 from bohmlab.wavefield import BoundaryMassError, Grid1D, SpinorField, gaussian_packet
 
 from conftest import analytic_free_gaussian

@@ -52,11 +52,11 @@ class TestSquareIdentities:
     def test_all_identities_pass(self, square):
         checks = nogo.verify_square_identities(square)
         assert len(checks) == 24  # 18 commutators + 6 products
-        assert all(c.passed for c in checks)
-        assert max(c.residual for c in checks) < 1e-12
+        assert all(passed for _, passed, _ in checks)
+        assert max(residual for _, _, residual in checks) < 1e-12
 
     def test_labels_in_order(self, square):
-        labels = [c.constraint for c in nogo.verify_square_identities(square)]
+        labels = [name for name, _, _ in nogo.verify_square_identities(square)]
         assert labels[:3] == ["commute row1: x.,.x", "commute row1: x.,xx", "commute row1: .x,xx"]
         assert labels[9:12] == ["commute col1: x.,.y", "commute col1: x.,xy",
                                 "commute col1: .y,xy"]
@@ -70,9 +70,9 @@ class TestSquareIdentities:
                    nogo.ContextConstraint(c.member_indices, +1, c.label)
                    for c in nogo.mermin_constraints()]
         monkeypatch.setattr(nogo, "mermin_constraints", lambda: flipped)
-        failed = [c for c in nogo.verify_square_identities(square) if not c.passed]
-        assert [c.constraint for c in failed] == ["product col3 = +I"]
-        assert failed[0].residual == pytest.approx(4.0)
+        failed = [(name, residual) for name, passed, residual
+                  in nogo.verify_square_identities(square) if not passed]
+        assert failed == [("product col3 = +I", pytest.approx(4.0))]
 
     def test_row_and_column_product_signs(self, square):
         # parity obstruction: row signs multiply to +1, column signs to -1
@@ -91,20 +91,16 @@ class TestSquareIdentities:
 
 class TestAssignmentSearch:
     def test_magic_square_has_no_assignment(self, square):
-        report = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
-        assert report.total_assignments == 512
-        assert report.satisfying_assignments == 0
+        assert nogo.search_noncontextual_assignment(square, nogo.mermin_constraints()) == 0
 
     def test_flipping_last_column_gives_16(self, square):
         # all-(+1) sign pattern: classic count 2^((3-1)(3-1)) = 16
         constraints = [c for c in nogo.mermin_constraints() if c.label != "col3"]
         constraints.append(nogo.ContextConstraint(tuple((r, 2) for r in range(3)), +1, "col3"))
-        report = nogo.search_noncontextual_assignment(square, constraints)
-        assert report.satisfying_assignments == 16
+        assert nogo.search_noncontextual_assignment(square, constraints) == 16
 
     def test_empty_constraints_vacuous(self, square):
-        report = nogo.search_noncontextual_assignment(square, [])
-        assert report.satisfying_assignments == 512
+        assert nogo.search_noncontextual_assignment(square, []) == 512
 
     def test_adding_constraints_is_monotone(self, square):
         gen = np.random.default_rng(99)
@@ -114,24 +110,22 @@ class TestAssignmentSearch:
             previous = 512
             for count_used in range(1, 7):
                 subset = [constraints[i] for i in order[:count_used]]
-                got = nogo.search_noncontextual_assignment(square, subset).satisfying_assignments
+                got = nogo.search_noncontextual_assignment(square, subset)
                 assert got <= previous
                 previous = got
 
 
 class TestVonNeumann:
     def test_report_values(self):
-        report = nogo.von_neumann_counterexample()
-        assert np.allclose(report.sum_eigenvalues, [-SQRT2, SQRT2], atol=1e-12)
-        assert report.individual_sums == (-2.0, 0.0, 2.0)
-        assert abs(report.min_gap - (2.0 - SQRT2)) < 1e-12
+        sum_eigenvalues, individual_sums, min_gap = nogo.von_neumann_counterexample()
+        assert np.allclose(sum_eigenvalues, [-SQRT2, SQRT2], atol=1e-12)
+        assert individual_sums == (-2.0, 0.0, 2.0)
+        assert abs(min_gap - (2.0 - SQRT2)) < 1e-12
 
 
 class TestChsh:
     def test_local_bound(self):
-        report = nogo.chsh_local_bound()
-        assert report.max_S == 2.0
-        assert report.optimal_strategy_count == 8
+        assert nogo.chsh_local_bound() == (2.0, 8)
 
     def test_quantum_value(self):
         assert abs(nogo.chsh_quantum_value() - 2 * SQRT2) < 1e-9
@@ -146,4 +140,5 @@ class TestChsh:
         assert abs(chsh_max_eigenvalue(B, B) - 2.0) < 1e-9
 
     def test_local_below_quantum(self):
-        assert nogo.chsh_local_bound().max_S < nogo.chsh_quantum_value()
+        local_max, _ = nogo.chsh_local_bound()
+        assert local_max < nogo.chsh_quantum_value()

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from bohmlab import serialize, threads
+from bohmlab import table, threads
 from bohmlab.trajectories import integrate
 from bohmlab.wavefield import PotentialSpec
 
@@ -47,31 +47,31 @@ class TestFailures:
         assert threading.active_count() == self.threads_at_start
 
     @pytest.fixture
-    def table(self):
+    def columns(self):
         return [np.arange(7000)[:, None], np.linspace(0.0, 4.0, 41),
                 np.random.default_rng(6).normal(size=(7000, 41))]
 
-    def test_formatting_error_on_the_helper_propagates(self, tmp_path, monkeypatch, table):
-        cells, raised = serialize._cells, []
+    def test_formatting_error_on_the_helper_propagates(self, tmp_path, monkeypatch, columns):
+        cells, raised = table._cells, []
 
         def failing(arrays):
             if threading.current_thread() is not threading.main_thread() and len(raised) < 1:
                 raised.append(threading.current_thread().name)
                 raise RuntimeError("formatting failed")
             return cells(arrays)
-        monkeypatch.setattr(serialize, "_cells", failing)
+        monkeypatch.setattr(table, "_cells", failing)
         with pytest.raises(RuntimeError, match="formatting failed"):
-            serialize.write_table(tmp_path / "table.csv", [], table)
+            table.write_table(tmp_path / "table.csv", [], columns)
         assert raised == ["bohmlab-helper"]
 
-    def test_write_error_mid_table_propagates(self, tmp_path, monkeypatch, table):
+    def test_write_error_mid_table_propagates(self, tmp_path, monkeypatch, columns):
         class FailingFile:
             def __init__(self, fh):
                 self.fh, self.writes = fh, 0
 
             def write(self, data):
                 self.writes += 1
-                if self.writes == 4:            # the header, then two chunks
+                if self.writes == 4:            # the header, then two slices of a chunk
                     raise OSError(28, "No space left on device")
                 return self.fh.write(data)
 
@@ -81,10 +81,10 @@ class TestFailures:
             def __exit__(self, *exc_info):
                 self.fh.close()
 
-        monkeypatch.setattr(serialize, "open", lambda path, mode: FailingFile(open(path, mode)),
+        monkeypatch.setattr(table, "open", lambda path, mode: FailingFile(open(path, mode)),
                             raising=False)
         with pytest.raises(OSError, match="No space left"):
-            serialize.write_table(tmp_path / "table.csv", [], table)
+            table.write_table(tmp_path / "table.csv", [], columns)
         assert 0 < (tmp_path / "table.csv").stat().st_size
 
     @pytest.mark.parametrize("where", ["helper", "caller"])

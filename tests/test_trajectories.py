@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from bohmlab import threads
+from bohmlab.cli import write_ensemble
 from bohmlab.trajectories import (
     Ensemble,
     check_no_crossing,
     equilibrium_distance,
     integrate,
     sample_positions,
-    write_ensemble,
 )
 from bohmlab.wavefield import (
     Grid1D,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bohmlab.cli import write_frame
 from bohmlab.config import parse_config
 from bohmlab.wavefield import (
     BoundaryMassError,
@@ -17,7 +18,6 @@ from bohmlab.wavefield import (
     gaussian_packet,
     magnet_kick,
     velocity_field,
-    write_frame,
 )
 
 from conftest import (

@@ -14,23 +14,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bohmlab import experiments, serialize, threads
-from bohmlab.cli import _write_histograms
+from bohmlab import experiments, table, threads
+from bohmlab.cli import _write_histograms, write_ensemble, write_frame, write_trials
 from bohmlab.conditional import (
     CouplingSpec,
     PointerMeasurement,
     run_pointer_measurement,
-    write_trials,
 )
-from bohmlab.serialize import fmt, json_text, write_table
+from bohmlab.serialize import fmt, json_text
+from bohmlab.table import write_table
 from bohmlab.trajectories import (
     Ensemble,
     equilibrium_distance,
     integrate,
     sample_positions,
-    write_ensemble,
 )
-from bohmlab.wavefield import Grid1D, PotentialSpec, SpinorField, write_frame
+from bohmlab.wavefield import Grid1D, PotentialSpec, SpinorField
 
 from conftest import analytic_free_gaussian, shipped_config
 
@@ -203,8 +202,8 @@ def test_run_tables_need_no_per_value_fallback(tmp_path, monkeypatch):
     # the tiny Gaussian tails of a frame dump and of trials.csv are
     # written in exponent notation by the vectorized path, not by `%`
     counted = []
-    fallback = serialize._percent_cells
-    monkeypatch.setattr(serialize, "_percent_cells",
+    fallback = table._percent_cells
+    monkeypatch.setattr(table, "_percent_cells",
                         lambda values: counted.append(values.size) or fallback(values))
     sg = experiments.stern_gerlach(shipped_config("stern_gerlach", seed=7))
     write_frame(sg.frames[16], tmp_path / "frame.txt")
@@ -220,11 +219,11 @@ def test_constants_need_one_significand_pass(monkeypatch):
     # +-0, nan and +-inf are constant cells; their placeholder significand
     # must not send them through the exponent fix-up, a second pass
     counted = []
-    significand = serialize._significand
-    monkeypatch.setattr(serialize, "_significand",
+    significand = table._significand
+    monkeypatch.setattr(table, "_significand",
                         lambda a, e: counted.append(a.size) or significand(a, e))
     values = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.5e-300, 3.25e300])
-    cells = serialize._fast_cells(values)
+    cells = table._fast_cells(values)
     assert counted == [values.size]
     assert [c.rstrip(b"\0").decode() for c in cells.view("S24").ravel()] == [
         "%.17g" % v for v in values]
@@ -265,14 +264,17 @@ def edge_tables():
     }
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 97, serialize._CHUNK_VALUES])
+@pytest.mark.parametrize("chunk", [1, 3, 97, table._CHUNK_VALUES])
 def test_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, edge_tables, chunk):
-    # a stale tail of a reused row buffer or an unwritten cell would
-    # show as a difference between chunk sizes
-    monkeypatch.setattr(serialize, "_CHUNK_VALUES", chunk)
-    for name, (write, reference) in edge_tables.items():
-        write(tmp_path / name)
-        assert (tmp_path / name).read_bytes() == reference.encode(), name
+    # a stale tail of a reused row buffer or mask, an unwritten cell or a
+    # byte lost between compaction slices would show as a difference
+    # between chunk or slice sizes
+    monkeypatch.setattr(table, "_CHUNK_VALUES", chunk)
+    for compact in (1, 7, 4096, table._COMPACT_BYTES):
+        monkeypatch.setattr(table, "_COMPACT_BYTES", compact)
+        for name, (write, reference) in edge_tables.items():
+            write(tmp_path / name)
+            assert (tmp_path / name).read_bytes() == reference.encode(), (name, compact)
 
 
 @pytest.mark.parametrize("column", [
