@@ -13,8 +13,6 @@ Run:  python demos/no_hidden_variables.py
 
 import time
 
-import numpy as np
-
 from bohmlab import nogo
 
 print("=" * 72)

@@ -25,7 +25,8 @@ pointer scenario `trials.csv`, the equilibrium scenario
 and every CSV table begin with the config hash; the frame dumps do not.
 Nothing in a file depends on the clock, so re-running an invocation
 reproduces every file byte for byte.
-The exit status is 0 exactly when all declared checks pass.
+The exit status is 0 exactly when all declared checks pass.  A `nogo`
+run never imports numpy: here only the table writers that use it do.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ import gc
 import sys
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from .config import (
     NOGO_SCENARIOS,
@@ -175,6 +174,7 @@ def write_ensemble(ensemble, path, config_hash: str, seed: int) -> None:
     """Tabular text: one row per (trajectory, frame) of a
     `trajectories.Ensemble`, under a header naming the run's config hash
     and seed."""
+    import numpy as np
     from .table import write_table
     ids = np.arange(ensemble.n_trajectories)[:, None]
     write_table(path, [f"# config_hash={config_hash} seed={seed}", "trajectory_id,time,position"],
@@ -198,6 +198,7 @@ def write_frame(field, path) -> None:
 def write_trials(measurement, path, config_hash: str) -> None:
     """Per-trial table of a `conditional.PointerMeasurement`: trial_id,
     pointer value, outcome, collapsed spinor."""
+    import numpy as np
     from .table import write_table
     up, down = measurement.collapsed.T
     write_table(path, [f"# config_hash={config_hash}",

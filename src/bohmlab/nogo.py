@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .hilbert import hermitian_eigenvalues, pauli
+from .hilbert import combine, hermitian_eigenvalues, identity, kron, matmul, norm, pauli
 
 IDENTITY_TOL = 1e-12
 
@@ -32,10 +31,10 @@ IDENTITY_TOL = 1e-12
 class ObservableSquare:
     """3x3 arrangement of dim-4 Hermitian operators with +-1 spectra."""
 
-    cells: tuple            # 3x3 nested tuple of 4x4 ndarrays
+    cells: tuple            # 3x3 nested tuple of 4x4 `hilbert` operators
     labels: tuple           # 3x3 nested tuple of short strings
 
-    def cell(self, row: int, col: int) -> np.ndarray:
+    def cell(self, row: int, col: int) -> tuple:
         return self.cells[row][col]
 
 
@@ -64,11 +63,11 @@ def build_mermin_square() -> ObservableSquare:
     right column to -I, which is the parity obstruction exploited by the
     assignment search.
     """
-    sx, sy, sz, i2 = pauli("x"), pauli("y"), pauli("z"), np.eye(2, dtype=complex)
+    sx, sy, sz, i2 = pauli("x"), pauli("y"), pauli("z"), identity(2)
     cells = (
-        (np.kron(sx, i2), np.kron(i2, sx), np.kron(sx, sx)),
-        (np.kron(i2, sy), np.kron(sy, i2), np.kron(sy, sy)),
-        (np.kron(sx, sy), np.kron(sy, sx), np.kron(sz, sz)),
+        (kron(sx, i2), kron(i2, sx), kron(sx, sx)),
+        (kron(i2, sy), kron(sy, i2), kron(sy, sy)),
+        (kron(sx, sy), kron(sy, sx), kron(sz, sz)),
     )
     labels = (
         ("x.", ".x", "xx"),
@@ -103,12 +102,12 @@ def verify_square_identities(square: ObservableSquare) -> list[tuple]:
     for con in contexts:
         for (r1, c1), (r2, c2) in itertools.combinations(con.member_indices, 2):
             a, b = square.cell(r1, c1), square.cell(r2, c2)
-            res = float(np.linalg.norm(a @ b - b @ a))
+            res = norm(combine((1, matmul(a, b)), (-1, matmul(b, a))))
             pair = f"{square.labels[r1][c1]},{square.labels[r2][c2]}"
             checks.append((f"commute {con.label}: {pair}", res < IDENTITY_TOL, res))
     for con in contexts:
-        prod = functools.reduce(np.matmul, (square.cell(*i) for i in con.member_indices))
-        res = float(np.linalg.norm(prod - con.required_product_sign * np.eye(len(prod))))
+        prod = functools.reduce(matmul, (square.cell(*i) for i in con.member_indices))
+        res = norm(combine((1, prod), (-con.required_product_sign, identity(len(prod)))))
         sign = "+I" if con.required_product_sign > 0 else "-I"
         checks.append((f"product {con.label} = {sign}", res < IDENTITY_TOL, res))
     return checks
@@ -121,7 +120,7 @@ def search_noncontextual_assignment(square: ObservableSquare,
     for r in range(3):
         for c in range(3):
             eigs = hermitian_eigenvalues(square.cell(r, c))
-            if np.max(np.abs(np.abs(eigs) - 1.0)) > 1e-10:
+            if any(abs(abs(e) - 1.0) > 1e-10 for e in eigs):
                 raise ValueError(f"cell {(r, c)} does not have a +-1 spectrum")
 
     count = 0
@@ -148,12 +147,12 @@ def von_neumann_counterexample() -> tuple:
     spectrum of the sum to consist of sums of individual eigenvalues;
     the minimum gap between the two sets is 2 - sqrt(2), far from zero.
     """
-    sum_eigs = hermitian_eigenvalues(pauli("x") + pauli("z"))
+    sum_eigs = hermitian_eigenvalues(combine((1, pauli("x")), (1, pauli("z"))))
     eig_x = hermitian_eigenvalues(pauli("x"))
     eig_z = hermitian_eigenvalues(pauli("z"))
-    sums = sorted(set(float(a) + float(b) for a in eig_x for b in eig_z))
-    min_gap = min(abs(float(e) - s) for e in sum_eigs for s in sums)
-    return tuple(float(e) for e in sum_eigs), tuple(sums), float(min_gap)
+    sums = sorted(set(a + b for a in eig_x for b in eig_z))
+    min_gap = min(abs(e - s) for e in sum_eigs for s in sums)
+    return sum_eigs, tuple(sums), min_gap
 
 
 def chsh_local_bound() -> tuple:
@@ -172,7 +171,8 @@ def chsh_quantum_value() -> float:
     A = sigma_z, A' = sigma_x, B = (sigma_z + sigma_x)/sqrt(2),
     B' = (sigma_z - sigma_x)/sqrt(2)."""
     a, a2 = pauli("z"), pauli("x")
-    b = (pauli("z") + pauli("x")) / np.sqrt(2)
-    b2 = (pauli("z") - pauli("x")) / np.sqrt(2)
-    op = np.kron(a, b) + np.kron(a, b2) + np.kron(a2, b) - np.kron(a2, b2)
-    return float(hermitian_eigenvalues(op)[-1])
+    r = 1 / math.sqrt(2)
+    b = combine((r, pauli("z")), (r, pauli("x")))
+    b2 = combine((r, pauli("z")), (-r, pauli("x")))
+    op = combine((1, kron(a, b)), (1, kron(a, b2)), (1, kron(a2, b)), (-1, kron(a2, b2)))
+    return hermitian_eigenvalues(op)[-1]

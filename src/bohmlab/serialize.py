@@ -3,19 +3,20 @@
 Doubles are written with 17 significant digits (`"%.17g"`), which
 round-trips any IEEE-754 double.  `fmt` defines a scalar's text and
 `json_text` a report's; the one table writer, `table.write_table`, must
-give the same bytes as `fmt` on every value.
+give the same bytes as `fmt` on every value.  Both unwrap numpy values only
+once numpy is loaded, as none can exist before; neither loads it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 
 def fmt(x) -> str:
     """Canonical text for one scalar (17 significant digits for floats)."""
-    if isinstance(x, np.generic):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.generic):
         x = x.item()
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -40,9 +41,8 @@ def json_text(obj, indent: int = 0) -> str:
     strings `"nan"`, `"inf"` and `"-inf"`.
     """
     pad = " " * indent
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.generic, np.ndarray)):
         obj = obj.tolist()
     if obj is None:
         return "null"

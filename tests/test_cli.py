@@ -455,11 +455,15 @@ class TestImportScope:
     SIM_ONLY = {"bohmlab.conditional", "bohmlab.experiments", "bohmlab.rng", "bohmlab.table",
                 "bohmlab.trajectories", "bohmlab.wavefield"}
 
+    NOGO_PATH = {"bohmlab", "bohmlab.cli", "bohmlab.config", "bohmlab.serialize",
+                 "bohmlab.nogo", "bohmlab.hilbert"}
+
     @staticmethod
     def loaded(code, *argv):
-        """The bohmlab modules loaded after `code` ran with sys.argv[1:] =
-        argv, and what else it printed."""
-        code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('bohmlab'))))"
+        """The bohmlab and numpy modules loaded after `code` ran with
+        sys.argv[1:] = argv, and what else it printed."""
+        code += ("\nprint(json.dumps(sorted(m for m in sys.modules"
+                 " if m.split('.')[0] in ('bohmlab', 'numpy'))))")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code, *argv],
                               env=env, capture_output=True, text=True, timeout=300)
@@ -477,6 +481,23 @@ class TestImportScope:
         modules, printed = self.loaded(code, "nogo", "chsh", "--out", str(tmp_path), "--quiet")
         assert printed == ["True"]
         assert "bohmlab.nogo" in modules and not modules & self.SIM_ONLY
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        modules, _ = self.loaded("import bohmlab.cli")
+        assert modules == {"bohmlab", "bohmlab.cli", "bohmlab.config", "bohmlab.serialize"}
+
+    @pytest.mark.parametrize("check", NOGO_SCENARIOS)
+    def test_a_nogo_run_loads_no_numpy(self, tmp_path, check):
+        code = f"import bohmlab.cli\nassert bohmlab.cli.main({['nogo', check]!r} + sys.argv[1:]) == 0"
+        modules, _ = self.loaded(code, "--out", str(tmp_path), "--quiet")
+        assert modules == self.NOGO_PATH
+
+    @pytest.mark.parametrize("scenario", SIM_SCENARIOS)
+    def test_every_sim_run_loads_numpy(self, tmp_path, scenario):
+        argv = ["sim", scenario.replace("_", "-"), "--trajectories", "200",
+                "--out", str(tmp_path), "--quiet"]
+        modules, _ = self.loaded(f"import bohmlab.cli\nassert bohmlab.cli.main({argv!r}) in (0, 1)")
+        assert "numpy" in modules and "bohmlab.wavefield" in modules
 
     def test_no_sim_run_loads_nogo(self, tmp_path):
         code = "import bohmlab.cli\n"

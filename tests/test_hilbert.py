@@ -1,10 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
-from bohmlab.hilbert import hermitian_eigenvalues, pauli, spin_rotation
+from bohmlab import hilbert
+from bohmlab.hilbert import hermitian_eigenvalues, spin_rotation
 
 SQRT2 = np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)
+
+
+def pauli(axis):
+    return np.array(hilbert.pauli(axis))
+
+
+def random_hermitian(gen, dim):
+    a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    return a + a.conj().T
 
 
 class TestPauli:
@@ -22,7 +34,13 @@ class TestPauli:
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
-            pauli("w")
+            hilbert.pauli("w")
+
+    def test_one_table_for_both_uses(self):
+        # the simulations' rotation is built from the same exact entries
+        assert hilbert.pauli("y") == ((0j, -1j), (1j, 0j))
+        assert all(type(z) is complex for axis in "xyz" for row in hilbert.pauli(axis)
+                   for z in row)
 
 
 class TestTensor:
@@ -47,6 +65,24 @@ class TestTensor:
                     left = np.kron(np.kron(a, b), c)
                     right = np.kron(a, np.kron(b, c))
                     assert np.array_equal(left, right)
+
+
+class TestExactOperations:
+    """`hilbert`'s tuple arithmetic against numpy on the same operators."""
+
+    OPS = [pauli("x"), pauli("y"), pauli("z"), I2, (pauli("z") + pauli("x")) / SQRT2]
+
+    def test_kron_matmul_combine_and_norm(self):
+        for a in self.OPS:
+            for b in self.OPS:
+                ta, tb = a.tolist(), b.tolist()
+                assert np.array_equal(hilbert.kron(ta, tb), np.kron(a, b))
+                # numpy may sum the products in another order
+                assert np.allclose(hilbert.matmul(ta, tb), a @ b, rtol=0, atol=1e-15)
+                assert np.array_equal(hilbert.combine((1, ta), (-0.5, tb)), a - 0.5 * b)
+                assert hilbert.norm(hilbert.kron(ta, tb)) == pytest.approx(
+                    np.linalg.norm(np.kron(a, b)), rel=1e-15)
+        assert np.array_equal(hilbert.identity(4), np.eye(4))
 
 
 class TestCommutator:
@@ -85,6 +121,44 @@ class TestEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejects_non_hermitian_and_nan(self, dim):
+        gen = np.random.default_rng(5)
+        h = random_hermitian(gen, dim)
+        skew = h.copy()
+        skew[0, dim - 1] += 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(skew)
+        for i, j in ((0, 0), (0, dim - 1), (dim - 1, dim - 1)):
+            bad = h.copy()
+            bad[i, j] = complex(math.nan, 0.0)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eigenvalues(bad)
+        with pytest.raises(ValueError, match="not square"):
+            hermitian_eigenvalues(h[:, :-1])
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_numpy_eigvalsh(self, dim):
+        # the oracle is LAPACK's; agreement within 1e-12 of the spectral norm
+        gen = np.random.default_rng(20261019 + dim)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(200):
+                h = scale * random_hermitian(gen, dim)
+                want = np.linalg.eigvalsh(h)
+                got = hermitian_eigenvalues(h)
+                assert isinstance(got, tuple) and list(got) == sorted(got)
+                assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_degenerate_and_diagonal_spectra(self):
+        # repeated eigenvalues and an operator that needs no rotation
+        gen = np.random.default_rng(3)
+        q, _ = np.linalg.qr(random_hermitian(gen, 4))
+        for spectrum in ([-1, -1, 1, 1], [2, 2, 2, 2], [0, 0, 0, 5], [-3, 1, 1, 4]):
+            h = q @ np.diag(spectrum) @ q.conj().T
+            h = (h + h.conj().T) / 2
+            assert np.allclose(hermitian_eigenvalues(h), spectrum, rtol=0, atol=1e-12 * 5)
+        assert hermitian_eigenvalues(np.diag([3.0, -1.0, 0.5, 2.0])) == (-1.0, 0.5, 2.0, 3.0)
 
     def test_invariant_under_random_unitaries(self):
         # spectra are basis independent; random unitaries from QR

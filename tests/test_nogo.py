@@ -1,12 +1,23 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from bohmlab import nogo
-from bohmlab.hilbert import hermitian_eigenvalues, pauli
+from bohmlab import hilbert, nogo
+from bohmlab.hilbert import hermitian_eigenvalues
 
 SQRT2 = np.sqrt(2.0)
+
+
+def pauli(axis):
+    return np.array(hilbert.pauli(axis))
+
+
+def cell(square, row, col):
+    return np.array(square.cell(row, col))
+
+
 B = (pauli("z") + pauli("x")) / SQRT2
 B_PRIME = (pauli("z") - pauli("x")) / SQRT2
 
@@ -26,9 +37,9 @@ def square():
 
 class TestSquareConstruction:
     def test_corner_cells(self, square):
-        assert np.array_equal(square.cell(0, 0), np.kron(pauli("x"), np.eye(2)))
-        assert np.array_equal(square.cell(2, 2), np.kron(pauli("z"), pauli("z")))
-        assert np.array_equal(square.cell(0, 2), np.kron(pauli("x"), pauli("x")))
+        assert np.array_equal(cell(square, 0, 0), np.kron(pauli("x"), np.eye(2)))
+        assert np.array_equal(cell(square, 2, 2), np.kron(pauli("z"), pauli("z")))
+        assert np.array_equal(cell(square, 0, 2), np.kron(pauli("x"), pauli("x")))
 
     def test_all_cells_have_unit_spectrum(self, square):
         for r in range(3):
@@ -42,10 +53,10 @@ class TestSquareConstruction:
 
         for r in range(3):
             for c1, c2 in itertools.combinations(range(3), 2):
-                assert commutator_norm(square.cell(r, c1), square.cell(r, c2)) < 1e-12
+                assert commutator_norm(cell(square, r, c1), cell(square, r, c2)) < 1e-12
         for c in range(3):
             for r1, r2 in itertools.combinations(range(3), 2):
-                assert commutator_norm(square.cell(r1, c), square.cell(r2, c)) < 1e-12
+                assert commutator_norm(cell(square, r1, c), cell(square, r2, c)) < 1e-12
 
 
 class TestSquareIdentities:
@@ -53,7 +64,8 @@ class TestSquareIdentities:
         checks = nogo.verify_square_identities(square)
         assert len(checks) == 24  # 18 commutators + 6 products
         assert all(passed for _, passed, _ in checks)
-        assert max(residual for _, _, residual in checks) < 1e-12
+        # the operators are exact, so every residual is exactly zero
+        assert [residual for _, _, residual in checks] == [0.0] * 24
 
     def test_labels_in_order(self, square):
         labels = [name for name, _, _ in nogo.verify_square_identities(square)]
@@ -78,7 +90,7 @@ class TestSquareIdentities:
         # parity obstruction: row signs multiply to +1, column signs to -1
         signs = []
         for cells in list(square.cells) + list(zip(*square.cells)):
-            prod = cells[0] @ cells[1] @ cells[2]
+            prod = np.array(cells[0]) @ np.array(cells[1]) @ np.array(cells[2])
             sign = np.trace(prod).real / 4.0
             assert abs(abs(sign) - 1.0) < 1e-12
             signs.append(round(sign))
@@ -122,6 +134,14 @@ class TestVonNeumann:
         assert individual_sums == (-2.0, 0.0, 2.0)
         assert abs(min_gap - (2.0 - SQRT2)) < 1e-12
 
+    def test_values_within_one_ulp_of_the_analytic_ones(self):
+        sum_eigenvalues, _, min_gap = nogo.von_neumann_counterexample()
+        root2 = math.sqrt(2)            # correctly rounded
+        assert [abs(e) for e in sum_eigenvalues] == pytest.approx([root2] * 2,
+                                                                  abs=math.ulp(root2))
+        assert sum_eigenvalues[0] < 0 < sum_eigenvalues[1]
+        assert abs(min_gap - (2 - root2)) <= math.ulp(2 - root2)
+
 
 class TestChsh:
     def test_local_bound(self):
@@ -129,6 +149,11 @@ class TestChsh:
 
     def test_quantum_value(self):
         assert abs(nogo.chsh_quantum_value() - 2 * SQRT2) < 1e-9
+
+    def test_quantum_value_within_two_ulp(self):
+        value = nogo.chsh_quantum_value()
+        assert type(value) is float
+        assert abs(value - 2 * math.sqrt(2)) <= 2 * math.ulp(2 * math.sqrt(2))
 
     def test_swapping_b_settings_keeps_value(self):
         # exchanging B and B' flips the sign of the A' term, which sigma_z on

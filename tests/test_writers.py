@@ -7,6 +7,9 @@ produce exactly the same bytes, for real run data and for edge values.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -31,7 +34,9 @@ from bohmlab.trajectories import (
 )
 from bohmlab.wavefield import Grid1D, PotentialSpec, SpinorField
 
-from conftest import analytic_free_gaussian, shipped_config
+from conftest import CONFIG_DIR, analytic_free_gaussian, shipped_config
+
+ROOT = CONFIG_DIR.parent
 
 NEG_NAN = math.copysign(math.nan, -1.0)
 EDGE_VALUES = [math.nan, NEG_NAN, math.inf, -math.inf, -0.0, 0.0, 5e-324,
@@ -121,6 +126,32 @@ def test_json_text_keeps_float_type():
         back = json.loads(json_text(v))
         assert type(back) is float and back == v
         assert math.copysign(1.0, back) == math.copysign(1.0, v)
+
+
+def test_numpy_values_keep_their_text():
+    array = np.array([[1.5, -0.0], [2.0, np.nan]])
+    scalars = [np.bool_(True), np.int64(-7), np.float64(0.1)]
+    assert [fmt(v) for v in scalars] == ["true", "-7", "0.10000000000000001"]
+    assert fmt(array) == str(array)
+    assert [json_text(v) for v in [*scalars, array]] == [
+        "true", "-7", "0.10000000000000001",
+        '[\n  [\n    1.5,\n    -0.0\n  ],\n  [\n    2.0,\n    "nan"\n  ]\n]']
+
+
+def test_fmt_and_json_text_never_load_numpy():
+    code = ("import sys\n"
+            "from bohmlab.serialize import fmt, json_text\n"
+            "print(' '.join(fmt(v) for v in (True, -7, 0.1, 1 - 2j, -0.0, float('nan'))))\n"
+            "print(json_text({'a': [2.0, None, 'x'], 'b': (False, 5e-324)}))\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *text, loaded = proc.stdout.splitlines()
+    assert text == ["true -7 0.10000000000000001 1-2j -0 nan",
+                    *json_text({"a": [2.0, None, "x"], "b": (False, 5e-324)}).splitlines()]
+    assert loaded == "False"
 
 
 def random_doubles(n, seed):
