@@ -10,7 +10,6 @@ equilibrium start shows what a violation would look like.
 Run:  python demos/quantum_equilibrium.py
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from bohmlab import experiments
@@ -37,7 +36,7 @@ print("=" * 64)
 run("free packet, momentum 1", default_config("equilibrium", n_trials=N, n_frames=20))
 
 print("=" * 64)
-run("harmonic well, coherent packet", replace(HARMONIC, n_trials=N, n_frames=20))
+run("harmonic well, coherent packet", HARMONIC._replace(n_trials=N, n_frames=20))
 
 print("=" * 64)
 bad = default_config("equilibrium", n_trials=N, n_frames=8,

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .config import (
@@ -69,13 +69,13 @@ def _stern_gerlach(cfg, out, chash, dump_frames):
     if dump_frames:
         _write_frames(result.frames, out / "frames")
     return ({"detection_time": result.detection_time,
-             "statistics": asdict(result.statistics)}, result.checks)
+             "statistics": result.statistics._asdict()}, result.checks)
 
 
 def _sequential(cfg, out, chash, dump_frames):
     from . import experiments
     result = experiments.sequential(cfg)
-    return ({"stages": [{"axis": axis, "statistics": asdict(st)}
+    return ({"stages": [{"axis": axis, "statistics": st._asdict()}
                         for axis, st in zip(cfg.axes, result.stage_statistics)]},
             result.checks)
 
@@ -89,7 +89,7 @@ def _no_crossing(cfg, out, chash, dump_frames):
              "first_violation": None if first is None else
              {"trajectories": list(first[0]), "frame": first[1]},
              "inference_accuracy": result.inference_accuracy,
-             "statistics": asdict(result.statistics)}, result.checks)
+             "statistics": result.statistics._asdict()}, result.checks)
 
 
 def _equilibrium(cfg, out, chash, dump_frames):
@@ -109,7 +109,7 @@ def _pointer(cfg, out, chash, dump_frames):
     write_trials(result.measurement, out / "trials.csv", config_hash=chash)
     return ({"min_purity": result.measurement.min_purity,
              "branch_overlap": result.measurement.branch_overlap,
-             "statistics": asdict(result.statistics)}, result.checks)
+             "statistics": result.statistics._asdict()}, result.checks)
 
 
 def _mermin(cfg, out, chash, dump_frames):
@@ -272,7 +272,7 @@ def dispatch(args: argparse.Namespace) -> int:
             "config": {line.split(" = ")[0]: line.split(" = ", 1)[1]
                        for line in echo.splitlines()},
             "results": results,
-            "checks": [asdict(c) for c in checks],
+            "checks": [c._asdict() for c in checks],
             "exit_status": status,
         }
         (out / "report.json").write_text(json_text(json_report) + "\n")
@@ -320,8 +320,13 @@ def main(argv=None) -> int:
     sys.argv and first freezes every object made so far, the interpreter's
     and the imports', out of the garbage collector.  They live until exit,
     so the collections during the run and the final one at exit need not
-    walk them.  A library call with an argument list freezes nothing."""
+    walk them.  Before numpy loads, it also asks OpenBLAS for one thread
+    unless the environment sets `OPENBLAS_NUM_THREADS`: no bohmlab call
+    is large enough for BLAS threads, and their idle workers spin on the
+    CPU that the run's own helper thread needs.  A library call with an
+    argument list changes neither."""
     if argv is None:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         gc.freeze()
     return dispatch(build_parser().parse_args(argv))
 

@@ -19,7 +19,7 @@ evolved unitarily throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,16 +33,17 @@ from .wavefield import (
 )
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
+class CouplingSpec(namedtuple("CouplingSpec", "shift")):
     """Pointer displacement per spin eigenvalue (impulsive coupling
     strength).  Zero is allowed and acts as the identity."""
 
-    shift: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
+        return self
 
 
 def apply_coupling(field: SpinorField, coupling: CouplingSpec) -> SpinorField:
@@ -102,16 +103,18 @@ def conditional_state(field: SpinorField, y) -> np.ndarray:
     return vec / np.sqrt(density)[..., None]
 
 
-@dataclass(frozen=True)
-class PointerMeasurement:
-    """Per-trial columns; row i is trial i."""
+class PointerMeasurement(namedtuple(
+        "PointerMeasurement", "y outcome collapsed counts min_purity branch_overlap")):
+    """Per-trial columns; row i is trial i.
 
-    y: np.ndarray                 # (n,) pointer positions
-    outcome: np.ndarray           # (n,) 1 (branch +shift) or 2 (branch -shift)
-    collapsed: np.ndarray         # (n, 2) normalized conditional spinors
-    counts: tuple                 # (n outcome 1, n outcome 2)
-    min_purity: float
-    branch_overlap: float         # of the coupled state, see `branch_overlap`
+        y               (n,) pointer positions
+        outcome         (n,) 1 (branch +shift) or 2 (branch -shift)
+        collapsed       (n, 2) normalized conditional spinors
+        counts          (n outcome 1, n outcome 2)
+        branch_overlap  of the coupled state, see `branch_overlap`
+    """
+
+    __slots__ = ()
 
 
 def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpec,

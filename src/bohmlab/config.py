@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .serialize import fmt
 
@@ -52,47 +52,49 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name passed detail")):
     """One named PASS/FAIL verdict of a run, as its reports print it."""
 
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scenario: str
-    seed: int = DEFAULT_SEED
-    n_trials: int = 20000
-    n_bins: int = 64
-    n_frames: int = 64
-    substeps_per_frame: int = 1
-    alpha: complex = complex(1 / math.sqrt(2))
-    beta: complex = complex(1 / math.sqrt(2))
-    grid_x_min: float = -20.0
-    grid_x_max: float = 20.0
-    grid_n_points: int = 512
-    packet_center: float = 0.0
-    packet_width: float = 1.0
-    packet_momentum: float = 0.0
-    magnet_mu_b: float = 5.0
-    magnet_tau: float = 1.0
-    flight_time: float | None = None          # None = separation rule
-    branch_threshold: float = 0.01
-    potential_kind: str = "free"
-    potential_omega: float = 1.0
-    potential_center: float = 0.0
-    duration: float = 2.0
-    tv_tolerance: float = 0.03
-    axes: tuple = ("z", "x")
-    pointer_shift: float = 10.0
-    pointer_width: float = 1.0
-    pointer_center: float = 0.0
-    init_kind: str = "born"                   # "born" | "uniform"
-    init_a: float = 0.0
-    init_b: float = 1.0
+# ExperimentConfig's fields after `scenario`, with their defaults
+_FIELD_DEFAULTS = {
+    "seed": DEFAULT_SEED,
+    "n_trials": 20000,
+    "n_bins": 64,
+    "n_frames": 64,
+    "substeps_per_frame": 1,
+    "alpha": complex(1 / math.sqrt(2)),
+    "beta": complex(1 / math.sqrt(2)),
+    "grid_x_min": -20.0,
+    "grid_x_max": 20.0,
+    "grid_n_points": 512,
+    "packet_center": 0.0,
+    "packet_width": 1.0,
+    "packet_momentum": 0.0,
+    "magnet_mu_b": 5.0,
+    "magnet_tau": 1.0,
+    "flight_time": None,                # None = separation rule
+    "branch_threshold": 0.01,
+    "potential_kind": "free",
+    "potential_omega": 1.0,
+    "potential_center": 0.0,
+    "duration": 2.0,
+    "tv_tolerance": 0.03,
+    "axes": ("z", "x"),
+    "pointer_shift": 10.0,
+    "pointer_width": 1.0,
+    "pointer_center": 0.0,
+    "init_kind": "born",                # "born" | "uniform"
+    "init_a": 0.0,
+    "init_b": 1.0,
+}
+
+
+class ExperimentConfig(namedtuple("ExperimentConfig", ["scenario", *_FIELD_DEFAULTS],
+                                  defaults=_FIELD_DEFAULTS.values())):
+    __slots__ = ()
 
     # the specs are imported where they are built, so that a no-go run,
     # which builds none, does not load the wave layer
@@ -339,6 +341,6 @@ def with_overrides(config: ExperimentConfig, *, seed: int | None = None,
                if value is not None and key in SCENARIO_KEYS[config.scenario]}
     if not updates:
         return config
-    new = replace(config, **updates)
+    new = config._replace(**updates)
     validate_config(new)
     return new

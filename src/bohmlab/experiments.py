@@ -10,7 +10,7 @@ reproduce every number bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,14 +18,7 @@ from . import rng
 from .config import Check, ExperimentConfig
 from .conditional import CouplingSpec, run_pointer_measurement
 from .hilbert import spin_rotation
-from .trajectories import (
-    Ensemble,
-    NoCrossingReport,
-    check_no_crossing,
-    equilibrium_distance,
-    integrate,
-    sample_positions,
-)
+from .trajectories import check_no_crossing, equilibrium_distance, integrate, sample_positions
 from .wavefield import (
     branch_supports,
     evolve_frames,
@@ -42,13 +35,10 @@ _AXIS_VECTORS = {
 }
 
 
-@dataclass(frozen=True)
-class MeasurementStatistics:
-    counts: tuple
-    frequencies: tuple
-    born_probabilities: tuple
-    three_sigma_halfwidths: tuple
-    expectation_value: float
+class MeasurementStatistics(namedtuple(
+        "MeasurementStatistics",
+        "counts frequencies born_probabilities three_sigma_halfwidths expectation_value")):
+    __slots__ = ()
 
     @property
     def n_trials(self) -> int:
@@ -129,14 +119,8 @@ def _separated_check(supports) -> Check:
                  f"and down {worst.down_interval}")
 
 
-@dataclass(frozen=True)
-class SternGerlachResult:
-    statistics: MeasurementStatistics
-    ensemble: Ensemble
-    frames: list
-    detection_time: float
-    branches: object
-    checks: tuple
+SternGerlachResult = namedtuple(
+    "SternGerlachResult", "statistics ensemble frames detection_time branches checks")
 
 
 def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
@@ -156,12 +140,11 @@ def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
                               detection_time=flight, branches=branches, checks=checks)
 
 
-@dataclass(frozen=True)
-class SequentialResult:
-    stage_statistics: tuple
-    outcomes: np.ndarray        # (n_trials, n_stages), 0 = up, 1 = down,
-                                # -1 = aborted at this or an earlier stage
-    checks: tuple
+class SequentialResult(namedtuple("SequentialResult", "stage_statistics outcomes checks")):
+    """outcomes is (n_trials, n_stages): 0 = up, 1 = down, -1 = aborted at
+    this or an earlier stage."""
+
+    __slots__ = ()
 
 
 def sequential(config: ExperimentConfig) -> SequentialResult:
@@ -220,14 +203,9 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
                                     *checks))
 
 
-@dataclass(frozen=True)
-class NoCrossingResult:
-    crossing_report: NoCrossingReport
-    inference_accuracy: float
-    symmetric_preparation: bool
-    statistics: MeasurementStatistics
-    ensemble: Ensemble
-    checks: tuple
+NoCrossingResult = namedtuple(
+    "NoCrossingResult",
+    "crossing_report inference_accuracy symmetric_preparation statistics ensemble checks")
 
 
 def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
@@ -259,12 +237,10 @@ def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
                             ensemble=ensemble, checks=checks)
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
-    comparisons: tuple            # HistogramComparison per saved frame
-    frames: list
-    ensemble: Ensemble
-    checks: tuple
+class EquilibriumResult(namedtuple("EquilibriumResult", "comparisons frames ensemble checks")):
+    """comparisons holds one HistogramComparison per saved frame."""
+
+    __slots__ = ()
 
 
 def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
@@ -298,11 +274,7 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
                              ensemble=ensemble, checks=checks)
 
 
-@dataclass(frozen=True)
-class PointerResult:
-    statistics: MeasurementStatistics
-    measurement: object
-    checks: tuple
+PointerResult = namedtuple("PointerResult", "statistics measurement checks")
 
 
 def pointer_experiment(config: ExperimentConfig) -> PointerResult:

@@ -20,33 +20,34 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .hilbert import combine, hermitian_eigenvalues, identity, kron, matmul, norm, pauli
 
 IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ObservableSquare:
-    """3x3 arrangement of dim-4 Hermitian operators with +-1 spectra."""
+class ObservableSquare(namedtuple("ObservableSquare", "cells labels")):
+    """3x3 arrangement of dim-4 Hermitian operators with +-1 spectra:
+    `cells` is a 3x3 nested tuple of 4x4 `hilbert` operators, `labels`
+    one of short strings."""
 
-    cells: tuple            # 3x3 nested tuple of 4x4 `hilbert` operators
-    labels: tuple           # 3x3 nested tuple of short strings
+    __slots__ = ()
 
     def cell(self, row: int, col: int) -> tuple:
         return self.cells[row][col]
 
 
-@dataclass(frozen=True)
-class ContextConstraint:
-    """Product of the +-1 values at `member_indices` must equal the sign."""
+class ContextConstraint(namedtuple("ContextConstraint",
+                                   "member_indices required_product_sign label",
+                                   defaults=("",))):
+    """Product of the +-1 values at `member_indices`, ((row, col), ...)
+    cell coordinates, must equal the sign."""
 
-    member_indices: tuple   # ((row, col), ...) cell coordinates
-    required_product_sign: int
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.required_product_sign not in (+1, -1):
             raise ValueError("required_product_sign must be +1 or -1")
         if len(set(self.member_indices)) != len(self.member_indices):
@@ -54,6 +55,7 @@ class ContextConstraint:
         for r, c in self.member_indices:
             if not (0 <= r < 3 and 0 <= c < 3):
                 raise ValueError(f"cell index {(r, c)} outside the square")
+        return self
 
 
 def build_mermin_square() -> ObservableSquare:

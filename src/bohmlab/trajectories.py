@@ -13,7 +13,7 @@ pair reproduces positions bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,31 +21,26 @@ from . import rng, threads, wavefield
 from .wavefield import PotentialSpec, SpinorField, velocity_field
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Positions of n trajectories at the stored frame times."""
+class Ensemble(namedtuple("Ensemble", "frame_times positions aborted", defaults=((),))):
+    """Positions of n trajectories at the stored frame times: frame_times
+    is (n_frames,), positions (n_trajectories, n_frames) with NaN after an
+    abort, aborted the ids of the trajectories that left the grid."""
 
-    frame_times: np.ndarray          # (n_frames,)
-    positions: np.ndarray            # (n_trajectories, n_frames), NaN after abort
-    aborted: tuple = ()              # trajectory ids that left the grid
+    __slots__ = ()
 
     @property
     def n_trajectories(self) -> int:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
-class HistogramComparison:
-    bin_edges: np.ndarray
-    empirical_mass: np.ndarray
-    theoretical_mass: np.ndarray
-    total_variation: float
+HistogramComparison = namedtuple(
+    "HistogramComparison", "bin_edges empirical_mass theoretical_mass total_variation")
 
 
-@dataclass(frozen=True)
-class NoCrossingReport:
-    violations: int
-    first_violation: tuple | None    # ((id_lower, id_upper), frame_index)
+class NoCrossingReport(namedtuple("NoCrossingReport", "violations first_violation")):
+    """first_violation is ((id_lower, id_upper), frame_index), or None."""
+
+    __slots__ = ()
 
 
 def sample_positions(field: SpinorField, n: int, seed: int) -> np.ndarray:
@@ -96,9 +91,11 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     x_nodes = grid.nodes
 
     x0 = np.array(initial_positions, dtype=float)
-    positions = np.full((x0.size, len(times)), np.nan)
-    positions[:, 0] = x0
     order = np.argsort(x0, kind="stable")
+    # rows[i, j]: trajectory order[j] at frame i, so that each frame is
+    # stored as one contiguous row; the rows are reordered once at the end
+    rows = np.empty((len(times), x0.size))
+    rows[0] = x0[order]
 
     h = float(spacing[0]) / substeps_per_frame
     # stage[2 * (substeps_per_frame * i + s) + j], j = 0, 1, 2: the fields
@@ -131,11 +128,11 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
             if escaped.any():
                 alive = alive & ~escaped
                 x = np.where(alive, x, np.nan)
-            positions[ids, i + 1] = x
+            rows[i + 1, lo:hi] = x
         return alive
 
     n = x0.size
-    if threads.two_threads(positions.size):
+    if threads.two_threads(rows.size):
         with threads.Helper() as helper:
             lower = helper.submit(advance, 0, n // 2)
             upper = advance(n // 2, n)
@@ -144,6 +141,8 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
         alive = advance(0, n)
 
     aborted = tuple(int(i) for i in np.sort(order[~alive]))
+    positions = np.empty((n, len(times)))
+    positions[order] = rows.T
     positions.flags.writeable = False
     return Ensemble(frame_times=times, positions=positions, aborted=aborted)
 

@@ -40,7 +40,7 @@ holds, sqrt(k_max^2 + 2 max V), crosses the edge zone between two checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -54,20 +54,22 @@ class BoundaryMassError(RuntimeError):
     """Raised when probability mass reaches the edge of the periodic grid."""
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform periodic grid; node j sits at x_min + j*dx, j = 0..n-1."""
+class Grid1D(namedtuple("Grid1D", "x_min x_max n_points")):
+    """Uniform periodic grid; node j sits at x_min + j*dx, j = 0..n-1.
+    It has no `__slots__`: `cached_property` keeps the arrays in its
+    `__dict__`, writing there directly, and no assignment may replace them."""
 
-    x_min: float
-    x_max: float
-    n_points: int
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         n = self.n_points
         if n < 256 or n > 16384 or (n & (n - 1)) != 0:
             raise ValueError("n_points must be a power of two in [256, 16384]")
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Grid1D is immutable")
 
     @property
     def length(self) -> float:
@@ -103,30 +105,29 @@ class Grid1D:
         return k
 
 
-@dataclass(frozen=True)
-class MagnetSpec:
+class MagnetSpec(namedtuple("MagnetSpec", "mu_b tau")):
     """Impulsive deflection magnet: mu_b is the coupling (moment times
     field gradient), tau the transit time; only the product matters."""
 
-    mu_b: float
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mu_b < 0:
             raise ValueError("mu_b must be nonnegative")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        return self
 
     @property
     def kick(self) -> float:
         return self.mu_b * self.tau
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    kind: str                     # "free" | "harmonic"
-    omega: float = 1.0
-    center: float = 0.0
+class PotentialSpec(namedtuple("PotentialSpec", "kind omega center", defaults=(1.0, 0.0))):
+    """kind is "free" or "harmonic"."""
+
+    __slots__ = ()
 
     @classmethod
     def free(cls) -> "PotentialSpec":
@@ -259,12 +260,12 @@ def magnet_kick(field: SpinorField, magnet: MagnetSpec) -> SpinorField:
     return SpinorField(field.grid, field.up * phase, field.down * np.conj(phase), field.time)
 
 
-@dataclass(frozen=True)
-class BranchSupports:
-    up_interval: tuple | None      # (left, right) or None when the branch is empty
-    down_interval: tuple | None
-    gap: float                     # between the intervals: < 0 where they overlap,
-                                   # inf when a branch is empty
+class BranchSupports(namedtuple("BranchSupports", "up_interval down_interval gap")):
+    """Each interval is (left, right), or None when its branch is empty;
+    gap lies between them: < 0 where they overlap, inf when a branch is
+    empty."""
+
+    __slots__ = ()
 
     @property
     def separated(self) -> bool:

@@ -1,6 +1,5 @@
 import os
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ def pytest_terminal_summary(terminalreporter):
 def shipped_config(name: str, **overrides):
     """The config of `configs/<name>.cfg`, with fields such as n_trials
     or n_frames replaced to shrink a run."""
-    return replace(parse_config((CONFIG_DIR / f"{name}.cfg").read_text()), **overrides)
+    return parse_config((CONFIG_DIR / f"{name}.cfg").read_text())._replace(**overrides)
 
 
 def analytic_free_gaussian(grid: Grid1D, width: float, t: float,

@@ -382,6 +382,14 @@ class TestKeyTable:
                 reads.add(key_of[name])
             return get(self, name)
 
+        # the recorder sees a read of every field
+        with monkeypatch.context() as m:
+            m.setattr(ExperimentConfig, "__getattribute__", recording)
+            cfg = default_config("equilibrium")
+            for attr in key_of:
+                getattr(cfg, attr)
+        assert reads == set(key_of.values())
+
         union = {scenario: set() for scenario in SCENARIO_KEYS}
         runs = [(shipped_config(name, **fields, n_trials=200), f"{name}{fields}")
                 for name, fields in KEY_RUNS]
@@ -459,12 +467,12 @@ class TestImportScope:
                  "bohmlab.nogo", "bohmlab.hilbert"}
 
     @staticmethod
-    def loaded(code, *argv):
-        """The bohmlab and numpy modules loaded after `code` ran with
+    def loaded(code, *argv, packages=("bohmlab", "numpy"), env=None):
+        """The modules of `packages` loaded after `code` ran with
         sys.argv[1:] = argv, and what else it printed."""
         code += ("\nprint(json.dumps(sorted(m for m in sys.modules"
-                 " if m.split('.')[0] in ('bohmlab', 'numpy'))))")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+                 f" if m.split('.')[0] in {packages!r})))")
+        env = dict(env or os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code, *argv],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -488,8 +496,12 @@ class TestImportScope:
 
     @pytest.mark.parametrize("check", NOGO_SCENARIOS)
     def test_a_nogo_run_loads_no_numpy(self, tmp_path, check):
+        # nor `dataclasses` (the records are namedtuples), nor the
+        # `inspect`, `dis` and `ast` that it would load
         code = f"import bohmlab.cli\nassert bohmlab.cli.main({['nogo', check]!r} + sys.argv[1:]) == 0"
-        modules, _ = self.loaded(code, "--out", str(tmp_path), "--quiet")
+        modules, _ = self.loaded(code, "--out", str(tmp_path), "--quiet",
+                                 packages=("bohmlab", "numpy", "dataclasses", "inspect", "dis",
+                                           "ast"))
         assert modules == self.NOGO_PATH
 
     @pytest.mark.parametrize("scenario", SIM_SCENARIOS)
@@ -505,13 +517,30 @@ class TestImportScope:
             argv = ["sim", scenario.replace("_", "-"), "--trajectories", "200",
                     "--out", str(tmp_path / scenario), "--quiet"]
             code += f"assert bohmlab.cli.main({argv!r}) in (0, 1)\n"
-        modules, _ = self.loaded(code)
-        assert modules >= self.SIM_ONLY and "bohmlab.nogo" not in modules
+        modules, _ = self.loaded(code, packages=("bohmlab", "numpy", "dataclasses"))
+        assert modules >= self.SIM_ONLY and not modules & {"bohmlab.nogo", "dataclasses"}
 
     def test_a_library_call_freezes_nothing(self, tmp_path):
         frozen = gc.get_freeze_count()
         assert run("nogo", "chsh", out=tmp_path) == 0
         assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+    def test_the_entry_point_asks_openblas_for_one_thread_unless_told(self, tmp_path,
+                                                                      preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os\nimport bohmlab.cli\nassert bohmlab.cli.main() == 0\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        _, printed = self.loaded(code, "nogo", "chsh", "--out", str(tmp_path), "--quiet",
+                                 env=env)
+        assert printed == [expected]
+
+    def test_a_library_call_leaves_openblas_alone(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run("nogo", "chsh", out=tmp_path) == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
