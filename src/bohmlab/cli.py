@@ -27,6 +27,12 @@ Nothing in a file depends on the clock, so re-running an invocation
 reproduces every file byte for byte.
 The exit status is 0 exactly when all declared checks pass.  A `nogo`
 run never imports numpy: here only the table writers that use it do.
+
+`python -m bohmlab.cli` and the `bohmlab` script run `entry_point()`:
+it calls `main()`, flushes stdout and stderr and ends the process with
+`os._exit(status)`, skipping the interpreter's teardown; if a flush
+fails it exits the ordinary way, which reports the failure.  A library
+call `main(argv)` is unchanged: it returns the exit status.
 """
 
 from __future__ import annotations
@@ -315,21 +321,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one invocation.  Called with no arguments it is the process
-    entry point (`python -m bohmlab.cli`, the `bohmlab` script): it reads
-    sys.argv and first freezes every object made so far, the interpreter's
-    and the imports', out of the garbage collector.  They live until exit,
-    so the collections during the run and the final one at exit need not
-    walk them.  Before numpy loads, it also asks OpenBLAS for one thread
-    unless the environment sets `OPENBLAS_NUM_THREADS`: no bohmlab call
-    is large enough for BLAS threads, and their idle workers spin on the
-    CPU that the run's own helper thread needs.  A library call with an
-    argument list changes neither."""
+    """Run one invocation and return its exit status.  Called with no
+    arguments, as `entry_point` calls it for `python -m bohmlab.cli` and
+    the `bohmlab` script, it reads sys.argv and first freezes every object
+    made so far, the interpreter's and the imports', out of the garbage
+    collector.  They live until exit, so the collections during the run
+    need not walk them.  Before numpy loads, it also asks OpenBLAS for
+    one thread unless the environment sets `OPENBLAS_NUM_THREADS`: no
+    bohmlab call is large enough for BLAS threads, and their idle workers
+    spin on the CPU that the run's own helper thread needs.  A library
+    call with an argument list changes neither."""
     if argv is None:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         gc.freeze()
     return dispatch(build_parser().parse_args(argv))
 
 
+def entry_point() -> None:
+    """The process entry point (`python -m bohmlab.cli`, the `bohmlab`
+    script): run `main()`, flush stdout and stderr, and end the process
+    with `os._exit(status)`.  Every output file is closed and every helper
+    thread has ended by then, so the interpreter's teardown (freeing every
+    module and object one by one) would only cost time.  If a flush
+    fails, the ordinary exit runs instead, and it reports the failure."""
+    status = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:          # None: the stream was closed at start
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import rng
+from . import rng, threads
 from .config import Check, ExperimentConfig
 from .conditional import CouplingSpec, run_pointer_measurement
 from .hilbert import spin_rotation
@@ -260,10 +260,18 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
         initial = config.init_a + (config.init_b - config.init_a) * \
             rng.uniforms(config.seed, config.n_trials)
     ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
-    comparisons = tuple(
-        equilibrium_distance(ensemble, i, frames[i], config.n_bins)
-        for i in range(len(frames))
-    )
+
+    def compare(lo, hi):
+        return [equilibrium_distance(ensemble, i, frames[i], config.n_bins)
+                for i in range(lo, hi)]
+
+    # a large ensemble compares the first half of the frames on a helper
+    # thread (`threads.two_threads`) while this thread compares the rest
+    half = len(frames) // 2
+    with threads.Helper(threads.two_threads(ensemble.positions.size)) as helper:
+        lower = helper.submit(compare, 0, half)
+        upper = compare(half, len(frames))
+        comparisons = tuple(lower() + upper)
     max_tv = max(c.total_variation for c in comparisons)
     checks = (
         _no_aborted_check(len(ensemble.aborted)),

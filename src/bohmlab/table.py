@@ -17,7 +17,7 @@ a numpy mask, one per table, drops the zero bytes as the chunk is written
 in slices below malloc's mmap threshold, so the calling thread allocates
 nothing large per chunk.  A table of 2**18 rows or more, on two usable
 CPUs (`threads.two_threads`), formats the next chunk on a helper thread
-while this one is written.
+while this one is written, in chunks four times as large.
 
 This module and its tables are loaded by the first table a run writes,
 so a run that writes none (a no-go check) does not pay for them.
@@ -290,7 +290,16 @@ def _rows(cells, sep: str, buffer: np.ndarray):
     return buffer, text
 
 
-_CHUNK_VALUES = 2**13          # values formatted per chunk, about; bounds the memory used
+# Values formatted per chunk, about.  The chunk bounds the memory a table
+# uses; on two threads a larger one also hands work between them less
+# often.  Writing the seed-7 `equilibrium_harmonic` ensemble (2.05M rows)
+# on two threads took 233, 184, 174, 174 and 181 ms at 2**12, 2**13,
+# 2**14, 2**15 and 2**16 values per chunk (2-core VM, medians of three
+# processes of 7 writes each), so a table on two threads takes 2**15.  A
+# table on one thread keeps 2**13: with 2**15 for every table the peak
+# memory of a `stern_gerlach --dump-frames` run rose from 37.2 to 40.8 MB.
+_CHUNK_VALUES = 2**13
+_TWO_THREAD_CHUNK_VALUES = 2**15
 _COMPACT_BYTES = 2**17 - 2**12  # text compacted per write: below malloc's 128 KiB mmap threshold
 
 
@@ -302,8 +311,9 @@ def write_table(path, header, columns, sep: str = ",") -> None:
     Rows are written a chunk at a time, never the whole text at once.  A
     column of length 1 along the first axis (an ensemble's frame times)
     is formatted once for the whole table; each chunk formats about
-    _CHUNK_VALUES values of the other columns, on a helper thread when
-    `threads.two_threads` holds for the table's rows."""
+    _CHUNK_VALUES values of the other columns, or, on a helper thread
+    when `threads.two_threads` holds for the table's rows, about
+    _TWO_THREAD_CHUNK_VALUES."""
     columns = [np.asarray(c) for c in columns]
     for c in columns:
         if c.dtype.kind not in "iuf":
@@ -316,7 +326,9 @@ def write_table(path, header, columns, sep: str = ",") -> None:
             return
         fixed = [_cells([c])[0] if c.shape[0] == 1 else None for c in columns]
         per_row = sum(math.prod(c.shape[1:]) for c, f in zip(columns, fixed) if f is None)
-        step = max(1, _CHUNK_VALUES // max(1, per_row))
+        two_threads = threads.two_threads(math.prod(shape))
+        chunk = _TWO_THREAD_CHUNK_VALUES if two_threads else _CHUNK_VALUES
+        step = max(1, chunk // max(1, per_row))
 
         def chunk_cells(lo):
             fresh = iter(_cells([c[lo:lo + step] for c, f in zip(columns, fixed) if f is None]))
@@ -327,7 +339,7 @@ def write_table(path, header, columns, sep: str = ",") -> None:
         # moved: the row buffer and the mask are reused, and numpy drops the
         # zero bytes (without holding the interpreter lock) a slice at a time
         buffer, mask = np.empty(0, np.uint8), np.empty(_COMPACT_BYTES, bool)
-        with threads.Helper(threads.two_threads(math.prod(shape))) as helper:
+        with threads.Helper(two_threads) as helper:
             pending = helper.submit(chunk_cells, 0)
             for lo in range(0, shape[0], step):
                 cells = pending()

@@ -1,8 +1,10 @@
 """When a run uses a second thread, and the one helper thread it uses.
 
-Two stages of an equilibrium run are numpy work that releases the
-interpreter lock: formatting a table's chunks (`table.write_table`)
-and advancing trajectories (`trajectories.integrate`).  On a large input,
+Three stages of an equilibrium run are numpy work that releases the
+interpreter lock: formatting a table's chunks (`table.write_table`),
+advancing trajectories (`trajectories.integrate`) and comparing the
+ensemble with |psi|^2 at every frame (`experiments.equilibrium_experiment`
+through `trajectories.equilibrium_distance`).  On a large input,
 with two or more usable CPUs, each hands part of its work to a helper
 thread and does the rest meanwhile.  Every value is computed by the same
 arithmetic on either thread, so the results do not depend on whether a

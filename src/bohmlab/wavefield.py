@@ -148,26 +148,32 @@ class PotentialSpec(namedtuple("PotentialSpec", "kind omega center", defaults=(1
 
 
 class SpinorField:
-    """Immutable snapshot of a two-component wave function at one time.
+    """Immutable snapshot of a two-component wave function at one time,
+    or a stack of such snapshots.
 
-    `psi` is the read-only (2, n_points) array; `up` and `down` are its
-    row views.
+    `psi` is the read-only (2, n_points) array, or (frames, 2, n_points)
+    for a stack, whose `time` is then an array of one time per frame;
+    `up` and `down` are its component views.  `evolve` and
+    `velocity_field` act on every frame of a stack at once, as on each
+    frame alone, bit for bit.
     """
 
-    def __init__(self, grid: Grid1D, up: np.ndarray, down: np.ndarray, time: float = 0.0):
-        if np.shape(up) != (grid.n_points,) or np.shape(down) != (grid.n_points,):
+    def __init__(self, grid: Grid1D, up: np.ndarray, down: np.ndarray, time=0.0):
+        shape = np.shape(up)
+        if len(shape) > 2 or shape[-1:] != (grid.n_points,) or np.shape(down) != shape:
             raise ValueError("component arrays must match the grid")
-        psi = np.array([up, down], dtype=complex)
+        psi = np.stack((up, down), axis=-2, dtype=complex)
         psi.flags.writeable = False
         self.grid = grid
         self.psi = psi
-        self.up, self.down = psi
-        self.time = float(time)
+        self.up, self.down = psi[..., 0, :], psi[..., 1, :]
+        self.time = float(time) if psi.ndim == 2 else np.array(time, dtype=float)
 
     def density(self) -> np.ndarray:
-        return np.sum(np.abs(self.psi) ** 2, axis=0)
+        return np.sum(np.abs(self.psi) ** 2, axis=-2)
 
     def norm(self) -> float:
+        """The norm of a single field."""
         return float(np.sum(self.density()) * self.grid.dx)
 
 
@@ -195,23 +201,29 @@ def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
 
 def check_boundary(grid: Grid1D, psi: np.ndarray) -> None:
     """Boundary monitor: raise BoundaryMassError when more than 1e-6 of the
-    mass of the (2, n_points) amplitudes lies in the grid's edge zone."""
-    edge_mass = float(np.sum(np.abs(psi[:, grid.edge_mask]) ** 2) * grid.dx)
-    if edge_mass > BOUNDARY_MASS_LIMIT:
+    mass of the (2, n_points) amplitudes, or of any field of a
+    (frames, 2, n_points) stack, lies in the grid's edge zone; the message
+    gives the edge mass of the first such field."""
+    edge = np.abs(psi[..., grid.edge_mask]) ** 2
+    edge_mass = np.sum(edge.reshape(*edge.shape[:-2], -1), axis=-1) * grid.dx
+    over = np.flatnonzero(edge_mass > BOUNDARY_MASS_LIMIT)
+    if over.size:
         raise BoundaryMassError(
-            f"{edge_mass:.3e} of the mass entered the outer "
+            f"{np.ravel(edge_mass)[over[0]]:.3e} of the mass entered the outer "
             f"{BOUNDARY_EDGE_FRACTION:.0%} of the grid; enlarge the domain")
 
 
 def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) -> SpinorField:
     """Advance the field by steps*dt with the exact propagator (module
     docstring); only the product matters, and the returned time is
-    field.time + steps*dt.
+    field.time + steps*dt.  A stack of fields advances frame by frame as
+    each field alone would, in one FFT pair per checkpoint.
 
     The boundary monitor checks psi at ceil(steps*dt*s / edge zone) equal
     checkpoints, s = sqrt(k_max^2 + 2 max V), and raises BoundaryMassError
     once more than 1e-6 of the probability mass lies in the outer 5% of
-    the grid.
+    the grid: in a stack, for the first field over that limit at the first
+    checkpoint where one is.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -238,7 +250,7 @@ def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) 
         if chirp is not None:
             psi = chirp * psi
         check_boundary(grid, psi)
-    return SpinorField(grid, *psi, time=field.time + span)
+    return SpinorField(grid, psi[..., 0, :], psi[..., 1, :], time=field.time + span)
 
 
 def evolve_frames(field: SpinorField, potential: PotentialSpec, frame_dt: float,
@@ -310,31 +322,29 @@ def branch_supports(field: SpinorField, threshold: float) -> BranchSupports:
 
 
 def velocity_field(field: SpinorField) -> np.ndarray:
-    """Guiding velocity v = Im(psi^dag dpsi/dx) / (psi^dag psi) per node.
+    """Guiding velocity v = Im(psi^dag dpsi/dx) / (psi^dag psi) per node:
+    an (n_points,) array, or (frames, n_points) for a stack.
 
     The derivative is spectral.  Nodes whose density falls below 1e-12
-    of the peak take the velocity of the nearest live node, and speeds
-    are capped at k_max: the law of motion is singular at nodes of the
-    wave function, and trajectories almost surely avoid them, but the
-    floating-point grid needs a rule.
+    of the field's peak take the velocity of the nearest live node (the
+    left one on a tie), and speeds are capped at k_max: the law of motion
+    is singular at nodes of the wave function, and trajectories almost
+    surely avoid them, but the floating-point grid needs a rule.
     """
     grid = field.grid
+    n = grid.n_points
     dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(field.psi))
     rho = field.density()
-    current = np.imag(np.sum(np.conj(field.psi) * dpsi, axis=0))
+    current = np.imag(np.sum(np.conj(field.psi) * dpsi, axis=-2))
 
-    eps = NODE_DENSITY_FRACTION * float(rho.max())
-    live = rho >= eps
-    v = np.zeros(grid.n_points)
-    if not live.any():
-        return v
-    v[live] = current[live] / rho[live]
-    if not live.all():
-        idx = np.arange(grid.n_points)
-        live_idx = idx[live]
-        pos = np.searchsorted(live_idx, idx[~live])
-        left = live_idx[np.clip(pos - 1, 0, live_idx.size - 1)]
-        right = live_idx[np.clip(pos, 0, live_idx.size - 1)]
-        nearest = np.where(np.abs(idx[~live] - left) <= np.abs(right - idx[~live]), left, right)
-        v[~live] = v[nearest]
+    live = rho >= NODE_DENSITY_FRACTION * rho.max(axis=-1, keepdims=True)
+    v = np.divide(current, rho, out=np.zeros_like(rho), where=live)
+    # the nearest live node on each side; a missing one lies n or more
+    # nodes away, so it never wins over one that exists
+    idx = np.arange(n)
+    left = np.maximum.accumulate(np.where(live, idx, -n), axis=-1)
+    right = np.minimum.accumulate(np.where(live, idx, 2 * n)[..., ::-1], axis=-1)[..., ::-1]
+    nearest = np.where(idx - left <= right - idx, left, right)
+    # (% n matters only in a field with no live node, where every v is 0)
+    v = np.take_along_axis(v, nearest % n, axis=-1)
     return np.clip(v, -grid.k_max, grid.k_max)

@@ -429,6 +429,75 @@ class TestMain:
         assert hist[1] == "frame,bin_left,bin_right,empirical,theoretical"
 
 
+class TestEntryPoint:
+    """`python -m bohmlab.cli` flushes stdout and stderr and ends with
+    `os._exit`, each test in a child process.  PYTHONUNBUFFERED is left
+    out of the child's environment, so that its report waits in stdout's
+    buffer until the flush."""
+
+    @staticmethod
+    def cli(*argv, stdout=subprocess.PIPE):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        return subprocess.run([sys.executable, "-m", "bohmlab.cli", *argv], env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
+
+    def test_a_pass_exits_0(self, tmp_path):
+        proc = self.cli("nogo", "chsh", "--out", str(tmp_path), "--quiet")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert (tmp_path / "report.json").exists()
+
+    def test_a_fail_verdict_exits_1(self, tmp_path):
+        config = tmp_path / "short_flight.cfg"
+        config.write_text((CONFIG_DIR / "stern_gerlach.cfg").read_text()
+                          .replace("flight_time = auto", "flight_time = 0.05"))
+        proc = self.cli("sim", "stern-gerlach", "--config", str(config), "--trajectories", "200",
+                        "--out", str(tmp_path / "out"), "--quiet")
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "branches_separated" in [c["name"] for c in report["checks"] if not c["passed"]]
+        assert report["exit_status"] == 1
+
+    def test_a_bad_config_exits_2_with_one_error_line(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("scenario = stern_gerlach\ngrid.n_points = 1000\n")
+        proc = self.cli("sim", "stern-gerlach", "--config", str(config), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+    def test_the_whole_report_arrives_through_a_pipe(self, tmp_path):
+        proc = self.cli("nogo", "mermin", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (tmp_path / "report.txt").read_text()
+
+    def test_a_failed_flush_takes_the_ordinary_exit(self, tmp_path):
+        # the pipe has no reader, so flushing the report fails; the
+        # ordinary exit tries again and reports it with status 120
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.cli("nogo", "chsh", "--out", str(tmp_path), stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 120
+        assert "BrokenPipeError" in proc.stderr
+
+    def test_the_interpreter_teardown_is_skipped(self, tmp_path):
+        code = ("import atexit, bohmlab.cli\n"
+                "atexit.register(print, 'teardown ran')\n"
+                "bohmlab.cli.entry_point()\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, "nogo", "chsh", "--out", str(tmp_path),
+                               "--quiet"], env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+
+    def test_the_script_is_the_entry_point(self):
+        import tomllib
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert project["scripts"] == {"bohmlab": "bohmlab.cli:entry_point"}
+
+
 def test_every_package_export_resolves():
     import bohmlab
     assert [name for name in bohmlab.__all__ if not hasattr(bohmlab, name)] == []
@@ -547,8 +616,9 @@ class TestImportScope:
                     reason="needs 2 usable CPUs to compare against a one-CPU run")
 @pytest.mark.parametrize("name,trajectories,flags,threaded", [
     # 7000 x 41 = 287,000 values, more than one chunk of the table writer
-    # and at least threads.MIN_VALUES, so that unpinned, both the writer
-    # and integrate use a second thread
+    # and at least threads.MIN_VALUES, so that unpinned, the writer (in
+    # chunks of 2**15 values), integrate and the histogram comparisons use
+    # a second thread; pinned, the writer takes chunks of 2**13
     pytest.param("equilibrium_free", 7000, (), True, id="equilibrium_free-7000"),
     pytest.param("equilibrium_harmonic", 2000, (), False, id="equilibrium_harmonic-2000"),
     pytest.param("stern_gerlach", 200, ("--dump-frames",), False, id="stern_gerlach-200"),
@@ -558,18 +628,20 @@ class TestImportScope:
 ])
 def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, name, trajectories, flags, threaded):
     # the pinned child pins itself before numpy loads its BLAS; each child
-    # prints which of write_table and integrate started a thread
+    # prints the functions that started a helper thread: those whose
+    # `with` block entered a threaded `threads.Helper`
     code = ("import os, sys, threading, traceback\n"
             "if sys.argv[1] == 'pinned':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "import bohmlab.cli\n"
             "callers, start = set(), threading.Thread.start\n"
             "def spy(thread):\n"
-            "    callers.update(frame.name for frame in traceback.extract_stack())\n"
+            "    names = [frame.name for frame in traceback.extract_stack()]\n"
+            "    callers.add(names[names.index('__enter__') - 1])\n"
             "    start(thread)\n"
             "threading.Thread.start = spy\n"
             "status = bohmlab.cli.main(sys.argv[2:])\n"
-            "print(sorted(callers & {'integrate', 'write_table'}))\n"
+            "print(sorted(callers))\n"
             "sys.exit(status)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     config = CONFIG_DIR / f"{name}.cfg"
@@ -583,8 +655,8 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, name, trajectories, fl
         # a FAIL verdict (1) is compared like a PASS: report.json holds it
         assert proc.returncode in (0, 1), proc.stderr
         two_threads = threaded and mode == "unpinned"
-        assert proc.stdout.splitlines()[-1] == str(["integrate", "write_table"] if two_threads
-                                                   else [])
+        helpers = ["equilibrium_experiment", "integrate", "write_table"]
+        assert proc.stdout.splitlines()[-1] == str(helpers if two_threads else [])
 
     def files(mode):
         root = tmp_path / mode

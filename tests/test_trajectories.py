@@ -11,6 +11,7 @@ from bohmlab.trajectories import (
     sample_positions,
 )
 from bohmlab.wavefield import (
+    BoundaryMassError,
     Grid1D,
     PotentialSpec,
     SpinorField,
@@ -219,6 +220,48 @@ class TestOrderedIntegration:
         assert np.array_equal(ens.positions.view(np.uint64), positions.view(np.uint64))
         assert ens.aborted == aborted
         assert ens.aborted
+
+    @pytest.mark.parametrize("potential", [FREE, HARMONIC], ids=["free", "harmonic"])
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_stacked_stage_fields_match_the_per_stage_reference(self, grid512, potential,
+                                                                substeps):
+        # two packets far apart, so that the nodes between and beyond them
+        # fall below the density threshold and take the nearest live
+        # velocity; starts placed there follow those filled velocities.
+        # 10 intervals fill more than one stack of frames.
+        x = grid512.nodes
+        psi = (np.exp(-((x + 8.0) ** 2) / 2.0 - 0.3j * x)
+               + 0.5 * np.exp(-((x - 8.0) ** 2) / 2.0 + 0.3j * x))
+        psi /= np.sqrt(2 * np.sum(np.abs(psi) ** 2) * grid512.dx)
+        frames = evolve_frames(SpinorField(grid512, psi, 1j * psi), potential, 0.1, 10)
+        live = frames[0].density() >= 1e-12 * frames[0].density().max()
+        starts = np.array([-13.5, -0.5, 0.0, 0.5, 13.5])
+        assert not live[np.searchsorted(x, starts)].any()
+        x0 = np.concatenate((sample_positions(frames[0], 300, seed=6), starts))
+        ens = integrate(frames, x0, potential, substeps_per_frame=substeps)
+        positions, aborted = integrate_in_given_order(frames, x0, potential, substeps)
+        assert np.array_equal(ens.positions.view(np.uint64), positions.view(np.uint64))
+        assert ens.aborted == aborted
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_the_first_stage_field_at_the_edge_in_time_order_raises(self, grid512, substeps):
+        # frame 0 drifts into the edge zone only at a later checkpoint of
+        # its stage evolutions, while frame 2 starts in it; in time order
+        # frame 0 fails first, and its error is the one raised
+        times = np.linspace(0.0, 2.4, 5)
+        rest = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
+        frames = [SpinorField(grid512, f.up, f.down, time=t) for f, t in zip(
+            [gaussian_packet(grid512, 11.3, 0.5, 10.0, 1.0, 0.0), rest,
+             gaussian_packet(grid512, 12.5, 0.5, 0.0, 1.0, 0.0), rest, rest], times)]
+        x0 = sample_positions(rest, 100, seed=1)
+        with pytest.raises(BoundaryMassError) as reference:
+            integrate_in_given_order(frames, x0, FREE, substeps)
+        with pytest.raises(BoundaryMassError) as frame_2:
+            evolve(frames[2], FREE, 0.3 / substeps, 1)
+        assert str(frame_2.value) != str(reference.value)
+        with pytest.raises(BoundaryMassError) as raised:
+            integrate(frames, x0, FREE, substeps_per_frame=substeps)
+        assert str(raised.value) == str(reference.value)
 
     def test_bit_identical_on_one_and_two_threads(self, usable_cpus, escaping_run):
         frames, x0 = escaping_run

@@ -77,6 +77,22 @@ class TestSpinorField:
             SpinorField(grid512, psi, psi[:-1])
 
 
+    def test_a_stack_holds_one_time_per_frame(self, grid512):
+        frames = [gaussian_packet(grid512, c, 1.0, 0.5, 0.6, 0.8) for c in (-1.0, 0.0, 2.0)]
+        stack = SpinorField(grid512, [f.up for f in frames], [f.down for f in frames],
+                            time=[0.0, 0.5, 1.0])
+        assert stack.psi.shape == (3, 2, grid512.n_points)
+        for f, psi in zip(frames, stack.psi):
+            assert np.array_equal(psi, f.psi)
+        assert np.array_equal(stack.up, stack.psi[:, 0]) and np.shares_memory(stack.up, stack.psi)
+        assert np.array_equal(stack.time, [0.0, 0.5, 1.0])
+        ups = np.zeros((3, grid512.n_points), complex)
+        with pytest.raises(ValueError):
+            SpinorField(grid512, ups, ups[:2])
+        with pytest.raises(ValueError):
+            SpinorField(grid512, ups[None], ups[None])
+
+
 class TestGaussianPacket:
     def test_pure_up_spinor(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
@@ -137,6 +153,16 @@ class TestEvolve:
         f = gaussian_packet(grid512, 0.0, 1.0, 16.0, 1.0, 0.0)
         with pytest.raises(BoundaryMassError):
             evolve(f, PotentialSpec.free(), 2.0, 1)
+
+    def test_a_stack_raises_for_its_first_field_at_the_edge(self, grid512):
+        frames = [gaussian_packet(grid512, c, 0.5, 0.0, 1.0, 0.0) for c in (0.0, 12.5, 12.3)]
+        stack = SpinorField(grid512, [f.up for f in frames], [f.down for f in frames],
+                            time=[0.0, 0.0, 0.0])
+        with pytest.raises(BoundaryMassError) as alone:
+            evolve(frames[1], PotentialSpec.free(), 0.01, 1)
+        with pytest.raises(BoundaryMassError) as stacked:
+            evolve(stack, PotentialSpec.free(), 0.01, 1)
+        assert str(stacked.value) == str(alone.value)
 
     def test_negative_steps_rejected(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
@@ -347,6 +373,46 @@ class TestVelocityField:
         v = velocity_field(f)
         assert np.all(np.isfinite(v))
         assert np.max(np.abs(v)) <= grid512.k_max
+
+
+    def test_dead_nodes_take_the_nearest_live_velocity(self, grid512):
+        # dead runs at both ends and in two gaps, of even and odd length
+        # (the middle node of the odd gap is a tie, won by the left node)
+        x = grid512.nodes
+        amplitude = np.ones(grid512.n_points)
+        for lo, hi in ((0, 3), (100, 102), (200, 203), (508, 512)):
+            amplitude[lo:hi] = 1e-8
+        f = SpinorField(grid512, amplitude * np.exp(0.3j * x**2 + 0.01j * x**3),
+                        np.zeros(grid512.n_points))
+        v = velocity_field(f)
+        live = np.flatnonzero(f.density() >= 1e-12 * f.density().max())
+        assert live.size == grid512.n_points - 12
+        assert np.unique(v[live]).size == live.size     # a wrong neighbour would show
+        for j in sorted(set(range(grid512.n_points)) - set(live)):
+            nearest = live[np.argmin(np.abs(live - j))]  # the first, i.e. left, on a tie
+            assert v[j] == v[nearest], j
+
+    @pytest.mark.parametrize("potential", [PotentialSpec.free(), PotentialSpec.harmonic(1.0)],
+                             ids=["free", "harmonic"])
+    def test_a_stack_gives_each_frame_its_own_bits(self, grid512, potential):
+        # frames with sub-threshold tails and a dead gap, and a NaN frame,
+        # whose velocities are all 0: one frame's values never reach another
+        x = grid512.nodes
+        frames = [gaussian_packet(grid512, c, w, p, 0.6, 0.8)
+                  for c, w, p in ((-3.0, 0.5, 2.0), (0.0, 1.0, -1.0), (4.0, 0.3, 0.0))]
+        two = np.exp(-((x + 7.0) ** 2) / 2.0 + 0.5j * x) + np.exp(-((x - 7.0) ** 2) / 2.0)
+        frames += [SpinorField(grid512, two, 0.5 * two),
+                   SpinorField(grid512, np.full(grid512.n_points, np.nan), np.zeros(512))]
+        stack = SpinorField(grid512, [f.up for f in frames], [f.down for f in frames],
+                            time=[f.time for f in frames])
+        evolved = evolve(stack, potential, 0.3, 1)
+        velocities = velocity_field(evolved)
+        for i, f in enumerate(frames):
+            alone = evolve(f, potential, 0.3, 1)
+            assert np.array_equal(evolved.psi[i].view(np.uint64), alone.psi.view(np.uint64))
+            assert np.array_equal(velocities[i].view(np.uint64),
+                                  velocity_field(alone).view(np.uint64))
+        assert np.all(velocities[-1] == 0.0)
 
 
 class TestContinuity:
