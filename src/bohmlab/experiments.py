@@ -35,14 +35,9 @@ _AXIS_VECTORS = {
 }
 
 
-class MeasurementStatistics(namedtuple(
-        "MeasurementStatistics",
-        "counts frequencies born_probabilities three_sigma_halfwidths expectation_value")):
-    __slots__ = ()
-
-    @property
-    def n_trials(self) -> int:
-        return int(sum(self.counts))
+MeasurementStatistics = namedtuple(
+    "MeasurementStatistics",
+    "counts frequencies born_probabilities three_sigma_halfwidths expectation_value")
 
 
 def measurement_statistics(counts, born_probabilities) -> MeasurementStatistics:

@@ -1,23 +1,37 @@
 """The one table writer: int and float columns as text, a chunk at a time.
 
-`write_table` formats whole columns in numpy and must give the same bytes
-as `serialize.fmt` (`"%.17g"` for a double) on every value.  For a finite
-nonzero x with decimal exponent E it forms the 17-digit significand
-|x|*10**(16-E) as |x|*2**(16-E) times 5**(16-E), held as a double-double
+Every table of a run (`ensemble.csv`, `trials.csv`, `histograms.csv`, the
+frame dumps) goes through `write_table`, which formats whole columns in
+numpy and must give the same bytes as `serialize.fmt` on every value; a
+column of another dtype raises `TypeError`, since `fmt` would write it
+differently.  An int column is written with numpy's `astype`, as wide
+as the chunk's longest value.  For a finite nonzero double x with
+decimal exponent E, the 17-digit significand |x|*10**(16-E) of `"%.17g"`
+is formed as |x|*2**(16-E) times 5**(16-E), held as a double-double
 table built exactly at import, with Dekker's TwoProduct (Numer. Math. 18,
-224 (1971)), and rounds it half to even.  The product is exact where
+224 (1971)), and rounded half to even.  The product is exact where
 5**(16-E) is a double; elsewhere its error is proved below 2**-47, and
 only a value within a margin of a rounding tie goes through `"%.17g" % x`,
 the fast path with an exact fallback of Grisu3 (Loitsch, PLDI 2010).  The
 digits are laid out in fixed or exponent notation as `%.17g` chooses, as
 a dense 24-byte cell: the text left-aligned and contiguous, then zero
-bytes.  +-0, nan and +-inf are constant cells.  Each chunk of rows is one
-byte buffer in which every cell is written once at its column's offset;
-a numpy mask, one per table, drops the zero bytes as the chunk is written
-in slices below malloc's mmap threshold, so the calling thread allocates
-nothing large per chunk.  A table of 2**18 rows or more, on two usable
-CPUs (`threads.two_threads`), formats the next chunk on a helper thread
-while this one is written, in chunks four times as large.
+bytes.  +-0, nan and +-inf are constant cells.
+
+A chunk of rows (about 2**13 values, so no table's text is ever held
+whole) is one byte buffer in which each column's cells sit at their
+offset.  A fixed column, one that repeats in every row block such as an
+ensemble's frame times, is formatted once per table and cut to its
+longest text; it, the separators and the newlines are laid out only
+when the cell widths or chunk shape change.  A mask drops the zero bytes
+as the text is written, _COMPACT_BYTES (124 KiB) at a time.  Buffer and
+mask are reused, so per chunk the calling thread allocates nothing of
+128 KiB or more, which glibc may serve with mmap at a page-fault cost
+that depends on all the run did before.  A table of
+2**18 rows or more, on two usable CPUs (`threads.two_threads`), formats
+the next chunk on a helper thread while this one is laid out, compacted
+and written, in chunks of about 2**15 values.  A chunk's text is a
+function of its values alone, so the bytes depend neither on the chunk
+size nor on the thread or CPU count.
 
 This module and its tables are loaded by the first table a run writes,
 so a run that writes none (a no-go check) does not pay for them.
@@ -267,27 +281,31 @@ def _cells(arrays) -> list:
     return cells
 
 
-def _rows(cells, sep: str, buffer: np.ndarray):
-    """One chunk of rows as zero-padded text: the cells of each column
-    written once into one buffer of rows, each followed by `sep` or, at
-    the end of a row, a newline.  The text is the first bytes of the
-    uint8 `buffer` if it is large enough, every one of them written
-    again, or else of a new buffer; returns the buffer and the text."""
+def _rows(cells, fixed, sep: str, buffer: np.ndarray, layout):
+    """One chunk of rows as zero-padded text, the first bytes of the uint8
+    `buffer` if it is large enough: each column's cells at its offset in
+    every row, followed by `sep` or, at the end of a row, a newline.  If
+    `layout` (cell widths, chunk shape) is this chunk's, only the columns
+    not flagged in `fixed` are written.  Returns buffer, text, layout."""
     shape = np.broadcast_shapes(*(c.shape[:-1] for c in cells))
-    size = math.prod(shape) * sum(c.shape[-1] + 1 for c in cells)
+    widths = tuple(c.shape[-1] for c in cells)
+    new = layout != (widths, shape)
+    size = math.prod(shape) * (sum(widths) + len(widths))
     if buffer.size < size:
         buffer = np.empty(size, np.uint8)
     text = buffer[:size]
     rows = text.reshape(*shape, -1)
     at = 0
-    for c in cells:
-        w = c.shape[-1]
-        # as one w-byte item per cell, which numpy copies faster than w bytes
-        rows[..., at:at + w].view(f"V{w}")[..., 0] = c.view(f"V{w}")[..., 0]
-        rows[..., at + w] = ord(sep)
+    for c, w, f in zip(cells, widths, fixed):
+        if new or not f:
+            # as one w-byte item per cell, which numpy copies faster than w bytes
+            rows[..., at:at + w].view(f"V{w}")[..., 0] = c.view(f"V{w}")[..., 0]
+        if new:
+            rows[..., at + w] = ord(sep)
         at += w + 1
-    rows[..., -1] = ord("\n")
-    return buffer, text
+    if new:
+        rows[..., -1] = ord("\n")
+    return buffer, text, (widths, shape)
 
 
 # Values formatted per chunk, about.  The chunk bounds the memory a table
@@ -308,12 +326,9 @@ def write_table(path, header, columns, sep: str = ",") -> None:
     or float arrays that broadcast together; rows run over the broadcast
     shape in C order), each value as `fmt` writes it, joined by `sep`.
 
-    Rows are written a chunk at a time, never the whole text at once.  A
-    column of length 1 along the first axis (an ensemble's frame times)
-    is formatted once for the whole table; each chunk formats about
-    _CHUNK_VALUES values of the other columns, or, on a helper thread
-    when `threads.two_threads` holds for the table's rows, about
-    _TWO_THREAD_CHUNK_VALUES."""
+    A column of length 1 along the first axis is a fixed column; each
+    chunk formats about _CHUNK_VALUES values of the others, or
+    _TWO_THREAD_CHUNK_VALUES on two threads (see the module docstring)."""
     columns = [np.asarray(c) for c in columns]
     for c in columns:
         if c.dtype.kind not in "iuf":
@@ -324,7 +339,10 @@ def write_table(path, header, columns, sep: str = ",") -> None:
         fh.write("".join(h + "\n" for h in header).encode())
         if 0 in shape:
             return
+        # a fixed column's cells, cut to its longest text
         fixed = [_cells([c])[0] if c.shape[0] == 1 else None for c in columns]
+        fixed = [f if f is None else np.ascontiguousarray(f[..., :np.count_nonzero(
+            f.reshape(-1, f.shape[-1]).any(axis=0))]) for f in fixed]
         per_row = sum(math.prod(c.shape[1:]) for c, f in zip(columns, fixed) if f is None)
         two_threads = threads.two_threads(math.prod(shape))
         chunk = _TWO_THREAD_CHUNK_VALUES if two_threads else _CHUNK_VALUES
@@ -339,13 +357,14 @@ def write_table(path, header, columns, sep: str = ",") -> None:
         # moved: the row buffer and the mask are reused, and numpy drops the
         # zero bytes (without holding the interpreter lock) a slice at a time
         buffer, mask = np.empty(0, np.uint8), np.empty(_COMPACT_BYTES, bool)
+        layout, is_fixed = None, [f is not None for f in fixed]
         with threads.Helper(two_threads) as helper:
             pending = helper.submit(chunk_cells, 0)
             for lo in range(0, shape[0], step):
                 cells = pending()
                 if lo + step < shape[0]:
                     pending = helper.submit(chunk_cells, lo + step)
-                buffer, text = _rows(cells, sep, buffer)
+                buffer, text, layout = _rows(cells, is_fixed, sep, buffer, layout)
                 del cells
                 for at in range(0, text.size, _COMPACT_BYTES):
                     piece = text[at:at + _COMPACT_BYTES]

@@ -34,7 +34,10 @@ _STACK_VALUES = 2**12
 class Ensemble(namedtuple("Ensemble", "frame_times positions aborted", defaults=((),))):
     """Positions of n trajectories at the stored frame times: frame_times
     is (n_frames,), positions (n_trajectories, n_frames) with NaN after an
-    abort, aborted the ids of the trajectories that left the grid."""
+    abort, aborted the ids of the trajectories that left the grid.
+    `integrate` stores positions frame-major, as the read-only transpose
+    of an (n_frames, n_trajectories) array, so a frame's column
+    positions[:, i] is contiguous."""
 
     __slots__ = ()
 
@@ -105,7 +108,7 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     x0 = np.array(initial_positions, dtype=float)
     order = np.argsort(x0, kind="stable")
     # rows[i, j]: trajectory order[j] at frame i, so that each frame is
-    # stored as one contiguous row; the rows are reordered once at the end
+    # stored as one contiguous row; the columns are put in id order at the end
     rows = np.empty((len(times), x0.size))
     rows[0] = x0[order]
 
@@ -169,10 +172,11 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
         alive = advance(0, n)
 
     aborted = tuple(int(i) for i in np.sort(order[~alive]))
-    positions = np.empty((n, len(times)))
-    positions[order] = rows.T
-    positions.flags.writeable = False
-    return Ensemble(frame_times=times, positions=positions, aborted=aborted)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    frame_major = rows.take(rank, axis=1)
+    frame_major.flags.writeable = False
+    return Ensemble(frame_times=times, positions=frame_major.T, aborted=aborted)
 
 
 def check_no_crossing(ensemble: Ensemble) -> NoCrossingReport:

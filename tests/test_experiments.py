@@ -39,13 +39,13 @@ class TestAbortedTrajectories:
 
     def test_stern_gerlach(self, one_aborted_per_run):
         res = experiments.stern_gerlach(default_config("stern_gerlach", n_trials=200, n_frames=8))
-        assert res.statistics.n_trials == 199
+        assert sum(res.statistics.counts) == 199
         assert not {c.name: c.passed for c in res.checks}["no_aborted_trajectories"]
 
     def test_no_crossing(self, one_aborted_per_run):
         res = experiments.no_crossing_check(default_config("no_crossing", n_trials=200,
                                                            n_frames=8))
-        assert res.statistics.n_trials == 199
+        assert sum(res.statistics.counts) == 199
         assert res.inference_accuracy == 1.0
         flags = {c.name: c.passed for c in res.checks}
         assert not flags["no_aborted_trajectories"]
@@ -261,7 +261,7 @@ class TestPointerExperiment:
         cfg = default_config("pointer", n_trials=2000)
         res = experiments.pointer_experiment(cfg)
         assert all(c.passed for c in res.checks)
-        assert res.statistics.n_trials == 2000
+        assert sum(res.statistics.counts) == 2000
 
     def test_branch_overlap_of_the_coupled_state(self):
         disjoint = experiments.pointer_experiment(shipped_config("pointer", n_trials=200))

@@ -278,6 +278,23 @@ class TestOrderedIntegration:
         escaped = [i for i in one.aborted if np.isfinite(one.positions[i, 1])]
         assert min(x0[escaped]) < middle < max(x0[escaped])
 
+    def test_frames_are_contiguous_read_only_columns(self, usable_cpus, escaping_run):
+        frames, x0 = escaping_run
+        reference, aborted = integrate_in_given_order(frames, x0, FREE, 1)
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            ens = integrate(frames, x0, FREE)
+            assert ens.aborted == aborted
+            for i in range(len(frames)):
+                column = ens.positions[:, i]
+                assert column.flags.c_contiguous
+                assert np.array_equal(column.view(np.uint64), reference[:, i].view(np.uint64))
+            assert not ens.positions.base.flags.writeable
+            with pytest.raises(ValueError):
+                ens.positions[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                ens.positions[:, 1] = 0.0
+
 
 class TestNoCrossing:
     def test_rigid_translation_has_no_violations(self, grid512):

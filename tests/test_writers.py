@@ -264,7 +264,8 @@ def test_constants_need_one_significand_pass(monkeypatch):
 def edge_tables():
     """Every table kind over the edge values, each with its writer and
     its reference text: ids cross 9 -> 10 and 99,999 -> 100,000 inside
-    a chunk, and the ensemble's frame times are one broadcast column."""
+    a chunk, the ensemble's frame times are one broadcast column, and
+    the `fixed_column_tables`."""
     values = np.array(EDGE_VALUES)
     ensemble = Ensemble(frame_times=values, positions=np.resize(values, (13, values.size)))
     collapsed = np.zeros((values.size, 2), dtype=complex)
@@ -292,7 +293,25 @@ def edge_tables():
         "ids": (lambda path: write_table(path, [], [ids[:, None], values[:3], rows]),
                 "".join(f"{i},{fmt(t)},{fmt(v)}\n" for i, row in zip(ids, rows)
                         for t, v in zip(values[:3], row))),
+        **fixed_column_tables(values),
     }
+
+
+def fixed_column_tables(values):
+    """Tables whose fixed column (cut to its longest text, laid out once
+    per layout) follows ids that widen between chunks (9 -> 10, 99 ->
+    100), so that the column moves, and whose last chunk is short."""
+    n, tables = 103, {}
+    for name, times in {"24-bytes": [0.5, -1.2345678901234567e-308, 2.0],
+                        "zeros": [0.0, -0.0, 0.0], "one-byte": [0.0, 0.0]}.items():
+        rows = np.resize(values, (n, len(times)))
+        columns = [np.arange(n)[:, None], np.array(times), rows]
+        tables[f"fixed-{name}"] = (
+            lambda path, columns=columns: write_table(path, [], columns),
+            "".join(f"{i},{fmt(t)},{fmt(v)}\n" for i in range(n) for t, v in zip(times, rows[i])))
+    tables["fixed-one-row"] = (lambda path: write_table(path, [], [np.arange(n), values[6:7]]),
+                               "".join(f"{i},{fmt(values[6])}\n" for i in range(n)))
+    return tables
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 97, table._CHUNK_VALUES])
