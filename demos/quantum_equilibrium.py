@@ -28,7 +28,7 @@ def run(label, cfg):
     for i in (0, len(tvs) // 2, len(tvs) - 1):
         t = result.frames[i].time
         print(f"  frame {i:3d} (t = {t:6.3f}): TV = {tvs[i]:.4f}")
-    print(f"  max over all frames: {max(tvs):.4f}  (tolerance {cfg.tv_tolerance})")
+    print(f"  max over all frames: {max(tvs):.4f}  (tolerance {experiments.TV_TOLERANCE})")
     return result
 
 

@@ -1,7 +1,7 @@
 """Spin measurement as particle deflection.
 
 A spinor wave packet passes an inhomogeneous magnet, modeled as an
-instantaneous phase kick exp(+-i mu_b tau x) on the two spin components.
+instantaneous phase kick exp(+-i mu_b x) on the two spin components.
 Free flight then separates the components into an upper and a lower
 branch; each trajectory, guided by the wave, ends up in exactly one of
 them.  The fraction deflected upward reproduces |alpha|^2 without ever
@@ -21,7 +21,7 @@ cfg = default_config("stern_gerlach", alpha=complex(ALPHA), beta=complex(BETA),
                      n_trials=4000, n_frames=32)
 
 print(f"spin state: ({ALPHA}, {BETA})  ->  P(up) = {ALPHA**2:.2f}, P(down) = {BETA**2:.2f}")
-print(f"magnet kick mu_b*tau = {cfg.magnet_mu_b * cfg.magnet_tau}, "
+print(f"magnet kick mu_b = {cfg.magnet_mu_b}, "
       f"packet width = {cfg.packet_width}")
 
 result = experiments.stern_gerlach(cfg)

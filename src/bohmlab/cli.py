@@ -25,8 +25,10 @@ pointer scenario `trials.csv`, the equilibrium scenario
 and every CSV table begin with the config hash; the frame dumps do not.
 Nothing in a file depends on the clock, so re-running an invocation
 reproduces every file byte for byte.
-The exit status is 0 exactly when all declared checks pass.  A `nogo`
-run never imports numpy: here only the table writers that use it do.
+The exit status is 0 exactly when all declared checks pass.  A config
+that its run would reject fails in `config.validate_config`, before the
+output directory is made.  A `nogo` run never imports numpy: here only
+the table writers that use it do.
 
 `python -m bohmlab.cli` and the `bohmlab` script run `entry_point()`:
 it calls `main()`, flushes stdout and stderr and ends the process with

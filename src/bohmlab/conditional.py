@@ -3,8 +3,8 @@
 The joint wave function Psi(i, y) over (spin component i, pointer
 position y) is a `SpinorField` over the pointer coordinate, the same
 type that carries a Stern-Gerlach packet over the particle position.
-Its ready state, spin (alpha, beta) times a Gaussian pointer packet at
-rest, is built by `wavefield.gaussian_packet` with zero momentum.  An
+Its ready state, spin (alpha, beta) times a unit-width Gaussian pointer
+packet at rest at y = 0, is built by `wavefield.gaussian_packet`.  An
 ideal impulsive coupling translates the pointer packet of component 1 by
 +shift and of component 2 by -shift, producing the branch form
 
@@ -31,6 +31,9 @@ from .wavefield import (
     check_boundary,
     gaussian_packet,
 )
+
+
+POINTER_CENTER, POINTER_WIDTH = 0.0, 1.0    # the ready packet; outcomes split at its center
 
 
 class CouplingSpec(namedtuple("CouplingSpec", "shift")):
@@ -118,8 +121,7 @@ class PointerMeasurement(namedtuple(
 
 
 def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpec,
-                            n_trials: int, seed: int, grid: Grid1D,
-                            center: float = 0.0, width: float = 1.0) -> PointerMeasurement:
+                            n_trials: int, seed: int, grid: Grid1D) -> PointerMeasurement:
     """Sample pointer outcomes from the post-coupling marginal density.
 
     Trial i draws its pointer position with counter i of the master
@@ -131,12 +133,12 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    ready = gaussian_packet(grid, center, width, 0.0, alpha, beta)
+    ready = gaussian_packet(grid, POINTER_CENTER, POINTER_WIDTH, 0.0, alpha, beta)
     coupled = apply_coupling(ready, coupling)
 
     ys = rng.sample_from_density(grid.nodes, coupled.density(), n_trials, seed)
     collapsed = conditional_state(coupled, ys)
-    outcome = np.where(ys >= center, 1, 2)
+    outcome = np.where(ys >= POINTER_CENTER, 1, 2)
     purity = np.abs(collapsed[np.arange(n_trials), outcome - 1]) ** 2
     n1 = int(np.count_nonzero(outcome == 1))
     return PointerMeasurement(y=ys, outcome=outcome, collapsed=collapsed,

@@ -17,17 +17,19 @@ x/y/z letters; `flight_time` accepts `auto`.
 `SCENARIO_KEYS` says which keys each scenario reads, built from key
 groups (`scenario` itself aside):
 
-    stern_gerlach, no_crossing  run, spin, grid, packet, magnet, potential (19)
-    sequential                  the same plus axes (20)
-    equilibrium                 run, spin, grid, packet, potential, equilibrium (21)
-    pointer                     run, spin, grid, pointer (10)
+    stern_gerlach, no_crossing  run, spin, grid, packet, magnet, potential (17)
+    sequential                  the same plus axes (18)
+    equilibrium                 run, spin, grid, packet, potential, equilibrium (19)
+    pointer                     run, spin, grid, pointer (8)
     mermin, vonneumann, chsh    none
 
 A key read only under a condition (`potential.omega` and
 `potential.center`, `init.a` and `init.b`) belongs to every scenario that
 may read it.  A key its scenario does not read is fatal, in a file and
 in `default_config` alike; an unknown key is fatal, with the nearest key
-its scenario reads suggested.
+its scenario reads suggested.  `validate_config` names the key of any
+value that the run would reject: the specs' rules, the packet's (for
+`pointer`, its fixed pointer packet's) and an auto flight time's.
 
 The canonical form of a config is the sorted `key = value` listing of
 `scenario` and the keys its scenario reads (defaults filled in, floats
@@ -62,7 +64,6 @@ class Check(namedtuple("Check", "name passed detail")):
 _FIELD_DEFAULTS = {
     "seed": DEFAULT_SEED,
     "n_trials": 20000,
-    "n_bins": 64,
     "n_frames": 64,
     "substeps_per_frame": 1,
     "alpha": complex(1 / math.sqrt(2)),
@@ -74,18 +75,13 @@ _FIELD_DEFAULTS = {
     "packet_width": 1.0,
     "packet_momentum": 0.0,
     "magnet_mu_b": 5.0,
-    "magnet_tau": 1.0,
     "flight_time": None,                # None = separation rule
-    "branch_threshold": 0.01,
     "potential_kind": "free",
     "potential_omega": 1.0,
     "potential_center": 0.0,
     "duration": 2.0,
-    "tv_tolerance": 0.03,
     "axes": ("z", "x"),
     "pointer_shift": 10.0,
-    "pointer_width": 1.0,
-    "pointer_center": 0.0,
     "init_kind": "born",                # "born" | "uniform"
     "init_a": 0.0,
     "init_b": 1.0,
@@ -105,15 +101,11 @@ class ExperimentConfig(namedtuple("ExperimentConfig", ["scenario", *_FIELD_DEFAU
 
     def magnet(self):
         from .wavefield import MagnetSpec
-        return MagnetSpec(self.magnet_mu_b, self.magnet_tau)
+        return MagnetSpec(self.magnet_mu_b)
 
     def potential(self):
         from .wavefield import PotentialSpec
-        if self.potential_kind == "free":
-            return PotentialSpec.free()
-        if self.potential_kind == "harmonic":
-            return PotentialSpec.harmonic(self.potential_omega, self.potential_center)
-        raise ConfigError(f"kind must be 'free' or 'harmonic', got {self.potential_kind!r}")
+        return PotentialSpec(self.potential_kind, self.potential_omega, self.potential_center)
 
 
 def _to_int(s: str) -> int:
@@ -158,19 +150,13 @@ _PACKET = {"n_frames": ("n_frames", _to_int),
            "packet.center": ("packet_center", _to_float),
            "packet.width": ("packet_width", _to_float),
            "packet.momentum": ("packet_momentum", _to_float)}
-_MAGNET = {"magnet.mu_b": ("magnet_mu_b", _to_float), "magnet.tau": ("magnet_tau", _to_float),
-           "flight_time": ("flight_time", _to_flight),
-           "branch_threshold": ("branch_threshold", _to_float)}
+_MAGNET = {"magnet.mu_b": ("magnet_mu_b", _to_float), "flight_time": ("flight_time", _to_flight)}
 _POTENTIAL = {"potential.kind": ("potential_kind", str),
               "potential.omega": ("potential_omega", _to_float),
               "potential.center": ("potential_center", _to_float)}
-_EQUILIBRIUM = {"n_bins": ("n_bins", _to_int), "duration": ("duration", _to_float),
-                "tolerance.total_variation": ("tv_tolerance", _to_float),
-                "init.kind": ("init_kind", str), "init.a": ("init_a", _to_float),
-                "init.b": ("init_b", _to_float)}
-_POINTER = {"pointer.shift": ("pointer_shift", _to_float),
-            "pointer.width": ("pointer_width", _to_float),
-            "pointer.center": ("pointer_center", _to_float)}
+_EQUILIBRIUM = {"duration": ("duration", _to_float), "init.kind": ("init_kind", str),
+                "init.a": ("init_a", _to_float), "init.b": ("init_b", _to_float)}
+_POINTER = {"pointer.shift": ("pointer_shift", _to_float)}
 _AXES = {"axes": ("axes", _to_axes)}
 _DEFLECTION = (_RUN, _SPIN, _GRID, _PACKET, _MAGNET, _POTENTIAL)
 
@@ -273,44 +259,44 @@ def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    if not SCENARIO_KEYS[config.scenario]:
+    """Raise ConfigError naming the key of a value its run would reject."""
+    keys = SCENARIO_KEYS[config.scenario]
+    if not keys:
         return                          # a no-go check reads no key
-    from .conditional import CouplingSpec
-    spin_norm = abs(config.alpha) ** 2 + abs(config.beta) ** 2
-    if abs(spin_norm - 1.0) > 1e-9:
-        raise ConfigError("spin normalization invariant violated: "
-                          f"|alpha|^2 + |beta|^2 = {spin_norm:.12g}, must be 1 within 1e-9")
-    for prefix, build in (("grid", config.grid), ("magnet", config.magnet),
-                          ("potential", config.potential),
-                          ("pointer", lambda: CouplingSpec(config.pointer_shift))):
+    from .conditional import POINTER_CENTER, POINTER_WIDTH, CouplingSpec
+    from .wavefield import check_placement, check_spin
+    if config.scenario == "pointer":    # its packet is fixed: its grid must hold it
+        packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_min, grid.x_max: the pointer's "
+    else:
+        packet, at = (config.packet_center, config.packet_width), "packet."
+    rules = [("spin.alpha, spin.beta: ", lambda: check_spin(config.alpha, config.beta)),
+             ("grid.", config.grid), ("magnet.", config.magnet),
+             ("potential.", config.potential),
+             ("pointer.", lambda: CouplingSpec(config.pointer_shift)),
+             (at, lambda: check_placement(config.grid(), *packet))]
+    if "magnet.mu_b" in keys and config.flight_time is None:
+        rules.append(("magnet.", lambda: config.magnet().separation_time(config.packet_width)))
+    for prefix, check in rules:
         try:
-            build()
+            check()
         except ValueError as exc:
-            raise ConfigError(f"{prefix}.{exc}") from None
+            raise ConfigError(f"{prefix}{exc}") from None
     if not 0 <= config.seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64)")
     if config.n_trials < 1:
         raise ConfigError("n_trials must be at least 1")
-    if config.n_bins < 10:
-        raise ConfigError("n_bins must be at least 10")
     if config.n_frames < 1:
         raise ConfigError("n_frames must be at least 1")
     if config.substeps_per_frame < 1:
         raise ConfigError("substeps_per_frame must be at least 1")
-    if not config.packet_width > 0:
-        raise ConfigError("packet.width must be positive")
     if config.flight_time is not None and not config.flight_time > 0:
         raise ConfigError("flight_time must be positive (or auto)")
-    if not 0.0 < config.branch_threshold < 1.0:
-        raise ConfigError("branch_threshold must lie in (0, 1)")
     if config.scenario == "sequential" and len(config.axes) < 2:
         raise ConfigError("sequential runs need at least 2 axes")
     if config.init_kind not in ("born", "uniform"):
         raise ConfigError("init.kind must be 'born' or 'uniform'")
     if config.init_kind == "uniform" and not config.init_b > config.init_a:
         raise ConfigError("init.b must exceed init.a for a uniform initialization")
-    if not config.pointer_width > 0:
-        raise ConfigError("pointer.width must be positive")
 
 
 def _format_value(attr: str, value) -> str:

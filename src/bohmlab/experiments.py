@@ -70,13 +70,10 @@ def detection_time(config: ExperimentConfig) -> float:
     branch separation 2*kick*T reaches 10 spread packet widths."""
     if config.flight_time is not None:
         return config.flight_time
-    k = config.magnet().kick
-    w = config.packet_width
-    disc = 4.0 * k * k - 25.0 / (w * w)
-    if disc <= 0.0:
-        raise ValueError("magnet too weak to separate the branches by 10 widths; "
-                         "increase magnet.mu_b*magnet.tau or set flight_time")
-    return 10.0 * w / math.sqrt(disc)
+    return config.magnet().separation_time(config.packet_width)
+
+
+BRANCH_THRESHOLD = 0.01     # of a branch's mass left outside its support
 
 
 def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
@@ -93,7 +90,7 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
     potential = config.potential()
     frames = evolve_frames(kicked, potential, flight / config.n_frames, config.n_frames)
 
-    branches = branch_supports(frames[-1], config.branch_threshold)
+    branches = branch_supports(frames[-1], BRANCH_THRESHOLD)
     initial = sample_positions(frames[0], n_trials, seed)
     ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
     axis_position = config.packet_center + config.packet_momentum * flight
@@ -238,6 +235,10 @@ class EquilibriumResult(namedtuple("EquilibriumResult", "comparisons frames ense
     __slots__ = ()
 
 
+N_BINS = 64                 # equal bins of each histogram comparison
+TV_TOLERANCE = 0.03         # every frame's total variation must stay below this
+
+
 def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     """Evolve a packet (free or harmonic), start an ensemble distributed
     per the initial |psi|^2 (or a deliberately out-of-equilibrium uniform
@@ -257,7 +258,7 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
 
     def compare(lo, hi):
-        return [equilibrium_distance(ensemble, i, frames[i], config.n_bins)
+        return [equilibrium_distance(ensemble, i, frames[i], N_BINS)
                 for i in range(lo, hi)]
 
     # a large ensemble compares the first half of the frames on a helper
@@ -270,8 +271,8 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     max_tv = max(c.total_variation for c in comparisons)
     checks = (
         _no_aborted_check(len(ensemble.aborted)),
-        Check("equivariance_total_variation", max_tv < config.tv_tolerance,
-              f"max TV {max_tv:.6f} vs tolerance {config.tv_tolerance}"),
+        Check("equivariance_total_variation", max_tv < TV_TOLERANCE,
+              f"max TV {max_tv:.6f} vs tolerance {TV_TOLERANCE}"),
     )
     return EquilibriumResult(comparisons=comparisons, frames=frames,
                              ensemble=ensemble, checks=checks)
@@ -286,8 +287,7 @@ def pointer_experiment(config: ExperimentConfig) -> PointerResult:
     collapse purity against the disjoint-branch criterion."""
     measurement = run_pointer_measurement(
         config.alpha, config.beta, CouplingSpec(config.pointer_shift),
-        config.n_trials, config.seed, config.grid(),
-        center=config.pointer_center, width=config.pointer_width)
+        config.n_trials, config.seed, config.grid())
     stats = measurement_statistics(measurement.counts,
                                    (abs(config.alpha) ** 2, abs(config.beta) ** 2))
     checks = (

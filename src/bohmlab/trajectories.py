@@ -218,18 +218,18 @@ def _cell_cdf(grid, density):
 
 
 def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: SpinorField,
-                         n_bins: int) -> HistogramComparison:
+                         bins: int) -> HistogramComparison:
     """Total-variation distance between the trajectory histogram at one
-    frame and the |psi|^2 mass of the same frame, on n_bins equal bins
+    frame and the |psi|^2 mass of the same frame, on `bins` equal bins
     spanning the grid."""
-    if n_bins < 10:
-        raise ValueError("n_bins must be at least 10")
+    if bins < 10:
+        raise ValueError("bins must be at least 10")
     pos = ensemble.positions[:, frame_index]
     pos = pos[np.isfinite(pos)]
     if pos.size == 0:
         raise ValueError("no surviving trajectories at this frame")
     grid = field_at_frame.grid
-    edges = np.linspace(grid.x_min, grid.x_max, n_bins + 1)
+    edges = np.linspace(grid.x_min, grid.x_max, bins + 1)
     counts, _ = np.histogram(pos, bins=edges)
     empirical = counts / pos.size
 

@@ -26,8 +26,8 @@ the fractional Fourier transform.  Every factor is unitary, so the norm is
 conserved to rounding noise, and none splits the interval for accuracy.
 
 An idealized deflection magnet enters as an instantaneous phase kick
-exp(+-i mu_b tau x) on the two components, after which free flight
-separates them with group velocities +-mu_b*tau.
+exp(+-i mu_b x) on the two components, after which free flight
+separates them with group velocities +-mu_b.
 
 The grid is periodic (spectral transforms), so configurations must keep
 their probability mass away from the edges; a boundary monitor aborts
@@ -105,9 +105,9 @@ class Grid1D(namedtuple("Grid1D", "x_min x_max n_points")):
         return k
 
 
-class MagnetSpec(namedtuple("MagnetSpec", "mu_b tau")):
-    """Impulsive deflection magnet: mu_b is the coupling (moment times
-    field gradient), tau the transit time; only the product matters."""
+class MagnetSpec(namedtuple("MagnetSpec", "mu_b")):
+    """Impulsive deflection magnet: mu_b is the momentum kick it gives
+    each spin component (moment times field gradient times transit time)."""
 
     __slots__ = ()
 
@@ -115,36 +115,35 @@ class MagnetSpec(namedtuple("MagnetSpec", "mu_b tau")):
         self = super().__new__(cls, *args, **kwargs)
         if self.mu_b < 0:
             raise ValueError("mu_b must be nonnegative")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
         return self
 
-    @property
-    def kick(self) -> float:
-        return self.mu_b * self.tau
+    def separation_time(self, width: float) -> float:
+        """Flight time after the kick by which the branches of a packet of
+        this width lie 10 spread widths apart."""
+        disc = 4.0 * self.mu_b * self.mu_b - 25.0 / (width * width)
+        if disc <= 0.0:
+            raise ValueError("mu_b too weak to separate the branches by 10 packet widths; "
+                             "increase it or fix the flight time")
+        return 10.0 * width / math.sqrt(disc)
 
 
 class PotentialSpec(namedtuple("PotentialSpec", "kind omega center", defaults=(1.0, 0.0))):
-    """kind is "free" or "harmonic"."""
+    """kind is "free" or "harmonic" (V = omega^2 (x - center)^2 / 2, omega > 0)."""
 
     __slots__ = ()
 
-    @classmethod
-    def free(cls) -> "PotentialSpec":
-        return cls(kind="free")
-
-    @classmethod
-    def harmonic(cls, omega: float, center: float = 0.0) -> "PotentialSpec":
-        if not omega > 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.kind not in ("free", "harmonic"):
+            raise ValueError(f"kind must be 'free' or 'harmonic', got {self.kind!r}")
+        if self.kind == "harmonic" and not self.omega > 0:
             raise ValueError("omega must be positive")
-        return cls(kind="harmonic", omega=omega, center=center)
+        return self
 
     def evaluate(self, grid: Grid1D) -> np.ndarray:
         if self.kind == "free":
             return np.zeros(grid.n_points)
-        if self.kind == "harmonic":
-            return 0.5 * self.omega**2 * (grid.nodes - self.center) ** 2
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        return 0.5 * self.omega**2 * (grid.nodes - self.center) ** 2
 
 
 class SpinorField:
@@ -177,22 +176,32 @@ class SpinorField:
         return float(np.sum(self.density()) * self.grid.dx)
 
 
-def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
-                    alpha: complex, beta: complex) -> SpinorField:
-    """Normalized spinor Gaussian exp(-(x-center)^2/(4 width^2) + i k x),
-    with the spin part (alpha, beta).
-
-    Rejects a spin part that is not normalized, a width that is not
-    positive, and a packet within 5 widths of a grid edge (the margin that
-    keeps a fresh packet clear of the boundary monitor).
-    """
+def check_spin(alpha: complex, beta: complex) -> None:
+    """Raise ValueError unless |alpha|^2 + |beta|^2 = 1 within 1e-9."""
     spin_norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(spin_norm - 1.0) > 1e-9:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {spin_norm}, must be 1 within 1e-9")
+        raise ValueError("spin normalization invariant violated: "
+                         f"|alpha|^2 + |beta|^2 = {spin_norm:.12g}, must be 1 within 1e-9")
+
+
+def check_placement(grid: Grid1D, center: float, width: float) -> None:
+    """Raise ValueError for a packet width that is not positive, or a
+    packet within 5 widths of a grid edge (the margin that keeps a fresh
+    packet clear of the boundary monitor)."""
     if not width > 0:
         raise ValueError("width must be positive")
     if center - 5 * width < grid.x_min or center + 5 * width > grid.x_max:
-        raise ValueError("packet must stay at least 5 widths from the grid boundaries")
+        raise ValueError(f"center must lie at least 5 widths ({5 * width:g}) inside the grid "
+                         f"[{grid.x_min:g}, {grid.x_max:g}], got {center:g}")
+
+
+def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
+                    alpha: complex, beta: complex) -> SpinorField:
+    """Normalized spinor Gaussian exp(-(x-center)^2/(4 width^2) + i k x),
+    with the spin part (alpha, beta); rejects what `check_spin` and
+    `check_placement` reject."""
+    check_spin(alpha, beta)
+    check_placement(grid, center, width)
     x = grid.nodes
     envelope = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
     envelope /= np.sqrt(np.sum(np.abs(envelope) ** 2) * grid.dx)
@@ -265,10 +274,10 @@ def evolve_frames(field: SpinorField, potential: PotentialSpec, frame_dt: float,
 
 
 def magnet_kick(field: SpinorField, magnet: MagnetSpec) -> SpinorField:
-    """Impulsive magnet: up gains phase exp(+i mu_b tau x), down the
+    """Impulsive magnet: up gains phase exp(+i mu_b x), down the
     conjugate phase, so subsequent free flight moves the components with
-    group velocities +-mu_b*tau."""
-    phase = np.exp(1j * magnet.kick * field.grid.nodes)
+    group velocities +-mu_b."""
+    phase = np.exp(1j * magnet.mu_b * field.grid.nodes)
     return SpinorField(field.grid, field.up * phase, field.down * np.conj(phase), field.time)
 
 

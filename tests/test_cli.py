@@ -184,8 +184,15 @@ class TestDispatch:
         assert (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("line", ["grid.n_points = 1000", "grid.x_max = -30",
+                                      # magnet.tau is an unknown key: mu_b is the kick
                                       "magnet.mu_b = -1", "magnet.tau = 0",
                                       "potential.kind = harmonic\npotential.omega = 0",
+                                      "potential.kind = bogus",
+                                      # rules of the packet and of an auto flight time,
+                                      # which the run would meet only once it started
+                                      "spin.beta = 0.5", "packet.width = 0",
+                                      "packet.center = 17", "magnet.mu_b = 0.5",
+                                      "grid.x_min = -4",
                                       # non-finite values, rejected while parsing
                                       "potential.kind = harmonic\npotential.center = inf",
                                       "duration = inf", "flight_time = inf", "spin.alpha = nan",
@@ -196,7 +203,9 @@ class TestDispatch:
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
         key = line.splitlines()[-1].split("=")[0].strip()
-        subcommand = "equilibrium" if key == "duration" else "stern-gerlach"
+        # duration is an equilibrium key; the pointer's packet is fixed, so its
+        # grid is at fault when the packet does not fit
+        subcommand = {"duration": "equilibrium", "grid.x_min": "pointer"}.get(key, "stern-gerlach")
         status = cli.main(["sim", subcommand, "--config", str(bad),
                            "--out", str(tmp_path / "out"), "--quiet"])
         assert status == 2
@@ -261,6 +270,28 @@ class TestDispatch:
         checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
         (separated,) = [c for c in checks if c["name"] == "branches_separated"]
         assert not separated["passed"] and separated["detail"].startswith("gap -")
+
+    def test_overlapping_pointer_branches_fail_collapse_purity(self, tmp_path):
+        # a shift of 4 widths leaves the branches overlapping: min purity ~0.992
+        cfg = tmp_path / "pointer.cfg"
+        cfg.write_text((CONFIG_DIR / "pointer.cfg").read_text()
+                       .replace("pointer.shift = 10.0", "pointer.shift = 4"))
+        assert run("sim", "pointer", "--config", str(cfg), out=tmp_path / "out") == 1
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        verdicts = {c["name"]: c["passed"] for c in checks}
+        assert verdicts == {"born_within_3sigma": True, "collapse_purity": False}
+
+    def test_a_sampler_one_cell_off_fails_the_born_check(self, tmp_path, monkeypatch):
+        # every start one grid cell too high: f_up ~0.40 against 0.36 +- 0.032
+        sample = experiments.sample_positions
+        monkeypatch.setattr(experiments, "sample_positions",
+                            lambda frame, n, seed: sample(frame, n, seed) + frame.grid.dx)
+        assert run("sim", "stern-gerlach", "--config", str(CONFIG_DIR / "stern_gerlach.cfg"),
+                   out=tmp_path / "out") == 1
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        verdicts = {c["name"]: c["passed"] for c in checks}
+        assert verdicts == {"branches_separated": True, "no_aborted_trajectories": True,
+                            "born_within_3sigma": False}
 
     @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",
                                             "nogo stern-gerlach", "nogo bogus"])
@@ -367,8 +398,8 @@ KEY_RUNS += [("equilibrium_free", {"init_kind": "uniform", "init_a": -2.5, "init
 class TestKeyTable:
     def test_keys_per_scenario(self):
         assert {s: len(keys) for s, keys in SCENARIO_KEYS.items()} == {
-            "stern_gerlach": 19, "sequential": 20, "no_crossing": 19, "equilibrium": 21,
-            "pointer": 10, "mermin": 0, "vonneumann": 0, "chsh": 0}
+            "stern_gerlach": 17, "sequential": 18, "no_crossing": 17, "equilibrium": 19,
+            "pointer": 8, "mermin": 0, "vonneumann": 0, "chsh": 0}
 
     def test_each_scenario_reads_exactly_its_keys(self, tmp_path, monkeypatch):
         # record the ExperimentConfig fields each runner reads, as config keys
@@ -501,6 +532,22 @@ class TestEntryPoint:
 def test_every_package_export_resolves():
     import bohmlab
     assert [name for name in bohmlab.__all__ if not hasattr(bohmlab, name)] == []
+
+
+def test_the_readme_states_every_check(tmp_path):
+    # the check column of the README's check table, against the checks that
+    # the shipped configs (shrunk) and the three no-go checks emit
+    section = (ROOT / "README.md").read_text().split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    documented = {row[2].strip().strip("`") for row in rows}
+    emitted = set()
+    runs = [shipped_config(path.stem, n_trials=200) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+    for i, cfg in enumerate([*runs, *map(default_config, NOGO_SCENARIOS)]):
+        out = tmp_path / str(i)
+        out.mkdir()
+        _, checks = cli.SCENARIOS[cfg.scenario][0](cfg, out, "0" * 64, False)
+        emitted |= {c.name for c in checks}
+    assert documented == emitted
 
 
 def test_no_run_imports_a_process_pool(tmp_path):

@@ -85,7 +85,7 @@ class TestDetectionTime:
     def test_matches_separation_rule(self):
         cfg = default_config("stern_gerlach")
         t = detection_time(cfg)
-        k, w = cfg.magnet_mu_b * cfg.magnet_tau, cfg.packet_width
+        k, w = cfg.magnet_mu_b, cfg.packet_width
         width_t = w * math.sqrt(1 + (t / (2 * w**2)) ** 2)
         assert 2 * k * t == pytest.approx(10 * width_t, rel=1e-12)
 
@@ -233,19 +233,20 @@ class TestNoCrossing:
         assert not res.symmetric_preparation
         flags = {c.name: c.passed for c in res.checks}
         assert not flags["symmetric_preparation"]
+        assert not flags["side_inference_exact"]
 
 
 class TestEquilibrium:
     def test_free_run_stays_in_equilibrium(self):
         cfg = default_config("equilibrium", n_trials=5000, n_frames=16)
         res = experiments.equilibrium_experiment(cfg)
-        assert all(c.total_variation < cfg.tv_tolerance for c in res.comparisons)
+        assert all(c.total_variation < experiments.TV_TOLERANCE for c in res.comparisons)
         assert all(c.passed for c in res.checks)
 
     def test_harmonic_run_stays_in_equilibrium(self):
         cfg = shipped_config("equilibrium_harmonic", n_trials=5000, n_frames=16)
         res = experiments.equilibrium_experiment(cfg)
-        assert all(c.total_variation < cfg.tv_tolerance for c in res.comparisons)
+        assert all(c.total_variation < experiments.TV_TOLERANCE for c in res.comparisons)
 
     def test_non_equilibrium_start_is_detected(self):
         cfg = default_config("equilibrium", n_trials=5000, n_frames=8,

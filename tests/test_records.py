@@ -18,8 +18,8 @@ RECORDS = [
     Check("name", True, "detail"),
     default_config("pointer"),
     Grid1D(-16.0, 16.0, 512),
-    MagnetSpec(5.0, 1.0),
-    PotentialSpec.harmonic(1.0),
+    MagnetSpec(5.0),
+    PotentialSpec("harmonic", 1.0),
     BranchSupports((-3.0, -1.0), (1.0, 3.0), 2.0),
     CouplingSpec(10.0),
     PointerMeasurement(np.zeros(1), np.ones(1, dtype=int), np.zeros((1, 2)), (1, 0), 1.0, 0.0),
@@ -59,7 +59,7 @@ def test_a_grid_keeps_its_cached_arrays():
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert PotentialSpec("free") == PotentialSpec.free() == ("free", 1.0, 0.0)
+    assert PotentialSpec("free") == ("free", 1.0, 0.0)
     assert Ensemble(np.zeros(2), np.zeros((1, 2))).aborted == ()
     assert nogo.ContextConstraint(((0, 0),), 1).label == ""
     assert default_config("chsh").seed == 42
@@ -70,9 +70,9 @@ def test_defaults_fill_the_trailing_fields():
     (lambda: Grid1D(x_min=0.0, x_max=1.0, n_points=300),
      "n_points must be a power of two in [256, 16384]"),
     (lambda: Grid1D(0.0, 1.0, 32768), "n_points must be a power of two in [256, 16384]"),
-    (lambda: MagnetSpec(-1.0, 1.0), "mu_b must be nonnegative"),
-    (lambda: MagnetSpec(mu_b=1.0, tau=0.0), "tau must be positive"),
-    (lambda: PotentialSpec.harmonic(0.0), "omega must be positive"),
+    (lambda: MagnetSpec(-1.0), "mu_b must be nonnegative"),
+    (lambda: PotentialSpec("harmonic", 0.0), "omega must be positive"),
+    (lambda: PotentialSpec("bogus"), "kind must be 'free' or 'harmonic', got 'bogus'"),
     (lambda: CouplingSpec(-0.5), "shift must be nonnegative"),
     (lambda: nogo.ContextConstraint(((0, 0),), 2), "required_product_sign must be +1 or -1"),
     (lambda: nogo.ContextConstraint(((0, 0), (0, 0)), 1), "member_indices must be distinct"),

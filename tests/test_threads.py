@@ -12,7 +12,7 @@ from bohmlab import table, threads
 from bohmlab.trajectories import integrate
 from bohmlab.wavefield import PotentialSpec
 
-FREE = PotentialSpec.free()
+FREE = PotentialSpec("free")
 
 
 @pytest.mark.parametrize("n_values,cpus,expected", [

@@ -23,8 +23,8 @@ from bohmlab.wavefield import (
 
 from conftest import analytic_coherent_state, analytic_free_gaussian, shipped_config
 
-FREE = PotentialSpec.free()
-HARMONIC = PotentialSpec.harmonic(1.0)
+FREE = PotentialSpec("free")
+HARMONIC = PotentialSpec("harmonic", 1.0)
 
 
 def plane_wave_frames(grid, k, times):
@@ -319,14 +319,14 @@ class TestNoCrossing:
 
 class TestEquilibriumDistance:
     def test_sampling_noise_scale_at_frame_zero(self, grid512):
-        n, n_bins = 50_000, 64
+        n, bins = 50_000, 64
         f = analytic_free_gaussian(grid512, 1.0, 0.0)
         x0 = sample_positions(f, n, seed=17)
         frames = [analytic_free_gaussian(grid512, 1.0, t) for t in (0.0, 0.1)]
         ens = integrate(frames, x0, FREE, substeps_per_frame=1)
-        comp = equilibrium_distance(ens, 0, frames[0], n_bins)
-        # multinomial noise bound for n draws over n_bins cells
-        assert comp.total_variation < 2 * np.sqrt(n_bins / n)
+        comp = equilibrium_distance(ens, 0, frames[0], bins)
+        # multinomial noise bound for n draws over that many cells
+        assert comp.total_variation < 2 * np.sqrt(bins / n)
         assert abs(comp.empirical_mass.sum() - 1.0) < 1e-9
         assert abs(comp.theoretical_mass.sum() - 1.0) < 1e-9
 

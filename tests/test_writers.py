@@ -101,7 +101,7 @@ def free_run():
     times = np.linspace(0.0, 2.0, 11)
     frames = [analytic_free_gaussian(grid, 1.0, t, momentum=1.0) for t in times]
     x0 = np.append(sample_positions(frames[0], 300, seed=3), 15.9)
-    ensemble = integrate(frames, x0, PotentialSpec.free(), substeps_per_frame=2)
+    ensemble = integrate(frames, x0, PotentialSpec("free"), substeps_per_frame=2)
     comparisons = tuple(equilibrium_distance(ensemble, i, frames[i], 20)
                         for i in range(len(frames)))
     return frames, ensemble, comparisons
