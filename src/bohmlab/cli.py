@@ -15,14 +15,18 @@ no seed, so `nogo` ignores --seed.
 `dispatch(args)`.  `SCENARIOS` is the one scenario table: it maps each
 scenario to its runner and to whether it honours --dump-frames, and the
 parser is built from it (a scenario in `config.NOGO_SCENARIOS` is a `nogo`
-subcommand, any other a `sim` one).  A runner runs its scenario, writes its
-own tables and returns its results tree and checks.  Every run writes
+subcommand, any other a `sim` one); when the arguments name a
+subcommand, only its parser is built.  A runner runs its scenario, writes
+its own tables and returns its results tree and checks.  Every run writes
 `report.json` and `report.txt`: the config echo, the results tree (as
 `key = value` lines in the text report) and one PASS/FAIL line per
 declared check.  Trajectory scenarios add `ensemble.csv`, the
 pointer scenario `trials.csv`, the equilibrium scenario
-`histograms.csv`, and --dump-frames a `frames/` directory.  Both reports
-and every CSV table begin with the config hash; the frame dumps do not.
+`histograms.csv`, and --dump-frames a `frames/` directory, one
+`write_frame` per file: the node column is formatted once and
+the amplitudes of a stack of frames (about `table._CHUNK_VALUES` values,
+4 frames of 512 nodes) in one call.  Both reports and every CSV table
+begin with the config hash; the frame dumps do not.
 Nothing in a file depends on the clock, so re-running an invocation
 reproduces every file byte for byte.
 The exit status is 0 exactly when all declared checks pass.  A config
@@ -189,18 +193,21 @@ def write_ensemble(ensemble, path, config_hash: str, seed: int) -> None:
                 [ids, ensemble.frame_times, ensemble.positions])
 
 
-def write_frame(field, path) -> None:
+def write_frame(field, path, cells=None) -> None:
     """Dump one `wavefield.SpinorField` frame as structured text; it
-    round-trips bit-exactly."""
-    from .table import write_table
+    round-trips bit-exactly.  `cells`, if given, are the table cells of
+    its five columns, formatted beforehand (see `_write_frames`)."""
+    from . import table
     grid = field.grid
     header = [
         f"# spinor-frame x_min={fmt(grid.x_min)} x_max={fmt(grid.x_max)}"
         f" n_points={grid.n_points} time={fmt(field.time)}",
         "# x re_up im_up re_down im_down",
     ]
-    up, down = field.up, field.down
-    write_table(path, header, [grid.nodes, up.real, up.imag, down.real, down.imag], sep=" ")
+    if cells is None:
+        up, down = field.up, field.down
+        cells = table.format_cells([grid.nodes, up.real, up.imag, down.real, down.imag])
+    table.write_cells(path, header, cells, sep=" ")
 
 
 def write_trials(measurement, path, config_hash: str) -> None:
@@ -216,9 +223,21 @@ def write_trials(measurement, path, config_hash: str) -> None:
 
 
 def _write_frames(frames, frame_dir: Path) -> None:
+    """One `write_frame` per frame of a run, all on one grid.  The node
+    column is formatted once, and the amplitudes of a stack of frames
+    (about `table._CHUNK_VALUES` values) in one call."""
+    from . import table
     frame_dir.mkdir(exist_ok=True)
-    for i, frame in enumerate(frames):
-        write_frame(frame, frame_dir / f"frame_{i:04d}.txt")
+    grid = frames[0].grid
+    nodes = table.format_cells([grid.nodes])[0]
+    stack = max(1, table._CHUNK_VALUES // (4 * grid.n_points))
+    for lo in range(0, len(frames), stack):
+        amplitudes = table.format_cells([part for frame in frames[lo:lo + stack]
+                                         for a in (frame.up, frame.down)
+                                         for part in (a.real, a.imag)])
+        for i, frame in enumerate(frames[lo:lo + stack]):
+            write_frame(frame, frame_dir / f"frame_{lo + i:04d}.txt",
+                        cells=[nodes, *amplitudes[4 * i:4 * i + 4]])
 
 
 def _write_histograms(result, path, chash: str) -> None:
@@ -294,7 +313,16 @@ def dispatch(args: argparse.Namespace) -> int:
     return status
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _subcommand(scenario: str) -> tuple:
+    """The group and subcommand words that invoke `scenario`."""
+    return ("nogo" if scenario in NOGO_SCENARIOS else "sim", scenario.replace("_", "-"))
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `only` (a scenario) that
+    of its subcommand alone beside the two groups: it parses that
+    subcommand's arguments, and prints their help and usage errors, as
+    the full parser does."""
     parser = argparse.ArgumentParser(
         prog="bohmlab",
         description="Pilot-wave dynamics laboratory: deflection experiments, "
@@ -307,8 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
               for group, help_text in (("nogo", "no-hidden-variables checks"),
                                        ("sim", "simulation scenarios"))}
     for scenario, (_, dump_frames) in SCENARIOS.items():
-        sim = scenario not in NOGO_SCENARIOS
-        p = groups["sim" if sim else "nogo"].add_parser(scenario.replace("_", "-"))
+        if only not in (None, scenario):
+            continue
+        group, name = _subcommand(scenario)
+        sim = group == "sim"
+        p = groups[group].add_parser(name)
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default="bohmlab-out", help="output directory")
@@ -332,11 +363,17 @@ def main(argv=None) -> int:
     one thread unless the environment sets `OPENBLAS_NUM_THREADS`: no
     bohmlab call is large enough for BLAS threads, and their idle workers
     spin on the CPU that the run's own helper thread needs.  A library
-    call with an argument list changes neither."""
+    call with an argument list changes neither.
+
+    When the first two arguments name a subcommand, only its parser is
+    built (`build_parser(only=...)`); any other argument list, a bare
+    `--help` or a mistyped subcommand, gets the full parser."""
     if argv is None:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         gc.freeze()
-    return dispatch(build_parser().parse_args(argv))
+        argv = sys.argv[1:]
+    invoked = {_subcommand(scenario): scenario for scenario in SCENARIOS}
+    return dispatch(build_parser(invoked.get(tuple(argv[:2]))).parse_args(argv))
 
 
 def entry_point() -> None:

@@ -130,9 +130,8 @@ def run_pointer_measurement(alpha: complex, beta: complex, coupling: CouplingSpe
     collapsed conditional spin state.  Its purity is the weight of the
     collapsed state on the outcome's spin component.  The overlap of the
     two pointer branches of the coupled state is reported with the trials.
+    n_trials must pass `rng.check_draws`.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     ready = gaussian_packet(grid, POINTER_CENTER, POINTER_WIDTH, 0.0, alpha, beta)
     coupled = apply_coupling(ready, coupling)
 

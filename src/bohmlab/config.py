@@ -28,8 +28,13 @@ A key read only under a condition (`potential.omega` and
 may read it.  A key its scenario does not read is fatal, in a file and
 in `default_config` alike; an unknown key is fatal, with the nearest key
 its scenario reads suggested.  `validate_config` names the key of any
-value that the run would reject: the specs' rules, the packet's (for
-`pointer`, its fixed pointer packet's) and an auto flight time's.
+value that the run would reject, by the rule the library itself applies:
+the specs', the packet's (for `pointer`, its fixed pointer packet's), an
+auto flight time's, and those of the trial and substep counts
+(`rng.check_draws`, `trajectories.check_substeps`).  It imports
+`conditional` for a `pointer` config only, and `trajectories` for the
+others, which integrate trajectories (`pointer` reads no
+`substeps_per_frame`).
 
 The canonical form of a config is the sorted `key = value` listing of
 `scenario` and the keys its scenario reads (defaults filled in, floats
@@ -41,7 +46,6 @@ reports and every CSV table of a run.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 from collections import namedtuple
 
@@ -263,17 +267,22 @@ def validate_config(config: ExperimentConfig) -> None:
     keys = SCENARIO_KEYS[config.scenario]
     if not keys:
         return                          # a no-go check reads no key
-    from .conditional import POINTER_CENTER, POINTER_WIDTH, CouplingSpec
+    from .rng import check_draws
     from .wavefield import check_placement, check_spin
-    if config.scenario == "pointer":    # its packet is fixed: its grid must hold it
-        packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_min, grid.x_max: the pointer's "
-    else:
-        packet, at = (config.packet_center, config.packet_width), "packet."
     rules = [("spin.alpha, spin.beta: ", lambda: check_spin(config.alpha, config.beta)),
              ("grid.", config.grid), ("magnet.", config.magnet),
              ("potential.", config.potential),
-             ("pointer.", lambda: CouplingSpec(config.pointer_shift)),
-             (at, lambda: check_placement(config.grid(), *packet))]
+             ("n_trials: ", lambda: check_draws(config.n_trials))]
+    if config.scenario == "pointer":    # its packet is fixed: its grid must hold it
+        from .conditional import POINTER_CENTER, POINTER_WIDTH, CouplingSpec
+        packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_min, grid.x_max: the pointer's "
+        rules.append(("pointer.", lambda: CouplingSpec(config.pointer_shift)))
+    else:                               # it integrates trajectories through its frames
+        from .trajectories import check_substeps
+        packet, at = (config.packet_center, config.packet_width), "packet."
+        rules.append(("substeps_per_frame: ",
+                      lambda: check_substeps(config.substeps_per_frame)))
+    rules.append((at, lambda: check_placement(config.grid(), *packet)))
     if "magnet.mu_b" in keys and config.flight_time is None:
         rules.append(("magnet.", lambda: config.magnet().separation_time(config.packet_width)))
     for prefix, check in rules:
@@ -283,12 +292,8 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(f"{prefix}{exc}") from None
     if not 0 <= config.seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64)")
-    if config.n_trials < 1:
-        raise ConfigError("n_trials must be at least 1")
     if config.n_frames < 1:
         raise ConfigError("n_frames must be at least 1")
-    if config.substeps_per_frame < 1:
-        raise ConfigError("substeps_per_frame must be at least 1")
     if config.flight_time is not None and not config.flight_time > 0:
         raise ConfigError("flight_time must be positive (or auto)")
     if config.scenario == "sequential" and len(config.axes) < 2:
@@ -316,7 +321,14 @@ def canonical_text(config: ExperimentConfig) -> str:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(canonical_text(config).encode()).hexdigest()
+    """SHA-256 hex digest of the canonical text, by CPython's own `_sha256`
+    module where it exists: `hashlib` loads OpenSSL, about 2 ms of every
+    invocation, to hash one short text."""
+    try:
+        from _sha256 import sha256
+    except ImportError:                 # Python 3.12 renamed it `_sha2`
+        from hashlib import sha256
+    return sha256(canonical_text(config).encode()).hexdigest()
 
 
 def with_overrides(config: ExperimentConfig, *, seed: int | None = None,

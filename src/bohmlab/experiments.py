@@ -17,7 +17,6 @@ import numpy as np
 from . import rng, threads
 from .config import Check, ExperimentConfig
 from .conditional import CouplingSpec, run_pointer_measurement
-from .hilbert import spin_rotation
 from .trajectories import check_no_crossing, equilibrium_distance, integrate, sample_positions
 from .wavefield import (
     branch_supports,
@@ -149,6 +148,7 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     trial whose trajectory aborts takes no later stage, and each stage's
     statistics count its surviving trials only.
     """
+    from .hilbert import spin_rotation      # no other scenario rotates the spin basis
     n = config.n_trials
     outcomes = np.zeros((n, len(config.axes)), dtype=int)
     # branches: (spin state in the fixed lab basis, Born weight, trial ids)

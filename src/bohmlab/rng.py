@@ -63,6 +63,12 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     return (raw(seed, count, start) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def check_draws(n: int) -> None:
+    """Raise ValueError unless n >= 1: a run draws at least one sample."""
+    if n < 1:
+        raise ValueError(f"the number of draws must be at least 1, got {n}")
+
+
 def sample_from_density(x_nodes: np.ndarray, density: np.ndarray, n: int,
                         seed: int) -> np.ndarray:
     """Inverse-transform samples from a piecewise-constant node density.
@@ -72,8 +78,9 @@ def sample_from_density(x_nodes: np.ndarray, density: np.ndarray, n: int,
     linear and the inverse transform interpolates linearly within the
     selected cell.  Centering the cells on the nodes keeps the sampled
     law aligned with the continuum density to second order in dx.
-    Draw i uses counter i of stream `seed`.
+    Draw i uses counter i of stream `seed`; n must pass `check_draws`.
     """
+    check_draws(n)
     x_nodes = np.asarray(x_nodes, dtype=float)
     density = np.asarray(density, dtype=float)
     if x_nodes.ndim != 1 or x_nodes.shape != density.shape:

@@ -1,9 +1,9 @@
 """The one table writer: int and float columns as text, a chunk at a time.
 
-Every table of a run (`ensemble.csv`, `trials.csv`, `histograms.csv`, the
-frame dumps) goes through `write_table`, which formats whole columns in
-numpy and must give the same bytes as `serialize.fmt` on every value; a
-column of another dtype raises `TypeError`, since `fmt` would write it
+Every table of a run (`ensemble.csv`, `trials.csv`, `histograms.csv`)
+goes through `write_table`, which formats whole columns in numpy and must
+give the same bytes as `serialize.fmt` on every value; a column of
+another dtype raises `TypeError`, since `fmt` would write it
 differently.  An int column is written with numpy's `astype`, as wide
 as the chunk's longest value.  For a finite nonzero double x with
 decimal exponent E, the 17-digit significand |x|*10**(16-E) of `"%.17g"`
@@ -32,6 +32,12 @@ the next chunk on a helper thread while this one is laid out, compacted
 and written, in chunks of about 2**15 values.  A chunk's text is a
 function of its values alone, so the bytes depend neither on the chunk
 size nor on the thread or CPU count.
+
+The frame dumps, many small tables that share their first column, are
+written in two steps instead: `format_cells` formats the grid nodes once
+and the amplitudes of a stack of frames (about one chunk) in one call,
+and `write_cells` lays out and writes each file from those cells, with
+the bytes `write_table` would write.
 
 This module and its tables are loaded by the first table a run writes,
 so a run that writes none (a no-go check) does not pay for them.
@@ -261,7 +267,7 @@ def _fast_cells(x) -> np.ndarray:
     return cells.astype("<u8", copy=False)
 
 
-def _cells(arrays) -> list:
+def format_cells(arrays) -> list:
     """The text of each int or float array as zero-padded uint8 cells,
     shaped `a.shape + (width,)`: 24 bytes for a float, the longest
     value's length for an int.  The float values of all arrays are
@@ -340,7 +346,7 @@ def write_table(path, header, columns, sep: str = ",") -> None:
         if 0 in shape:
             return
         # a fixed column's cells, cut to its longest text
-        fixed = [_cells([c])[0] if c.shape[0] == 1 else None for c in columns]
+        fixed = [format_cells([c])[0] if c.shape[0] == 1 else None for c in columns]
         fixed = [f if f is None else np.ascontiguousarray(f[..., :np.count_nonzero(
             f.reshape(-1, f.shape[-1]).any(axis=0))]) for f in fixed]
         per_row = sum(math.prod(c.shape[1:]) for c, f in zip(columns, fixed) if f is None)
@@ -349,13 +355,13 @@ def write_table(path, header, columns, sep: str = ",") -> None:
         step = max(1, chunk // max(1, per_row))
 
         def chunk_cells(lo):
-            fresh = iter(_cells([c[lo:lo + step] for c, f in zip(columns, fixed) if f is None]))
+            fresh = iter(format_cells([c[lo:lo + step]
+                                       for c, f in zip(columns, fixed) if f is None]))
             return [next(fresh) if f is None else f for f in fixed]
 
         # per chunk the calling thread allocates nothing of 128 KiB or more,
         # so its speed does not depend on where malloc's mmap threshold has
-        # moved: the row buffer and the mask are reused, and numpy drops the
-        # zero bytes (without holding the interpreter lock) a slice at a time
+        # moved: the row buffer and the mask are reused
         buffer, mask = np.empty(0, np.uint8), np.empty(_COMPACT_BYTES, bool)
         layout, is_fixed = None, [f is not None for f in fixed]
         with threads.Helper(two_threads) as helper:
@@ -366,6 +372,25 @@ def write_table(path, header, columns, sep: str = ",") -> None:
                     pending = helper.submit(chunk_cells, lo + step)
                 buffer, text, layout = _rows(cells, is_fixed, sep, buffer, layout)
                 del cells
-                for at in range(0, text.size, _COMPACT_BYTES):
-                    piece = text[at:at + _COMPACT_BYTES]
-                    fh.write(piece[np.not_equal(piece, 0, out=mask[:piece.size])])
+                _write_text(fh, text, mask)
+
+
+def _write_text(fh, text, mask) -> None:
+    """Write the zero-padded `text` without its zero bytes, which numpy
+    drops (without holding the interpreter lock) _COMPACT_BYTES at a time,
+    into the bool `mask` of at least that size."""
+    for at in range(0, text.size, _COMPACT_BYTES):
+        piece = text[at:at + _COMPACT_BYTES]
+        fh.write(piece[np.not_equal(piece, 0, out=mask[:piece.size])])
+
+
+def write_cells(path, header, cells, sep: str = ",") -> None:
+    """Write the `header` lines, then one line per row of `cells`, the
+    cells of (rows,) columns from `format_cells`: the bytes `write_table`
+    writes for those columns.  It serves a small table whose values were
+    formatted together with other tables' (a stack of frame dumps), and
+    lays out the whole text in one buffer."""
+    _, text, _ = _rows(cells, [False] * len(cells), sep, np.empty(0, np.uint8), None)
+    with open(path, "wb") as fh:
+        fh.write("".join(h + "\n" for h in header).encode())
+        _write_text(fh, text, np.empty(min(text.size, _COMPACT_BYTES), bool))

@@ -16,7 +16,6 @@ calling thread.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 
 MIN_VALUES = 2**18        # the smallest table or ensemble handed to two threads
@@ -48,6 +47,7 @@ class Helper:
     def __init__(self, threaded: bool = True):
         self._thread = None
         if threaded:
+            import queue                # loaded only by a run that starts a helper
             self._calls, self._results = queue.SimpleQueue(), queue.SimpleQueue()
             self._thread = threading.Thread(target=self._run, name="bohmlab-helper")
 

@@ -57,12 +57,18 @@ class NoCrossingReport(namedtuple("NoCrossingReport", "violations first_violatio
 
 
 def sample_positions(field: SpinorField, n: int, seed: int) -> np.ndarray:
-    """n independent draws from the spin-summed density of the field."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """n independent draws from the spin-summed density of the field
+    (n as `rng.check_draws` allows)."""
     if field.norm() < 1e-12:
         raise ValueError("cannot sample from a zero-norm field")
     return rng.sample_from_density(field.grid.nodes, field.density(), n, seed)
+
+
+def check_substeps(substeps_per_frame: int) -> None:
+    """Raise ValueError unless each frame interval gets at least one RK4 substep."""
+    if substeps_per_frame < 1:
+        raise ValueError("a frame interval needs at least 1 RK4 substep, "
+                         f"got {substeps_per_frame}")
 
 
 def integrate(frames: list[SpinorField], initial_positions, potential: PotentialSpec,
@@ -96,8 +102,7 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames")
-    if substeps_per_frame < 1:
-        raise ValueError("substeps_per_frame must be >= 1")
+    check_substeps(substeps_per_frame)
     times = np.array([f.time for f in frames])
     spacing = np.diff(times)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=1e-12):

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ import sys
 
 import pytest
 
-from bohmlab import cli, experiments
+import numpy as np
+
+from bohmlab import cli, experiments, rng
 from bohmlab.config import (
     NOGO_SCENARIOS,
     SCENARIO_KEYS,
@@ -20,7 +23,9 @@ from bohmlab.config import (
     parse_config,
 )
 
-from bohmlab.trajectories import NoCrossingReport
+from bohmlab.conditional import CouplingSpec, run_pointer_measurement
+from bohmlab.trajectories import Ensemble, NoCrossingReport, integrate, sample_positions
+from bohmlab.wavefield import Grid1D, PotentialSpec, SpinorField, gaussian_packet
 
 from conftest import CONFIG_DIR, shipped_config
 
@@ -84,6 +89,35 @@ class TestParseConfig:
         b = default_config("stern_gerlach", seed=43)
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(default_config("stern_gerlach"))
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_hash_is_the_sha256_of_the_canonical_text(self, monkeypatch, fallback):
+        # by `_sha256`, or by `hashlib` where that module is absent
+        calls, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+        if fallback:
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+        configs = [parse_config(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+        configs += [default_config(scenario) for scenario in NOGO_SCENARIOS]
+        for cfg in configs:
+            assert config_hash(cfg) == sha256(canonical_text(cfg).encode()).hexdigest()
+        assert len(calls) == (len(configs) if fallback else 0)
+
+    @pytest.mark.parametrize("key,library_call", [
+        ("n_trials", lambda: sample_positions(
+            gaussian_packet(Grid1D(-10.0, 10.0, 256), 0.0, 1.0, 0.0, 1, 0), 0, 1)),
+        ("n_trials", lambda: run_pointer_measurement(1, 0, CouplingSpec(10.0), 0, 1,
+                                                     Grid1D(-24.0, 24.0, 256))),
+        ("substeps_per_frame", lambda: integrate(
+            [gaussian_packet(Grid1D(-10.0, 10.0, 256), 0.0, 1.0, 0.0, 1, 0)] * 2, [0.0],
+            PotentialSpec("free"), 0)),
+    ])
+    def test_a_count_is_checked_by_the_library_rule_under_its_key(self, key, library_call):
+        with pytest.raises(ValueError) as library:
+            library_call()
+        with pytest.raises(ConfigError) as config:
+            parse_config(f"{key} = 0\n", scenario="stern_gerlach")
+        assert str(config.value) == f"{key}: {library.value}"
 
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.cfg")):
@@ -198,7 +232,9 @@ class TestDispatch:
                                       "duration = inf", "flight_time = inf", "spin.alpha = nan",
                                       "potential.kind = harmonic\npotential.omega = inf",
                                       # seeds are taken modulo 2**64
-                                      "seed = -1", "seed = 18446744073709551616"])
+                                      "seed = -1", "seed = 18446744073709551616",
+                                      # counts, by the rules the library states
+                                      "n_trials = 0", "substeps_per_frame = 0"])
     def test_rejected_constructor_value_fails_cleanly(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -293,6 +329,39 @@ class TestDispatch:
         assert verdicts == {"branches_separated": True, "no_aborted_trajectories": True,
                             "born_within_3sigma": False}
 
+    def test_a_possessed_spin_fails_zero_crossings_and_side_inference(self, tmp_path,
+                                                                       monkeypatch):
+        # the counter-model of a spin that is a possessed value: each
+        # trajectory draws its label with the Born weights, independent of
+        # its position, and then follows its own component's velocity.  The
+        # frequencies stay Born, but the outcome is no longer fixed by the
+        # start, and trajectories cross
+        integrate = experiments.integrate
+
+        def possessed(frames, initial, potential, substeps_per_frame):
+            p_up = float(np.sum(abs(frames[0].up) ** 2) / np.sum(frames[0].density()))
+            up = rng.uniforms(1, len(initial)) < p_up
+            positions = np.empty((len(initial), len(frames)))
+            for label, mask in ((0, up), (1, ~up)):
+                own = [SpinorField(f.grid, f.up * (label == 0), f.down * (label == 1), time=f.time)
+                       for f in frames]
+                part = integrate(own, initial[mask], potential, substeps_per_frame)
+                assert part.aborted == ()
+                positions[mask] = part.positions
+            return Ensemble(part.frame_times, positions)
+        monkeypatch.setattr(experiments, "integrate", possessed)
+        assert run("sim", "no-crossing", "--config", str(CONFIG_DIR / "no_crossing.cfg"),
+                   out=tmp_path / "out") == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        verdicts = {c["name"]: c["passed"] for c in report["checks"]}
+        assert verdicts == {"symmetric_preparation": True, "branches_separated": True,
+                            "no_aborted_trajectories": True, "zero_crossings": False,
+                            "side_inference_exact": False}
+        results = report["results"]
+        assert results["violations"] > 1000 and results["inference_accuracy"] < 0.6
+        stats = results["statistics"]
+        assert abs(stats["frequencies"][0] - 0.5) <= stats["three_sigma_halfwidths"][0]
+
     @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",
                                             "nogo stern-gerlach", "nogo bogus"])
     def test_subcommand_outside_the_table_fails(self, tmp_path, capsys, subcommand):
@@ -366,6 +435,33 @@ class TestScenarioTable:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["sim"], ["nogo", "--help"], ["sim", "--help"], ["sim", "bogus"],
+        ["nogo", "stern-gerlach"], ["sim", "stern_gerlach"], ["sim", "pointer", "extra"],
+        ["sim", "pointer", "--dump-frames"], ["nogo", "chsh", "--trajectories", "5"],
+        ["sim", "equilibrium", "--seed", "x"], ["nogo", "mermin", "--bogus"],
+        *([*cli._subcommand(scenario), "--help"] for scenario in cli.SCENARIOS),
+    ], ids=" ".join)
+    def test_the_invoked_parser_speaks_as_the_full_one(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse()
+            printed = capsys.readouterr()
+            return exc.value.code, printed.out, printed.err
+        assert outcome(lambda: cli.main(argv)) == outcome(
+            lambda: cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_the_invoked_parser_parses_as_the_full_one(self, scenario):
+        flags = ["--config", "a.cfg", "--seed", "5", "--out", "o", "--quiet"]
+        if scenario in SIM_SCENARIOS:
+            flags += ["--trajectories", "9"]
+        if cli.SCENARIOS[scenario][1]:
+            flags += ["--dump-frames"]
+        for argv in ([*cli._subcommand(scenario)], [*cli._subcommand(scenario), *flags]):
+            assert (cli.build_parser(scenario).parse_args(argv)
+                    == cli.build_parser().parse_args(argv))
 
     def test_runners_enter_the_traced_boundaries(self, tmp_path, monkeypatch):
         calls = []
@@ -613,12 +709,32 @@ class TestImportScope:
     @pytest.mark.parametrize("check", NOGO_SCENARIOS)
     def test_a_nogo_run_loads_no_numpy(self, tmp_path, check):
         # nor `dataclasses` (the records are namedtuples), nor the
-        # `inspect`, `dis` and `ast` that it would load
+        # `inspect`, `dis` and `ast` that it would load, nor `hashlib`
+        # and the OpenSSL behind it, nor `queue`
         code = f"import bohmlab.cli\nassert bohmlab.cli.main({['nogo', check]!r} + sys.argv[1:]) == 0"
         modules, _ = self.loaded(code, "--out", str(tmp_path), "--quiet",
                                  packages=("bohmlab", "numpy", "dataclasses", "inspect", "dis",
-                                           "ast"))
+                                           "ast", "hashlib", "_hashlib", "queue"))
         assert modules == self.NOGO_PATH
+
+    @pytest.mark.parametrize("scenario,trajectories", [
+        *((scenario, 200) for scenario in SIM_SCENARIOS),
+        # 7000 x 41 positions: a helper thread runs where two CPUs are usable
+        ("equilibrium", 7000),
+    ])
+    def test_a_sim_run_loads_only_what_it_uses(self, tmp_path, scenario, trajectories):
+        # no `hashlib`; `hilbert` for the spin rotations of `sequential`
+        # alone; `queue` only once a helper thread starts
+        argv = ["sim", scenario.replace("_", "-"), "--trajectories", str(trajectories),
+                "--out", str(tmp_path), "--quiet"]
+        code = ("import threading\nimport bohmlab.cli\n"
+                "started, start = [], threading.Thread.start\n"
+                "threading.Thread.start = lambda thread: started.append(1) or start(thread)\n"
+                f"assert bohmlab.cli.main({argv!r}) in (0, 1)\nprint(bool(started))")
+        modules, printed = self.loaded(code, packages=("bohmlab", "hashlib", "_hashlib", "queue"))
+        assert not modules & {"hashlib", "_hashlib"}
+        assert ("bohmlab.hilbert" in modules) == (scenario == "sequential")
+        assert printed == [str("queue" in modules)]
 
     @pytest.mark.parametrize("scenario", SIM_SCENARIOS)
     def test_every_sim_run_loads_numpy(self, tmp_path, scenario):

@@ -52,14 +52,14 @@ class TestFailures:
                 np.random.default_rng(6).normal(size=(7000, 41))]
 
     def test_formatting_error_on_the_helper_propagates(self, tmp_path, monkeypatch, columns):
-        cells, raised = table._cells, []
+        cells, raised = table.format_cells, []
 
         def failing(arrays):
             if threading.current_thread() is not threading.main_thread() and len(raised) < 1:
                 raised.append(threading.current_thread().name)
                 raise RuntimeError("formatting failed")
             return cells(arrays)
-        monkeypatch.setattr(table, "_cells", failing)
+        monkeypatch.setattr(table, "format_cells", failing)
         with pytest.raises(RuntimeError, match="formatting failed"):
             table.write_table(tmp_path / "table.csv", [], columns)
         assert raised == ["bohmlab-helper"]

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bohmlab import experiments, table, threads
+from bohmlab import cli, experiments, table, threads
 from bohmlab.cli import _write_histograms, write_ensemble, write_frame, write_trials
 from bohmlab.conditional import (
     CouplingSpec,
@@ -417,6 +417,22 @@ class TestFrame:
         frames, _, _ = free_run
         assert frames[-1].grid.n_points == 512
         assert traced_peak(lambda: write_frame(frames[-1], tmp_path / "frame.txt")) < 0.578e6
+
+    @pytest.mark.parametrize("stack", [1, 3, 1000])
+    def test_stacked_dumps(self, tmp_path, monkeypatch, free_run, stack):
+        # 11 frames formatted a stack at a time (3 leaves a short last
+        # stack, 1000 holds them all), each file written by one write_frame
+        frames, _, _ = free_run
+        monkeypatch.setattr(table, "_CHUNK_VALUES", stack * 4 * frames[0].grid.n_points)
+        paths = []
+        monkeypatch.setattr(cli, "write_frame", lambda field, path, **kwargs: (
+            paths.append(path.name), write_frame(field, path, **kwargs)))
+        cli._write_frames(frames, tmp_path / "frames")
+        names = [f"frame_{i:04d}.txt" for i in range(len(frames))]
+        assert paths == names
+        assert sorted(p.name for p in (tmp_path / "frames").iterdir()) == names
+        for name, field in zip(names, frames):
+            assert (tmp_path / "frames" / name).read_text() == ref_frame(field)
 
     def test_evolved_frames(self, tmp_path, free_run):
         frames, _, _ = free_run
