@@ -322,12 +322,15 @@ def canonical_text(config: ExperimentConfig) -> str:
 
 def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 hex digest of the canonical text, by CPython's own `_sha256`
-    module where it exists: `hashlib` loads OpenSSL, about 2 ms of every
-    invocation, to hash one short text."""
+    module (`_sha2` from Python 3.12 on) where it exists: `hashlib` loads
+    OpenSSL, about 2 ms of every invocation, to hash one short text."""
     try:
         from _sha256 import sha256
-    except ImportError:                 # Python 3.12 renamed it `_sha2`
-        from hashlib import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
     return sha256(canonical_text(config).encode()).hexdigest()
 
 

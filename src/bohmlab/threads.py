@@ -1,16 +1,23 @@
 """When a run uses a second thread, and the one helper thread it uses.
 
-Three stages of an equilibrium run are numpy work that releases the
-interpreter lock: formatting a table's chunks (`table.write_table`),
-advancing trajectories (`trajectories.integrate`) and comparing the
-ensemble with |psi|^2 at every frame (`experiments.equilibrium_experiment`
-through `trajectories.equilibrium_distance`).  On a large input,
-with two or more usable CPUs, each hands part of its work to a helper
-thread and does the rest meanwhile.  Every value is computed by the same
-arithmetic on either thread, so the results do not depend on whether a
-helper ran.  On a small input the helper costs more than it saves (its
-start, and the memory of a second thread), so the work stays on the
-calling thread.
+Three stages of an equilibrium run do numpy work that releases the
+interpreter lock.  On a large input, with two or more usable CPUs, each
+runs two pieces of that work at once, one on a helper thread:
+
+- `experiments.equilibrium_experiment` draws the starts on the helper
+  while it evolves the packet; later it compares the first half of the
+  frames with |psi|^2 there (`trajectories.equilibrium_distance`) while
+  it compares the rest;
+- `trajectories.integrate` sorts the starts on the helper while it
+  computes the stage velocity fields; then it advances the lower half
+  of that order there while it advances the upper half;
+- `table.write_table` formats a table's next chunk on the helper while
+  it lays out and writes the current one.
+
+Every value is computed by the same arithmetic on either thread, so
+the results do not depend on whether a helper ran.  On a small input
+the helper costs more than it saves (its start, and the memory of a
+second thread), so the work stays on the calling thread.
 """
 
 from __future__ import annotations

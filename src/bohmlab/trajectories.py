@@ -31,15 +31,27 @@ from .wavefield import PotentialSpec, SpinorField, velocity_field
 _STACK_VALUES = 2**12
 
 
-class Ensemble(namedtuple("Ensemble", "frame_times positions aborted", defaults=((),))):
+class Ensemble(namedtuple("Ensemble", "frame_times positions aborted order",
+                          defaults=((), None))):
     """Positions of n trajectories at the stored frame times: frame_times
     is (n_frames,), positions (n_trajectories, n_frames) with NaN after an
-    abort, aborted the ids of the trajectories that left the grid.
+    abort, aborted the ids of the trajectories that left the grid, order
+    the ids sorted by start, np.argsort(positions[:, 0], kind="stable"):
+    the order that trajectories in one dimension keep, in which the
+    comparisons read every frame.  `integrate` passes the order it
+    computed; an ensemble built without one computes it here (the ids in
+    turn when there is no frame).
     `integrate` stores positions frame-major, as the read-only transpose
     of an (n_frames, n_trajectories) array, so a frame's column
     positions[:, i] is contiguous."""
 
     __slots__ = ()
+
+    def __new__(cls, frame_times, positions, aborted=(), order=None):
+        if order is None:           # with no frame there is no start to sort by
+            order = (np.argsort(positions[:, 0], kind="stable") if positions.shape[1]
+                     else np.arange(positions.shape[0]))
+        return super().__new__(cls, frame_times, positions, aborted, order)
 
     @property
     def n_trajectories(self) -> int:
@@ -88,13 +100,14 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     which Bohmian motion preserves, so the position lookups in the
     velocity fields run over (nearly) sorted points; each point's
     arithmetic is independent of that order, and the result is stored
-    in the caller's order.  Every stage velocity field is computed
-    first, for a stack of frames at a time (about _STACK_VALUES
-    amplitudes, which bound the memory used); then an ensemble for which
-    `threads.two_threads` holds (2**18 positions or more, two usable
-    CPUs) advances the lower half of that order on a helper thread and
-    the upper half on the calling thread.
-    The positions do not depend on the split.
+    in the caller's order, with that order as `Ensemble.order`.  Every
+    stage velocity field is computed first, for a stack of frames at a
+    time (about _STACK_VALUES amplitudes, which bound the memory used).
+    An ensemble for which `threads.two_threads` holds (2**18 positions
+    or more, two usable CPUs) sorts the starts on a helper thread
+    meanwhile; then the helper advances the lower half of the order and
+    the calling thread the upper half.  The positions do not depend on
+    the split.
 
     A trajectory that leaves the grid is aborted (NaN from that frame
     on) and listed in `aborted`; such a run signals a mis-sized domain
@@ -109,17 +122,78 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
         raise ValueError("frames must be uniformly spaced in time")
     grid = frames[0].grid
     x_nodes = grid.nodes
-
-    x0 = np.array(initial_positions, dtype=float)
-    order = np.argsort(x0, kind="stable")
-    # rows[i, j]: trajectory order[j] at frame i, so that each frame is
-    # stored as one contiguous row; the columns are put in id order at the end
-    rows = np.empty((len(times), x0.size))
-    rows[0] = x0[order]
-
     h = float(spacing[0]) / substeps_per_frame
-    # stage[2 * (substeps_per_frame * i + s) + j], j = 0, 1, 2: the fields
-    # at the start, middle and end of substep s after frame i
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    x0 = np.array(initial_positions, dtype=float)
+    n = x0.size
+
+    def advance(lo, hi):
+        """Integrate the trajectories order[lo:hi] through every frame;
+        return which of them stayed on the grid."""
+        ids = order[lo:hi]
+        x = x0[ids]
+        alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
+        x = np.where(alive, x, np.nan)
+        at_stage = np.empty_like(x)
+
+        def stage_position(c, k):
+            """x + c k, in the one buffer of stage positions."""
+            return np.add(x, np.multiply(c, k, out=at_stage), out=at_stage)
+
+        for i in range(len(times) - 1):
+            for s in range(substeps_per_frame):
+                at = 2 * (substeps_per_frame * i + s)
+                f0, fm, f1 = stage[at:at + 3]
+                k1 = np.interp(x, x_nodes, f0)
+                k2 = np.interp(stage_position(half_h, k1), x_nodes, fm)
+                k3 = np.interp(stage_position(half_h, k2), x_nodes, fm)
+                k4 = np.interp(stage_position(h, k3), x_nodes, f1)
+                # x + (h/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation,
+                # in the arrays at hand
+                k2 *= 2.0
+                k1 += k2
+                k3 *= 2.0
+                k1 += k3
+                k1 += k4
+                k1 *= sixth_h
+                x += k1
+            # an aborted trajectory is NaN already, and stays NaN
+            escaped = alive & ((x < grid.x_min) | (x > grid.x_max))
+            if escaped.any():
+                alive &= ~escaped
+                x[escaped] = np.nan
+            rows[i + 1, lo:hi] = x
+        return alive
+
+    threaded = threads.two_threads(len(times) * n)
+    with threads.Helper(threaded) as helper:
+        sorting = helper.submit(lambda: np.argsort(x0, kind="stable"))
+        stage = _stage_fields(frames, times, potential, h, substeps_per_frame)
+        order = sorting()
+        # rows[i, j]: trajectory order[j] at frame i, so that each frame is
+        # stored as one contiguous row; the columns are put in id order at the end
+        rows = np.empty((len(times), n))
+        rows[0] = x0[order]
+        if threaded:
+            lower = helper.submit(advance, 0, n // 2)
+            upper = advance(n // 2, n)
+            alive = np.concatenate((lower(), upper))
+        else:
+            alive = advance(0, n)
+
+    aborted = tuple(int(i) for i in np.sort(order[~alive]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    frame_major = rows.take(rank, axis=1)
+    frame_major.flags.writeable = False
+    return Ensemble(frame_times=times, positions=frame_major.T, aborted=aborted, order=order)
+
+
+def _stage_fields(frames, times, potential, h, substeps_per_frame):
+    """The velocity field of every RK4 stage: row 2 * (substeps_per_frame
+    * i + s) + j, j = 0, 1, 2, holds the field at the start, middle and
+    end of substep s after frame i."""
+    grid = frames[0].grid
     per = 2 * substeps_per_frame
     n_intervals = len(times) - 1
     stage = np.empty((per * n_intervals + 1, grid.n_points))
@@ -143,69 +217,29 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
                 for s in range(1, per):
                     wavefield.evolve(frames[i], potential, 0.5 * s * h, 1)
             raise
-
-    def advance(lo, hi):
-        """Integrate the trajectories order[lo:hi] through every frame;
-        return which of them stayed on the grid."""
-        ids = order[lo:hi]
-        x = x0[ids]
-        alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
-        x = np.where(alive, x, np.nan)
-        for i in range(len(times) - 1):
-            for s in range(substeps_per_frame):
-                at = 2 * (substeps_per_frame * i + s)
-                f0, fm, f1 = stage[at:at + 3]
-                k1 = np.interp(x, x_nodes, f0)
-                k2 = np.interp(x + 0.5 * h * k1, x_nodes, fm)
-                k3 = np.interp(x + 0.5 * h * k2, x_nodes, fm)
-                k4 = np.interp(x + h * k3, x_nodes, f1)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            escaped = alive & ((x < grid.x_min) | (x > grid.x_max))
-            if escaped.any():
-                alive = alive & ~escaped
-                x = np.where(alive, x, np.nan)
-            rows[i + 1, lo:hi] = x
-        return alive
-
-    n = x0.size
-    if threads.two_threads(rows.size):
-        with threads.Helper() as helper:
-            lower = helper.submit(advance, 0, n // 2)
-            upper = advance(n // 2, n)
-            alive = np.concatenate((lower(), upper))
-    else:
-        alive = advance(0, n)
-
-    aborted = tuple(int(i) for i in np.sort(order[~alive]))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
-    frame_major = rows.take(rank, axis=1)
-    frame_major.flags.writeable = False
-    return Ensemble(frame_times=times, positions=frame_major.T, aborted=aborted)
+    return stage
 
 
 def check_no_crossing(ensemble: Ensemble) -> NoCrossingReport:
     """Verify that the initial ordering of trajectories never inverts.
 
     Order preservation is transitive, so it suffices to check adjacent
-    pairs in initial-position order at every frame; any pair inversion
-    implies an adjacent inversion.
+    pairs in initial-position order (`Ensemble.order`) at every frame;
+    any pair inversion implies an adjacent inversion.
     """
     pos = ensemble.positions
-    keep = np.all(np.isfinite(pos), axis=1)
-    pos = pos[keep]
-    ids = np.where(keep)[0]
-    if pos.shape[0] < 2:
+    order = ensemble.order
+    ids = order[np.all(np.isfinite(pos), axis=1)[order]]
+    if ids.size < 2:
         return NoCrossingReport(violations=0, first_violation=None)
-    order = np.argsort(pos[:, 0], kind="stable")
-    pos = pos[order]
-    ids = ids[order]
-    strictly_below = pos[:-1, 0] < pos[1:, 0]
+    # one contiguous row per frame, trajectories in start order
+    rows = pos.T[:, ids]
+    strictly_below = rows[0, :-1] < rows[0, 1:]
 
     violations = 0
     first = None
-    for t in range(pos.shape[1]):
-        bad = strictly_below & ~(pos[:-1, t] < pos[1:, t])
+    for t, row in enumerate(rows):
+        bad = strictly_below & ~(row[:-1] < row[1:])
         count = int(bad.sum())
         if count and first is None:
             i = int(np.argmax(bad))
@@ -229,14 +263,20 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
     spanning the grid."""
     if bins < 10:
         raise ValueError("bins must be at least 10")
-    pos = ensemble.positions[:, frame_index]
-    pos = pos[np.isfinite(pos)]
-    if pos.size == 0:
+    # the frame in start order, which trajectories keep unless they cross,
+    # so that a stable sort (NaN last) takes about linear time
+    pos = ensemble.positions[:, frame_index][ensemble.order]
+    pos.sort(kind="stable")
+    n = np.count_nonzero(np.isfinite(pos))
+    if n == 0:
         raise ValueError("no surviving trajectories at this frame")
     grid = field_at_frame.grid
     edges = np.linspace(grid.x_min, grid.x_max, bins + 1)
-    counts, _ = np.histogram(pos, bins=edges)
-    empirical = counts / pos.size
+    # np.histogram's count on sorted positions: every bin is closed on the
+    # left, and the last one on the right too
+    below = np.concatenate((pos.searchsorted(edges[:-1], "left"),
+                            pos.searchsorted(edges[-1:], "right")))
+    empirical = np.diff(below) / n
 
     cdf_x, cdf_v = _cell_cdf(grid, field_at_frame.density())
     theoretical = np.diff(np.interp(edges, cdf_x, cdf_v))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -90,18 +91,26 @@ class TestParseConfig:
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(default_config("stern_gerlach"))
 
-    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("fallback", [False, "_sha2", True])
     def test_hash_is_the_sha256_of_the_canonical_text(self, monkeypatch, fallback):
-        # by `_sha256`, or by `hashlib` where that module is absent
+        # False: by this interpreter's `_sha256` (`_sha2` from Python 3.12
+        # on), never `hashlib`; "_sha2": by `_sha2` where `_sha256` is
+        # absent; True: by `hashlib` where both are absent
         calls, sha256 = [], hashlib.sha256
-        monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+
+        def spy(name):
+            return lambda data: calls.append(name) or sha256(data)
+        monkeypatch.setattr(hashlib, "sha256", spy("hashlib"))
         if fallback:
             monkeypatch.setitem(sys.modules, "_sha256", None)
+            only_sha2 = types.SimpleNamespace(sha256=spy("_sha2"))
+            monkeypatch.setitem(sys.modules, "_sha2", None if fallback is True else only_sha2)
         configs = [parse_config(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
         configs += [default_config(scenario) for scenario in NOGO_SCENARIOS]
         for cfg in configs:
             assert config_hash(cfg) == sha256(canonical_text(cfg).encode()).hexdigest()
-        assert len(calls) == (len(configs) if fallback else 0)
+        served = {False: [], "_sha2": ["_sha2"], True: ["hashlib"]}[fallback]
+        assert calls == served * len(configs)
 
     @pytest.mark.parametrize("key,library_call", [
         ("n_trials", lambda: sample_positions(
@@ -328,6 +337,24 @@ class TestDispatch:
         verdicts = {c["name"]: c["passed"] for c in checks}
         assert verdicts == {"branches_separated": True, "no_aborted_trajectories": True,
                             "born_within_3sigma": False}
+
+    @pytest.mark.parametrize("cells,stage2_passes", [(2, True), (3, False)])
+    def test_a_sampler_cells_off_fails_the_second_stage_born_check(self, tmp_path, monkeypatch,
+                                                                    cells, stage2_passes):
+        # every start `cells` grid cells too high: stage 2 (x after z) reads
+        # f_up 0.537 (2 cells) or 0.559 (3 cells) against 0.5 +- 0.047;
+        # stage 1 has p_up = 1, no spread, and stays exact
+        sample = experiments.sample_positions
+        monkeypatch.setattr(experiments, "sample_positions",
+                            lambda frame, n, seed: sample(frame, n, seed) + cells * frame.grid.dx)
+        status = run("sim", "sequential", "--config", str(CONFIG_DIR / "sequential_zx.cfg"),
+                     out=tmp_path / "out")
+        assert status == (0 if stage2_passes else 1)
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        verdicts = {c["name"]: c["passed"] for c in checks}
+        assert verdicts == {"branches_separated": True, "no_aborted_trajectories": True,
+                            "stage1_z_born_within_3sigma": True,
+                            "stage2_x_born_within_3sigma": stage2_passes}
 
     def test_a_possessed_spin_fails_zero_crossings_and_side_inference(self, tmp_path,
                                                                        monkeypatch):
@@ -779,9 +806,10 @@ class TestImportScope:
                     reason="needs 2 usable CPUs to compare against a one-CPU run")
 @pytest.mark.parametrize("name,trajectories,flags,threaded", [
     # 7000 x 41 = 287,000 values, more than one chunk of the table writer
-    # and at least threads.MIN_VALUES, so that unpinned, the writer (in
-    # chunks of 2**15 values), integrate and the histogram comparisons use
-    # a second thread; pinned, the writer takes chunks of 2**13
+    # and at least threads.MIN_VALUES, so that unpinned, the draw and the
+    # histogram comparisons (equilibrium_experiment), the sort and the
+    # advance (integrate) and the writer (in chunks of 2**15 values) use a
+    # second thread; pinned, the writer takes chunks of 2**13
     pytest.param("equilibrium_free", 7000, (), True, id="equilibrium_free-7000"),
     pytest.param("equilibrium_harmonic", 2000, (), False, id="equilibrium_harmonic-2000"),
     pytest.param("stern_gerlach", 200, ("--dump-frames",), False, id="stern_gerlach-200"),

@@ -8,9 +8,17 @@ import threading
 import numpy as np
 import pytest
 
-from bohmlab import table, threads
-from bohmlab.trajectories import integrate
-from bohmlab.wavefield import PotentialSpec
+from bohmlab import experiments, table, threads
+from bohmlab.trajectories import integrate, sample_positions
+from bohmlab.wavefield import (
+    BoundaryMassError,
+    Grid1D,
+    PotentialSpec,
+    SpinorField,
+    gaussian_packet,
+)
+
+from conftest import shipped_config
 
 FREE = PotentialSpec("free")
 
@@ -100,3 +108,45 @@ class TestFailures:
         monkeypatch.setattr(np, "interp", failing)
         with pytest.raises(FloatingPointError, match=where):
             integrate(frames, x0, FREE)
+
+    def test_evolution_error_while_the_helper_draws_propagates(self, usable_cpus, monkeypatch):
+        # the packet reaches the edge zone during evolve_frames, while the
+        # helper draws the starts (7000 x 41 positions); one CPU raises the
+        # same error before any draw
+        sample, drawn_on, errors = experiments.sample_positions, [], []
+
+        def spy(*args):
+            drawn_on.append(threading.current_thread().name)
+            return sample(*args)
+        monkeypatch.setattr(experiments, "sample_positions", spy)
+        cfg = shipped_config("equilibrium_free", n_trials=7000, duration=20.0)
+        for cpus in (2, 1):
+            usable_cpus(cpus)
+            with pytest.raises(BoundaryMassError) as raised:
+                experiments.equilibrium_experiment(cfg)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert drawn_on == ["bohmlab-helper"]
+
+    def test_stage_field_error_while_the_helper_sorts_propagates(self, usable_cpus, monkeypatch):
+        # frame 0 drifts into the edge zone during its stage evolutions,
+        # while the helper sorts the starts (5 frames x 52,429 positions)
+        grid = Grid1D(-16.0, 16.0, 512)
+        rest = gaussian_packet(grid, 0.0, 1.0, 0.0, 1.0, 0.0)
+        frames = [SpinorField(grid, f.up, f.down, time=t) for f, t in zip(
+            [gaussian_packet(grid, 11.3, 0.5, 10.0, 1.0, 0.0)] + [rest] * 4,
+            np.linspace(0.0, 2.4, 5))]
+        x0 = sample_positions(rest, -(-threads.MIN_VALUES // 5), seed=1)
+        argsort, sorted_on, errors = np.argsort, [], []
+
+        def spy(*args, **kwargs):
+            sorted_on.append(threading.current_thread().name)
+            return argsort(*args, **kwargs)
+        monkeypatch.setattr(np, "argsort", spy)
+        for cpus in (2, 1):
+            usable_cpus(cpus)
+            with pytest.raises(BoundaryMassError) as raised:
+                integrate(frames, x0, FREE)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert sorted_on == ["bohmlab-helper"]

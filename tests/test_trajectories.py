@@ -27,6 +27,12 @@ FREE = PotentialSpec("free")
 HARMONIC = PotentialSpec("harmonic", 1.0)
 
 
+def histogram_mass(positions, edges):
+    """The masses that np.histogram gives the finite positions."""
+    finite = positions[np.isfinite(positions)]
+    return np.histogram(finite, bins=edges)[0] / finite.size
+
+
 def plane_wave_frames(grid, k, times):
     psi = np.exp(1j * k * grid.nodes) / np.sqrt(grid.length)
     zero = np.zeros_like(psi)
@@ -296,6 +302,24 @@ class TestOrderedIntegration:
                 ens.positions[:, 1] = 0.0
 
 
+class TestStartOrder:
+    def test_integrate_returns_the_stable_argsort_of_the_starts(self, usable_cpus,
+                                                                escaping_run):
+        # with NaN, infinite and tied starts
+        frames, x0 = escaping_run
+        x0 = np.concatenate((x0, x0[:100]))
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            ens = integrate(frames, x0, FREE)
+            assert np.array_equal(ens.order, np.argsort(x0, kind="stable"))
+            assert np.array_equal(ens.order, np.argsort(ens.positions[:, 0], kind="stable"))
+
+    def test_an_ensemble_built_by_hand_sorts_its_starts(self):
+        positions = np.array([[1.0, 0.0], [np.nan, 0.0], [-1.0, 5.0], [1.0, 2.0]])
+        assert Ensemble(np.zeros(2), positions).order.tolist() == [2, 0, 3, 1]
+        assert Ensemble(np.zeros(0), np.zeros((3, 0))).order.tolist() == [0, 1, 2]
+
+
 class TestNoCrossing:
     def test_rigid_translation_has_no_violations(self, grid512):
         frames = [analytic_coherent_state(grid512, t, 0.0, 1.0)
@@ -342,6 +366,36 @@ class TestEquilibriumDistance:
         ens = Ensemble(frame_times=times, positions=positions)
         comp = equilibrium_distance(ens, 0, f, 16)
         assert comp.total_variation == 0.0
+
+    def test_counts_with_aborted_trajectories_are_those_of_np_histogram(self, usable_cpus,
+                                                                        escaping_run):
+        frames, x0 = escaping_run
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            ens = integrate(frames, x0, FREE)
+            assert ens.aborted
+            for i, frame in enumerate(frames):
+                comp = equilibrium_distance(ens, i, frame, 64)
+                assert np.array_equal(comp.empirical_mass,
+                                      histogram_mass(ens.positions[:, i], comp.bin_edges))
+
+    def test_counts_of_crossing_rows_are_those_of_np_histogram(self, grid512):
+        # every frame drawn afresh, so that the rows cross everywhere; some
+        # positions sit on bin edges (both ends of the grid among them),
+        # off the grid, at infinity or at NaN
+        gen = np.random.default_rng(3)
+        edges = np.linspace(grid512.x_min, grid512.x_max, 17)
+        positions = gen.uniform(-17.0, 17.0, size=(2000, 6))
+        positions[:300] = gen.choice(edges, size=(300, 6))
+        positions[300:330] = gen.choice([np.nan, np.inf, -np.inf], size=(30, 6))
+        positions = gen.permutation(positions)
+        ens = Ensemble(frame_times=np.arange(6.0), positions=positions)
+        assert check_no_crossing(ens).violations > 0
+        field = analytic_free_gaussian(grid512, 1.0, 0.0)
+        for i in range(6):
+            comp = equilibrium_distance(ens, i, field, 16)
+            assert np.array_equal(comp.bin_edges, edges)
+            assert np.array_equal(comp.empirical_mass, histogram_mass(positions[:, i], edges))
 
     def test_requires_enough_bins(self, grid512):
         f = analytic_free_gaussian(grid512, 1.0, 0.0)
