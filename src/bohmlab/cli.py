@@ -28,7 +28,9 @@ the amplitudes of a stack of frames (about `table._CHUNK_VALUES` values,
 4 frames of 512 nodes) in one call.  Both reports and every CSV table
 begin with the config hash; the frame dumps do not.
 Nothing in a file depends on the clock, so re-running an invocation
-reproduces every file byte for byte.
+reproduces every file byte for byte.  Every file is made by
+`serialize.create`, so a re-run into the same --out replaces each file
+rather than truncating it.
 The exit status is 0 exactly when all declared checks pass.  A config
 that its run would reject fails in `config.validate_config`, before the
 output directory is made.  A `nogo` run never imports numpy: here only
@@ -59,7 +61,7 @@ from .config import (
     parse_config,
     with_overrides,
 )
-from .serialize import fmt, json_text
+from .serialize import create, fmt, json_text
 
 
 def _load_config(args, scenario: str):
@@ -282,7 +284,7 @@ def dispatch(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write-probe"       # fail before the run, not after it
-        probe.write_text("")
+        create(probe).close()
         probe.unlink()
         runner, _ = SCENARIOS[scenario]
         results, checks = runner(cfg, out, chash, args.dump_frames)
@@ -292,7 +294,8 @@ def dispatch(args: argparse.Namespace) -> int:
         report_lines = [f"config_hash: {chash}", f"subcommand: {subcommand}", "",
                         "-- config --", echo, "", "-- results --", *_result_lines(results), "",
                         "-- checks --", *_check_lines(checks), "", f"exit: {status}"]
-        (out / "report.txt").write_text("\n".join(report_lines) + "\n")
+        with create(out / "report.txt") as fh:
+            fh.write(("\n".join(report_lines) + "\n").encode())
         json_report = {
             "config_hash": chash,
             "subcommand": subcommand,
@@ -302,7 +305,8 @@ def dispatch(args: argparse.Namespace) -> int:
             "checks": [c._asdict() for c in checks],
             "exit_status": status,
         }
-        (out / "report.json").write_text(json_text(json_report) + "\n")
+        with create(out / "report.json") as fh:
+            fh.write((json_text(json_report) + "\n").encode())
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -356,21 +360,23 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one invocation and return its exit status.  Called with no
     arguments, as `entry_point` calls it for `python -m bohmlab.cli` and
-    the `bohmlab` script, it reads sys.argv and first freezes every object
-    made so far, the interpreter's and the imports', out of the garbage
-    collector.  They live until exit, so the collections during the run
-    need not walk them.  Before numpy loads, it also asks OpenBLAS for
-    one thread unless the environment sets `OPENBLAS_NUM_THREADS`: no
-    bohmlab call is large enough for BLAS threads, and their idle workers
-    spin on the CPU that the run's own helper thread needs.  A library
-    call with an argument list changes neither.
+    the `bohmlab` script, it reads sys.argv and first turns the cyclic
+    garbage collector off for the rest of the process.  Its passes, dozens
+    of them while numpy's import makes its objects, would free nothing: a
+    run's data are numpy arrays and acyclic records, a helper thread drops
+    its reference cycle when it ends, and the process ends in `os._exit`.
+    Before numpy loads, it also asks OpenBLAS for one thread unless the
+    environment sets `OPENBLAS_NUM_THREADS`: no bohmlab call is large
+    enough for BLAS threads, and their idle workers spin on the CPU that
+    the run's own helper thread needs.  A library call with an argument
+    list changes neither.
 
     When the first two arguments name a subcommand, only its parser is
     built (`build_parser(only=...)`); any other argument list, a bare
     `--help` or a mistyped subcommand, gets the full parser."""
     if argv is None:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-        gc.freeze()
+        gc.disable()
         argv = sys.argv[1:]
     invoked = {_subcommand(scenario): scenario for scenario in SCENARIOS}
     return dispatch(build_parser(invoked.get(tuple(argv[:2]))).parse_args(argv))

@@ -5,12 +5,27 @@ round-trips any IEEE-754 double.  `fmt` defines a scalar's text and
 `json_text` a report's; the one table writer, `table.write_table`, must
 give the same bytes as `fmt` on every value.  Both unwrap numpy values only
 once numpy is loaded, as none can exist before; neither loads it.
+Every output file of a run is made by `create`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+
+
+def create(path):
+    """A new file at `path`, open for binary writing.  A file already
+    there, such as the output of an earlier run into the same directory,
+    is unlinked first rather than truncated: truncating a large file
+    costs more than removing it, and a hard link to the old file keeps
+    its bytes.  Into a fresh directory this takes one open call."""
+    try:
+        return open(path, "xb")
+    except FileExistsError:
+        os.unlink(path)
+        return open(path, "xb")
 
 
 def fmt(x) -> str:

@@ -4,9 +4,12 @@ Every table of a run (`ensemble.csv`, `trials.csv`, `histograms.csv`)
 goes through `write_table`, which formats whole columns in numpy and must
 give the same bytes as `serialize.fmt` on every value; a column of
 another dtype raises `TypeError`, since `fmt` would write it
-differently.  An int column is written with numpy's `astype`, as wide
-as the chunk's longest value.  For a finite nonzero double x with
-decimal exponent E, the 17-digit significand |x|*10**(16-E) of `"%.17g"`
+differently.  An int column's cells are as wide as the chunk's longest
+text and formed by arithmetic: the digits of |v| in 8-byte lanes of
+4-digit table entries, as many lanes as that text needs, moved down over
+their leading zeros, with the sign in front.  For a finite nonzero
+double x with decimal exponent E, the 17-digit significand
+|x|*10**(16-E) of `"%.17g"`
 is formed as |x|*2**(16-E) times 5**(16-E), held as a double-double
 table built exactly at import, with Dekker's TwoProduct (Numer. Math. 18,
 224 (1971)), and rounded half to even.  The product is exact where
@@ -50,6 +53,7 @@ import math
 import numpy as np
 
 from . import threads
+from .serialize import create
 
 
 _E_MIN, _E_MAX = -325, 309   # the decimal exponents of all finite doubles, +-1
@@ -267,6 +271,46 @@ def _fast_cells(x) -> np.ndarray:
     return cells.astype("<u8", copy=False)
 
 
+# An int's cell is `str(v)`, left-aligned, then zero bytes.  The digits of
+# |v|, zero-padded to 8 per lane, fill as many '<u8' lanes (`_DENSE`, most
+# significant first) as the longest text needs.  The string then moves
+# down by its leading '0' bytes, all but the last for a negative v, whose
+# last leading '0' becomes its '-'.
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)       # 10**1 .. 10**19
+
+
+def _int_cells(v, width: int) -> np.ndarray:
+    """(n, ceil(width / 8)) '<u8' lanes of `str(x)` for every x of the 1-d
+    int array v, whose longest text has at most `width` bytes."""
+    lanes = -(-width // 8)
+    if v.dtype.kind == "i":
+        v = v.astype(np.int64, copy=False)
+        negative = v < 0
+        m = np.abs(v).view(np.uint64)          # |x|: int64's min wraps to 2**63
+    else:
+        negative = False                       # as a `where=`, it selects nothing
+        m = v.astype(np.uint64, copy=False)
+    # bytes to drop: the leading '0's, all but the last for a negative x
+    drop = (8 * lanes - 1) - _POW10.searchsorted(m, "right") - negative
+    words = np.zeros((m.size, lanes + 1), np.uint64)    # the last lane stays zero
+    for k in range(lanes - 1, 0, -1):
+        m, group = _divmod(m, 10**8)
+        high, low = _divmod(group, 10**4)
+        words[:, k] = _DENSE[0].take(high) | _DENSE[1].take(low)
+    high, low = _divmod(m, 10**4)
+    words[:, 0] = _DENSE[0].take(high) | _DENSE[1].take(low)
+    # drop = 8 q + r/8: lane k of the cell is lane k + q shifted down by r
+    # bits and, above it, lane k + q + 1 (numpy shifts it by 64 to 0); q
+    # is 0 when there is one lane
+    if lanes > 1:
+        at = np.minimum((drop >> 3)[:, None] + np.arange(lanes + 1), lanes)
+        words = np.take_along_axis(words, at, 1)
+    r = ((drop & 7) << 3).astype(np.uint64)[:, None]
+    cells = (words[:, :-1] >> r) | (words[:, 1:] << (64 - r))
+    np.subtract(cells[:, 0], ord("0") - ord("-"), out=cells[:, 0], where=negative)
+    return cells.astype("<u8", copy=False)
+
+
 def format_cells(arrays) -> list:
     """The text of each int or float array as zero-padded uint8 cells,
     shaped `a.shape + (width,)`: 24 bytes for a float, the longest
@@ -283,7 +327,8 @@ def format_cells(arrays) -> list:
             at += a.size
         else:
             width = max(len(str(a.min())), len(str(a.max())))
-            cells.append(a.astype(f"S{width}").view(np.uint8).reshape(*a.shape, width))
+            text = _int_cells(a.ravel(), width).view(np.uint8)
+            cells.append(text.reshape(*a.shape, -1)[..., :width])
     return cells
 
 
@@ -341,7 +386,7 @@ def write_table(path, header, columns, sep: str = ",") -> None:
             raise TypeError(f"cannot write a column of dtype {c.dtype}")
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         fh.write("".join(h + "\n" for h in header).encode())
         if 0 in shape:
             return
@@ -391,6 +436,6 @@ def write_cells(path, header, cells, sep: str = ",") -> None:
     formatted together with other tables' (a stack of frame dumps), and
     lays out the whole text in one buffer."""
     _, text, _ = _rows(cells, [False] * len(cells), sep, np.empty(0, np.uint8), None)
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         fh.write("".join(h + "\n" for h in header).encode())
         _write_text(fh, text, np.empty(min(text.size, _COMPACT_BYTES), bool))

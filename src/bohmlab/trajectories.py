@@ -99,15 +99,16 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     Trajectories are integrated in the order of their initial positions,
     which Bohmian motion preserves, so the position lookups in the
     velocity fields run over (nearly) sorted points; each point's
-    arithmetic is independent of that order, and the result is stored
-    in the caller's order, with that order as `Ensemble.order`.  Every
+    arithmetic is independent of that order, and the result is put back
+    in the caller's order in place, a frame at a time, with that order as
+    `Ensemble.order`.  Every
     stage velocity field is computed first, for a stack of frames at a
     time (about _STACK_VALUES amplitudes, which bound the memory used).
     An ensemble for which `threads.two_threads` holds (2**18 positions
     or more, two usable CPUs) sorts the starts on a helper thread
     meanwhile; then the helper advances the lower half of the order and
-    the calling thread the upper half.  The positions do not depend on
-    the split.
+    the calling thread the upper half, and each puts half of the frames
+    back in order.  The positions do not depend on the split.
 
     A trajectory that leaves the grid is aborted (NaN from that frame
     on) and listed in `aborted`; such a run signals a mis-sized domain
@@ -165,28 +166,39 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
             rows[i + 1, lo:hi] = x
         return alive
 
+    def to_id_order(lo, hi):
+        """Put rows[lo:hi] in id order, one row at a time, so that the
+        ensemble is held once and one row besides."""
+        for row in rows[lo:hi]:
+            row[:] = row.take(rank)
+
     threaded = threads.two_threads(len(times) * n)
     with threads.Helper(threaded) as helper:
         sorting = helper.submit(lambda: np.argsort(x0, kind="stable"))
         stage = _stage_fields(frames, times, potential, h, substeps_per_frame)
         order = sorting()
-        # rows[i, j]: trajectory order[j] at frame i, so that each frame is
-        # stored as one contiguous row; the columns are put in id order at the end
+        # rows[i, j]: trajectory order[j] at frame i > 0, so that each frame
+        # is stored as one contiguous row; the rows are put in id order at
+        # the end, and the starts are in id order already
         rows = np.empty((len(times), n))
-        rows[0] = x0[order]
+        rows[0] = x0
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
         if threaded:
             lower = helper.submit(advance, 0, n // 2)
             upper = advance(n // 2, n)
             alive = np.concatenate((lower(), upper))
+            middle = (len(times) + 1) // 2
+            first = helper.submit(to_id_order, 1, middle)
+            to_id_order(middle, len(times))
+            first()
         else:
             alive = advance(0, n)
+            to_id_order(1, len(times))
 
     aborted = tuple(int(i) for i in np.sort(order[~alive]))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
-    frame_major = rows.take(rank, axis=1)
-    frame_major.flags.writeable = False
-    return Ensemble(frame_times=times, positions=frame_major.T, aborted=aborted, order=order)
+    rows.flags.writeable = False
+    return Ensemble(frame_times=times, positions=rows.T, aborted=aborted, order=order)
 
 
 def _stage_fields(frames, times, potential, h, substeps_per_frame):

@@ -721,12 +721,13 @@ class TestImportScope:
     def test_importing_the_package_loads_no_module(self):
         assert self.loaded("import bohmlab") == ({"bohmlab"}, [])
 
-    def test_the_entry_point_freezes_and_a_nogo_run_loads_no_sim_module(self, tmp_path):
+    def test_the_entry_point_turns_the_collector_off_and_a_nogo_run_loads_no_sim_module(
+            self, tmp_path):
         # main() without arguments is the process entry point
         code = ("import gc\nimport bohmlab.cli\n"
-                "assert bohmlab.cli.main() == 0\nprint(gc.get_freeze_count() > 0)")
+                "assert bohmlab.cli.main() == 0\nprint(gc.isenabled())")
         modules, printed = self.loaded(code, "nogo", "chsh", "--out", str(tmp_path), "--quiet")
-        assert printed == ["True"]
+        assert printed == ["False"]
         assert "bohmlab.nogo" in modules and not modules & self.SIM_ONLY
 
     def test_importing_the_cli_loads_no_numpy(self):
@@ -779,10 +780,15 @@ class TestImportScope:
         modules, _ = self.loaded(code, packages=("bohmlab", "numpy", "dataclasses"))
         assert modules >= self.SIM_ONLY and not modules & {"bohmlab.nogo", "dataclasses"}
 
-    def test_a_library_call_freezes_nothing(self, tmp_path):
-        frozen = gc.get_freeze_count()
-        assert run("nogo", "chsh", out=tmp_path) == 0
-        assert gc.get_freeze_count() == frozen
+    def test_a_library_call_leaves_the_collector_alone(self, tmp_path):
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert run("nogo", "chsh", out=tmp_path) == 0
+                assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
     def test_the_entry_point_asks_openblas_for_one_thread_unless_told(self, tmp_path,
@@ -857,3 +863,22 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, name, trajectories, fl
     differing = [str(f) for f in files("unpinned") if (tmp_path / "unpinned" / f).read_bytes()
                  != (tmp_path / "pinned" / f).read_bytes()]
     assert differing == []
+
+
+def test_a_rerun_replaces_its_outputs(tmp_path):
+    # the second run into the same directory unlinks each file it writes
+    # instead of truncating it: a hard link keeps the first run's bytes,
+    # and the directory ends up as a fresh run's
+    def tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    argv = ["sim", "equilibrium", "--trajectories", "200", "--dump-frames"]
+    assert run(*argv, "--seed", "7", out=tmp_path / "reused") in (0, 1)
+    first = (tmp_path / "reused" / "ensemble.csv").read_bytes()
+    os.link(tmp_path / "reused" / "ensemble.csv", tmp_path / "kept.csv")
+    assert run(*argv, "--seed", "8", out=tmp_path / "reused") in (0, 1)
+    assert run(*argv, "--seed", "8", out=tmp_path / "fresh") in (0, 1)
+    assert (tmp_path / "kept.csv").read_bytes() == first
+    assert tree(tmp_path / "reused") == tree(tmp_path / "fresh") != {}
+    assert tree(tmp_path / "reused")["ensemble.csv"] != first

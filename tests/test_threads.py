@@ -89,8 +89,8 @@ class TestFailures:
             def __exit__(self, *exc_info):
                 self.fh.close()
 
-        monkeypatch.setattr(table, "open", lambda path, mode: FailingFile(open(path, mode)),
-                            raising=False)
+        create = table.create
+        monkeypatch.setattr(table, "create", lambda path: FailingFile(create(path)))
         with pytest.raises(OSError, match="No space left"):
             table.write_table(tmp_path / "table.csv", [], columns)
         assert 0 < (tmp_path / "table.csv").stat().st_size

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,21 @@ class TestOrderedIntegration:
                 ens.positions[0, 0] = 0.0
             with pytest.raises(ValueError):
                 ens.positions[:, 1] = 0.0
+
+    def test_the_ensemble_is_held_once(self, usable_cpus, grid512):
+        # put in id order in place: a second copy would take the traced
+        # peak to two ensembles' worth of bytes
+        frames = [analytic_free_gaussian(grid512, 1.0, t) for t in np.linspace(0.0, 2.0, 41)]
+        x0 = np.random.default_rng(3).normal(size=20_000)
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            tracemalloc.start()
+            try:
+                ens = integrate(frames, x0, FREE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * ens.positions.nbytes
 
 
 class TestStartOrder:

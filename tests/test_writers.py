@@ -260,6 +260,35 @@ def test_constants_need_one_significand_pass(monkeypatch):
         "%.17g" % v for v in values]
 
 
+INT_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
+
+
+def int_inputs(dtype):
+    """0, +-1, +-9, +-10, each power of ten and +-1 around it, the dtype's
+    limits and +-1 inside them, all that the dtype holds, then seeded
+    random draws over its whole range."""
+    info = np.iinfo(dtype)
+    edges = {info.min, info.min + 1, info.max - 1, info.max}
+    edges |= {sign * 10**k + d for k in range(21) for sign in (1, -1) for d in (-1, 0, 1)}
+    edges = sorted(v for v in edges if info.min <= v <= info.max)
+    draws = np.random.default_rng(11).integers(info.min, info.max, size=5000, dtype=dtype,
+                                               endpoint=True)
+    return np.array(edges, dtype), draws
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+def test_int_cells_are_str(dtype):
+    # as one column, whose width is the longest text, and value by value
+    edges, draws = int_inputs(dtype)
+    columns = [edges, draws, edges[:, None], *(edges[i:i + 1] for i in range(edges.size))]
+    for column, cells in zip(columns, table.format_cells(columns)):
+        texts = [str(v) for v in column.ravel().tolist()]
+        width = max(map(len, texts))
+        assert cells.shape == column.shape + (width,)
+        assert [c.tobytes() for c in cells.reshape(-1, width)] == [
+            t.encode().ljust(width, b"\0") for t in texts]
+
+
 @pytest.fixture(scope="module")
 def edge_tables():
     """Every table kind over the edge values, each with its writer and
@@ -294,7 +323,22 @@ def edge_tables():
                 "".join(f"{i},{fmt(t)},{fmt(v)}\n" for i, row in zip(ids, rows)
                         for t, v in zip(values[:3], row))),
         **fixed_column_tables(values),
+        **int_tables(values),
     }
+
+
+def int_tables(values):
+    """A table whose negative int column narrows and widens between
+    chunks (-120 ... 14), beside int64 and uint64 columns that reach their
+    limits."""
+    n = 135
+    counts = np.arange(-120, n - 120)
+    wide = np.resize(int_inputs("int64")[0], n)
+    unsigned = np.resize(int_inputs("uint64")[0], n)
+    floats = np.resize(values, n)
+    return {"ints": (lambda path: write_table(path, [], [counts, wide, unsigned, floats]),
+                     "".join(f"{fmt(c)},{fmt(w)},{fmt(u)},{fmt(v)}\n"
+                             for c, w, u, v in zip(counts, wide, unsigned, floats)))}
 
 
 def fixed_column_tables(values):
