@@ -12,20 +12,21 @@ beats the config file, which beats the default 42; a no-go check reads
 no seed, so `nogo` ignores --seed.
 
 `main(argv)` parses the arguments once and hands the namespace to
-`dispatch(args)`.  `SCENARIOS` is the one scenario table: it maps each
-scenario to its runner and to whether it honours --dump-frames, and the
-parser is built from it (a scenario in `config.NOGO_SCENARIOS` is a `nogo`
-subcommand, any other a `sim` one); when the arguments name a
-subcommand, only its parser is built.  A runner runs its scenario, writes
-its own tables and returns its results tree and checks.  Every run writes
-`report.json` and `report.txt`: the config echo, the results tree (as
-`key = value` lines in the text report) and one PASS/FAIL line per
-declared check.  Trajectory scenarios add `ensemble.csv`, the
-pointer scenario `trials.csv`, the equilibrium scenario
-`histograms.csv`, and --dump-frames a `frames/` directory, one
-`write_frame` per file: the node column is formatted once and
-the amplitudes of a stack of frames (about `table._CHUNK_VALUES` values,
-4 frames of 512 nodes) in one call.  Both reports and every CSV table
+`dispatch(args)`.  `SCENARIOS` maps each scenario to its runner and to
+whether it honours --dump-frames (`config._SCENARIOS` holds its keys),
+and the parser is built from it (a scenario in `config.NOGO_SCENARIOS`
+is a `nogo` subcommand, any other a `sim` one); when the arguments name
+a subcommand, only its parser is built.  A runner runs its scenario,
+writes its own tables and returns its results tree, its checks and the
+files it wrote.  Every run writes `report.json` and `report.txt`: the
+config echo, the results tree (as `key = value` lines in the text
+report) and one PASS/FAIL line per declared check; `report.json` also
+lists the run's other files as `outputs`.  Trajectory scenarios add
+`ensemble.csv`, the pointer scenario `trials.csv`, the equilibrium
+scenario `histograms.csv`, and --dump-frames a `frames/` directory, one
+`write_frame` per file: the node column is formatted once and the
+amplitudes of a stack of frames (about `table._CHUNK_VALUES` values, 4
+frames of 512 nodes) in one call.  Both reports and every CSV table
 begin with the config hash; the frame dumps do not.
 Nothing in a file depends on the clock, so re-running an invocation
 reproduces every file byte for byte.  Every file is made by
@@ -70,7 +71,8 @@ def _load_config(args, scenario: str):
     return with_overrides(cfg, seed=args.seed, n_trials=args.trajectories)
 
 
-# Runners: (cfg, out, chash, dump_frames) -> (results, checks).  A sim
+# Runners: (cfg, out, chash, dump_frames) -> (results, checks, outputs),
+# outputs being the files the runner wrote, relative to `out`.  A sim
 # runner imports `experiments`, a no-go runner `nogo`, when it runs, so an
 # invocation loads only the modules of its own subcommand.  They look
 # experiments.*, nogo.* and the writers below up at call time, so wrapping
@@ -80,10 +82,10 @@ def _stern_gerlach(cfg, out, chash, dump_frames):
     from . import experiments
     result = experiments.stern_gerlach(cfg)
     write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
-    if dump_frames:
-        _write_frames(result.frames, out / "frames")
+    frames = _write_frames(result.frames, out) if dump_frames else []
     return ({"detection_time": result.detection_time,
-             "statistics": result.statistics._asdict()}, result.checks)
+             "statistics": result.statistics._asdict()},
+            result.checks, ["ensemble.csv", *frames])
 
 
 def _sequential(cfg, out, chash, dump_frames):
@@ -91,7 +93,7 @@ def _sequential(cfg, out, chash, dump_frames):
     result = experiments.sequential(cfg)
     return ({"stages": [{"axis": axis, "statistics": st._asdict()}
                         for axis, st in zip(cfg.axes, result.stage_statistics)]},
-            result.checks)
+            result.checks, [])
 
 
 def _no_crossing(cfg, out, chash, dump_frames):
@@ -103,7 +105,7 @@ def _no_crossing(cfg, out, chash, dump_frames):
              "first_violation": None if first is None else
              {"trajectories": list(first[0]), "frame": first[1]},
              "inference_accuracy": result.inference_accuracy,
-             "statistics": result.statistics._asdict()}, result.checks)
+             "statistics": result.statistics._asdict()}, result.checks, ["ensemble.csv"])
 
 
 def _equilibrium(cfg, out, chash, dump_frames):
@@ -111,10 +113,9 @@ def _equilibrium(cfg, out, chash, dump_frames):
     result = experiments.equilibrium_experiment(cfg)
     write_ensemble(result.ensemble, out / "ensemble.csv", config_hash=chash, seed=cfg.seed)
     _write_histograms(result, out / "histograms.csv", chash)
-    if dump_frames:
-        _write_frames(result.frames, out / "frames")
+    frames = _write_frames(result.frames, out) if dump_frames else []
     return ({"total_variation": [c.total_variation for c in result.comparisons]},
-            result.checks)
+            result.checks, ["ensemble.csv", "histograms.csv", *frames])
 
 
 def _pointer(cfg, out, chash, dump_frames):
@@ -123,7 +124,7 @@ def _pointer(cfg, out, chash, dump_frames):
     write_trials(result.measurement, out / "trials.csv", config_hash=chash)
     return ({"min_purity": result.measurement.min_purity,
              "branch_overlap": result.measurement.branch_overlap,
-             "statistics": result.statistics._asdict()}, result.checks)
+             "statistics": result.statistics._asdict()}, result.checks, ["trials.csv"])
 
 
 def _mermin(cfg, out, chash, dump_frames):
@@ -141,7 +142,7 @@ def _mermin(cfg, out, chash, dump_frames):
     return ({"identities": [{"constraint": name, "passed": passed, "residual": residual}
                             for name, passed, residual in identities],
              "total_assignments": 512,
-             "satisfying_assignments": satisfying}, checks)
+             "satisfying_assignments": satisfying}, checks, [])
 
 
 def _vonneumann(cfg, out, chash, dump_frames):
@@ -151,7 +152,7 @@ def _vonneumann(cfg, out, chash, dump_frames):
     check = Check("spectrum_not_additive", abs(min_gap - expected) < 1e-12,
                   f"min gap {fmt(min_gap)} (2 - sqrt(2) = {fmt(expected)})")
     return ({"sum_eigenvalues": sum_eigenvalues, "individual_sums": individual_sums,
-             "min_gap": min_gap}, (check,))
+             "min_gap": min_gap}, (check,), [])
 
 
 def _chsh(cfg, out, chash, dump_frames):
@@ -165,7 +166,7 @@ def _chsh(cfg, out, chash, dump_frames):
               f"{fmt(local_max)} < {fmt(quantum)}"),
     )
     return ({"local_max_S": local_max, "optimal_strategy_count": optimal,
-             "quantum_value": quantum}, checks)
+             "quantum_value": quantum}, checks, [])
 
 
 # scenario -> (runner, honours --dump-frames)
@@ -224,12 +225,14 @@ def write_trials(measurement, path, config_hash: str) -> None:
                  up.real, up.imag, down.real, down.imag])
 
 
-def _write_frames(frames, frame_dir: Path) -> None:
-    """One `write_frame` per frame of a run, all on one grid.  The node
+def _write_frames(frames, out: Path) -> list[str]:
+    """One `write_frame` per frame of a run, all on one grid, into
+    `out/frames`; returns their paths relative to `out`.  The node
     column is formatted once, and the amplitudes of a stack of frames
     (about `table._CHUNK_VALUES` values) in one call."""
     from . import table
-    frame_dir.mkdir(exist_ok=True)
+    names = [f"frames/frame_{i:04d}.txt" for i in range(len(frames))]
+    (out / "frames").mkdir(exist_ok=True)
     grid = frames[0].grid
     nodes = table.format_cells([grid.nodes])[0]
     stack = max(1, table._CHUNK_VALUES // (4 * grid.n_points))
@@ -238,8 +241,9 @@ def _write_frames(frames, frame_dir: Path) -> None:
                                          for a in (frame.up, frame.down)
                                          for part in (a.real, a.imag)])
         for i, frame in enumerate(frames[lo:lo + stack]):
-            write_frame(frame, frame_dir / f"frame_{lo + i:04d}.txt",
+            write_frame(frame, out / names[lo + i],
                         cells=[nodes, *amplitudes[4 * i:4 * i + 4]])
+    return names
 
 
 def _write_histograms(result, path, chash: str) -> None:
@@ -287,7 +291,7 @@ def dispatch(args: argparse.Namespace) -> int:
         create(probe).close()
         probe.unlink()
         runner, _ = SCENARIOS[scenario]
-        results, checks = runner(cfg, out, chash, args.dump_frames)
+        results, checks, outputs = runner(cfg, out, chash, args.dump_frames)
         status = 0 if all(c.passed for c in checks) else 1
         echo = canonical_text(cfg).rstrip("\n")
         subcommand = f"{args.group} {args.scenario}"
@@ -304,6 +308,7 @@ def dispatch(args: argparse.Namespace) -> int:
             "results": results,
             "checks": [c._asdict() for c in checks],
             "exit_status": status,
+            "outputs": sorted(outputs),
         }
         with create(out / "report.json") as fh:
             fh.write((json_text(json_report) + "\n").encode())

@@ -17,24 +17,22 @@ x/y/z letters; `flight_time` accepts `auto`.
 `SCENARIO_KEYS` says which keys each scenario reads, built from key
 groups (`scenario` itself aside):
 
-    stern_gerlach, no_crossing  run, spin, grid, packet, magnet, potential (17)
-    sequential                  the same plus axes (18)
-    equilibrium                 run, spin, grid, packet, potential, equilibrium (19)
+    stern_gerlach, no_crossing  run, spin, grid, packet, magnet (13)
+    sequential                  the same plus axes (14)
+    equilibrium                 run, spin, grid, packet, equilibrium (16)
     pointer                     run, spin, grid, pointer (8)
     mermin, vonneumann, chsh    none
 
-A key read only under a condition (`potential.omega` and
-`potential.center`, `init.a` and `init.b`) belongs to every scenario that
-may read it.  A key its scenario does not read is fatal, in a file and
-in `default_config` alike; an unknown key is fatal, with the nearest key
-its scenario reads suggested.  `validate_config` names the key of any
-value that the run would reject, by the rule the library itself applies:
-the specs', the packet's (for `pointer`, its fixed pointer packet's), an
-auto flight time's, and those of the trial and substep counts
-(`rng.check_draws`, `trajectories.check_substeps`).  It imports
-`conditional` for a `pointer` config only, and `trajectories` for the
-others, which integrate trajectories (`pointer` reads no
-`substeps_per_frame`).
+Units are hbar = m = omega = 1: `potential.kind = harmonic` is the well
+x^2/2.  A key read only under a condition (`init.a` and `init.b`, for a
+uniform start) belongs to every scenario that may read it.  A key its
+scenario does not read is fatal, in a file and in `default_config`
+alike; an unknown key is fatal, with the nearest key its scenario reads
+suggested.  `validate_config` names the key of any value that the run
+would reject, by the rule the library itself applies: the specs', the
+packet's (for `pointer`, its fixed pointer packet's), an auto flight
+time's and the trial count's (`rng.check_draws`); a uniform start must
+lie on the grid.  It imports `conditional` for a `pointer` config only.
 
 The canonical form of a config is the sorted `key = value` listing of
 `scenario` and the keys its scenario reads (defaults filled in, floats
@@ -69,7 +67,6 @@ _FIELD_DEFAULTS = {
     "seed": DEFAULT_SEED,
     "n_trials": 20000,
     "n_frames": 64,
-    "substeps_per_frame": 1,
     "alpha": complex(1 / math.sqrt(2)),
     "beta": complex(1 / math.sqrt(2)),
     "grid_x_min": -20.0,
@@ -80,9 +77,7 @@ _FIELD_DEFAULTS = {
     "packet_momentum": 0.0,
     "magnet_mu_b": 5.0,
     "flight_time": None,                # None = separation rule
-    "potential_kind": "free",
-    "potential_omega": 1.0,
-    "potential_center": 0.0,
+    "potential_kind": "free",           # "free" | "harmonic"
     "duration": 2.0,
     "axes": ("z", "x"),
     "pointer_shift": 10.0,
@@ -109,7 +104,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", ["scenario", *_FIELD_DEFAU
 
     def potential(self):
         from .wavefield import PotentialSpec
-        return PotentialSpec(self.potential_kind, self.potential_omega, self.potential_center)
+        return PotentialSpec(self.potential_kind)
 
 
 def _to_int(s: str) -> int:
@@ -150,19 +145,16 @@ _SPIN = {"spin.alpha": ("alpha", _to_complex), "spin.beta": ("beta", _to_complex
 _GRID = {"grid.x_min": ("grid_x_min", _to_float), "grid.x_max": ("grid_x_max", _to_float),
          "grid.n_points": ("grid_n_points", _to_int)}
 _PACKET = {"n_frames": ("n_frames", _to_int),
-           "substeps_per_frame": ("substeps_per_frame", _to_int),
            "packet.center": ("packet_center", _to_float),
            "packet.width": ("packet_width", _to_float),
            "packet.momentum": ("packet_momentum", _to_float)}
 _MAGNET = {"magnet.mu_b": ("magnet_mu_b", _to_float), "flight_time": ("flight_time", _to_flight)}
-_POTENTIAL = {"potential.kind": ("potential_kind", str),
-              "potential.omega": ("potential_omega", _to_float),
-              "potential.center": ("potential_center", _to_float)}
-_EQUILIBRIUM = {"duration": ("duration", _to_float), "init.kind": ("init_kind", str),
+_EQUILIBRIUM = {"duration": ("duration", _to_float), "potential.kind": ("potential_kind", str),
+                "init.kind": ("init_kind", str),
                 "init.a": ("init_a", _to_float), "init.b": ("init_b", _to_float)}
 _POINTER = {"pointer.shift": ("pointer_shift", _to_float)}
 _AXES = {"axes": ("axes", _to_axes)}
-_DEFLECTION = (_RUN, _SPIN, _GRID, _PACKET, _MAGNET, _POTENTIAL)
+_DEFLECTION = (_RUN, _SPIN, _GRID, _PACKET, _MAGNET)
 
 # every scenario: (the key groups it reads, the defaults it changes); a
 # no-go check reads no key
@@ -170,7 +162,7 @@ _SCENARIOS: dict[str, tuple] = {
     "stern_gerlach": (_DEFLECTION, {}),
     "sequential": ((*_DEFLECTION, _AXES), {"n_trials": 1000}),
     "no_crossing": (_DEFLECTION, {"n_trials": 1000}),
-    "equilibrium": ((_RUN, _SPIN, _GRID, _PACKET, _POTENTIAL, _EQUILIBRIUM), {
+    "equilibrium": ((_RUN, _SPIN, _GRID, _PACKET, _EQUILIBRIUM), {
         "n_trials": 50000,
         "n_frames": 40,
         "grid_x_min": -16.0, "grid_x_max": 16.0,
@@ -277,11 +269,8 @@ def validate_config(config: ExperimentConfig) -> None:
         from .conditional import POINTER_CENTER, POINTER_WIDTH, CouplingSpec
         packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_min, grid.x_max: the pointer's "
         rules.append(("pointer.", lambda: CouplingSpec(config.pointer_shift)))
-    else:                               # it integrates trajectories through its frames
-        from .trajectories import check_substeps
+    else:
         packet, at = (config.packet_center, config.packet_width), "packet."
-        rules.append(("substeps_per_frame: ",
-                      lambda: check_substeps(config.substeps_per_frame)))
     rules.append((at, lambda: check_placement(config.grid(), *packet)))
     if "magnet.mu_b" in keys and config.flight_time is None:
         rules.append(("magnet.", lambda: config.magnet().separation_time(config.packet_width)))
@@ -300,8 +289,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("sequential runs need at least 2 axes")
     if config.init_kind not in ("born", "uniform"):
         raise ConfigError("init.kind must be 'born' or 'uniform'")
-    if config.init_kind == "uniform" and not config.init_b > config.init_a:
-        raise ConfigError("init.b must exceed init.a for a uniform initialization")
+    # `trajectories.integrate` would abort a start off the grid at frame 0
+    if config.init_kind == "uniform" and not (
+            config.grid_x_min <= config.init_a < config.init_b <= config.grid_x_max):
+        raise ConfigError("init.a, init.b: a uniform start needs "
+                          "grid.x_min <= init.a < init.b <= grid.x_max")
 
 
 def _format_value(attr: str, value) -> str:

@@ -19,6 +19,7 @@ from .config import Check, ExperimentConfig
 from .conditional import CouplingSpec, run_pointer_measurement
 from .trajectories import check_no_crossing, equilibrium_distance, integrate, sample_positions
 from .wavefield import (
+    PotentialSpec,
     branch_supports,
     evolve_frames,
     gaussian_packet,
@@ -73,6 +74,9 @@ def detection_time(config: ExperimentConfig) -> float:
 
 
 BRANCH_THRESHOLD = 0.01     # of a branch's mass left outside its support
+# a deflection is a kick followed by free flight: the auto flight time
+# (free spreading) and the classification axis (free drift) assume it
+FREE = PotentialSpec("free")
 
 
 def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
@@ -86,12 +90,11 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                              config.packet_momentum, alpha, beta)
     kicked = magnet_kick(packet, config.magnet())
     flight = detection_time(config)
-    potential = config.potential()
-    frames = evolve_frames(kicked, potential, flight / config.n_frames, config.n_frames)
+    frames = evolve_frames(kicked, FREE, flight / config.n_frames, config.n_frames)
 
     branches = branch_supports(frames[-1], BRANCH_THRESHOLD)
     initial = sample_positions(frames[0], n_trials, seed)
-    ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
+    ensemble = integrate(frames, initial, FREE)
     axis_position = config.packet_center + config.packet_momentum * flight
     finals = ensemble.positions[:, -1]
     return frames, ensemble, branches, finals >= axis_position, np.isfinite(finals), flight
@@ -270,7 +273,7 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
         frames = evolve_frames(packet, potential, config.duration / config.n_frames,
                                config.n_frames)
         initial = drawing()
-    ensemble = integrate(frames, initial, potential, config.substeps_per_frame)
+    ensemble = integrate(frames, initial, potential)
     half = len(frames) // 2
     with threads.Helper(threaded) as helper:
         lower = helper.submit(compare, 0, half)

@@ -76,13 +76,6 @@ def sample_positions(field: SpinorField, n: int, seed: int) -> np.ndarray:
     return rng.sample_from_density(field.grid.nodes, field.density(), n, seed)
 
 
-def check_substeps(substeps_per_frame: int) -> None:
-    """Raise ValueError unless each frame interval gets at least one RK4 substep."""
-    if substeps_per_frame < 1:
-        raise ValueError("a frame interval needs at least 1 RK4 substep, "
-                         f"got {substeps_per_frame}")
-
-
 def integrate(frames: list[SpinorField], initial_positions, potential: PotentialSpec,
               substeps_per_frame: int = 1) -> Ensemble:
     """RK4 integration of all trajectories through the frame sequence.
@@ -116,7 +109,9 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames")
-    check_substeps(substeps_per_frame)
+    if substeps_per_frame < 1:
+        raise ValueError("a frame interval needs at least 1 RK4 substep, "
+                         f"got {substeps_per_frame}")
     times = np.array([f.time for f in frames])
     spacing = np.diff(times)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=1e-12):

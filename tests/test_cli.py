@@ -25,8 +25,8 @@ from bohmlab.config import (
 )
 
 from bohmlab.conditional import CouplingSpec, run_pointer_measurement
-from bohmlab.trajectories import Ensemble, NoCrossingReport, integrate, sample_positions
-from bohmlab.wavefield import Grid1D, PotentialSpec, SpinorField, gaussian_packet
+from bohmlab.trajectories import Ensemble, NoCrossingReport, sample_positions
+from bohmlab.wavefield import Grid1D, SpinorField, gaussian_packet
 
 from conftest import CONFIG_DIR, shipped_config
 
@@ -85,6 +85,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             default_config("pointer", magnet_mu_b=7.0)
 
+    def test_a_uniform_start_may_reach_the_grid_edges(self):
+        # `integrate` keeps a start on x_min or x_max
+        cfg = parse_config("init.kind = uniform\ninit.a = -16\ninit.b = 16\n",
+                           scenario="equilibrium")
+        assert (cfg.init_a, cfg.init_b) == (cfg.grid_x_min, cfg.grid_x_max)
+
     def test_hash_tracks_semantic_changes(self):
         a = default_config("stern_gerlach")
         b = default_config("stern_gerlach", seed=43)
@@ -117,9 +123,6 @@ class TestParseConfig:
             gaussian_packet(Grid1D(-10.0, 10.0, 256), 0.0, 1.0, 0.0, 1, 0), 0, 1)),
         ("n_trials", lambda: run_pointer_measurement(1, 0, CouplingSpec(10.0), 0, 1,
                                                      Grid1D(-24.0, 24.0, 256))),
-        ("substeps_per_frame", lambda: integrate(
-            [gaussian_packet(Grid1D(-10.0, 10.0, 256), 0.0, 1.0, 0.0, 1, 0)] * 2, [0.0],
-            PotentialSpec("free"), 0)),
     ])
     def test_a_count_is_checked_by_the_library_rule_under_its_key(self, key, library_call):
         with pytest.raises(ValueError) as library:
@@ -229,7 +232,6 @@ class TestDispatch:
     @pytest.mark.parametrize("line", ["grid.n_points = 1000", "grid.x_max = -30",
                                       # magnet.tau is an unknown key: mu_b is the kick
                                       "magnet.mu_b = -1", "magnet.tau = 0",
-                                      "potential.kind = harmonic\npotential.omega = 0",
                                       "potential.kind = bogus",
                                       # rules of the packet and of an auto flight time,
                                       # which the run would meet only once it started
@@ -237,26 +239,63 @@ class TestDispatch:
                                       "packet.center = 17", "magnet.mu_b = 0.5",
                                       "grid.x_min = -4",
                                       # non-finite values, rejected while parsing
-                                      "potential.kind = harmonic\npotential.center = inf",
                                       "duration = inf", "flight_time = inf", "spin.alpha = nan",
-                                      "potential.kind = harmonic\npotential.omega = inf",
                                       # seeds are taken modulo 2**64
                                       "seed = -1", "seed = 18446744073709551616",
                                       # counts, by the rules the library states
-                                      "n_trials = 0", "substeps_per_frame = 0"])
+                                      "n_trials = 0",
+                                      # keys no scenario reads: unknown ones
+                                      "potential.kind = harmonic\npotential.omega = 0",
+                                      "potential.kind = harmonic\npotential.center = inf",
+                                      "potential.kind = harmonic\npotential.omega = inf",
+                                      "substeps_per_frame = 0"])
     def test_rejected_constructor_value_fails_cleanly(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
         key = line.splitlines()[-1].split("=")[0].strip()
-        # duration is an equilibrium key; the pointer's packet is fixed, so its
-        # grid is at fault when the packet does not fit
-        subcommand = {"duration": "equilibrium", "grid.x_min": "pointer"}.get(key, "stern-gerlach")
+        # duration and potential.kind (the first key) are equilibrium keys;
+        # the pointer's packet is fixed, so its grid is at fault when the
+        # packet does not fit
+        subcommand = {"duration": "equilibrium", "potential.kind": "equilibrium",
+                      "grid.x_min": "pointer"}.get(line.split("=")[0].strip(), "stern-gerlach")
         status = cli.main(["sim", subcommand, "--config", str(bad),
                            "--out", str(tmp_path / "out"), "--quiet"])
         assert status == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert key in err[0] and "not read" not in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario,key", [
+        # the deflection potential, the RK4 substeps, the well's frequency
+        # and centre: 15 settable values that no run varied
+        *((s, k) for s in ("stern_gerlach", "sequential", "no_crossing")
+          for k in ("potential.kind", "potential.omega", "potential.center",
+                    "substeps_per_frame")),
+        *(("equilibrium", k) for k in ("potential.omega", "potential.center",
+                                       "substeps_per_frame"))])
+    def test_a_removed_key_fails_cleanly(self, tmp_path, capsys, scenario, key):
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"scenario = {scenario}\n{key} = 1\n")
+        assert run("sim", scenario.replace("_", "-"), "--config", str(cfg),
+                   out=tmp_path / "out") == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        # potential.kind is still an equilibrium key
+        assert err.startswith(f"error: key {key!r} is not read by scenario {scenario!r}"
+                              if key == "potential.kind" else f"error: unknown key {key!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bounds", [(-30, 30), (-16.5, 0), (0, 16.5), (1, 1)])
+    def test_a_uniform_start_off_the_grid_fails_cleanly(self, tmp_path, capsys, bounds):
+        # starts outside [grid.x_min, grid.x_max] = [-16, 16] would abort at
+        # frame 0; an empty interval has no start
+        cfg = tmp_path / "uniform.cfg"
+        cfg.write_text("init.kind = uniform\ninit.a = {}\ninit.b = {}\n".format(*bounds))
+        assert run("sim", "equilibrium", "--config", str(cfg), "--trajectories", "2000",
+                   out=tmp_path / "out") == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == ("error: init.a, init.b: a uniform start needs "
+                       "grid.x_min <= init.a < init.b <= grid.x_max")
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_outside_64_bits_fails_cleanly(self, tmp_path, capsys):
@@ -365,14 +404,14 @@ class TestDispatch:
         # start, and trajectories cross
         integrate = experiments.integrate
 
-        def possessed(frames, initial, potential, substeps_per_frame):
+        def possessed(frames, initial, potential):
             p_up = float(np.sum(abs(frames[0].up) ** 2) / np.sum(frames[0].density()))
             up = rng.uniforms(1, len(initial)) < p_up
             positions = np.empty((len(initial), len(frames)))
             for label, mask in ((0, up), (1, ~up)):
                 own = [SpinorField(f.grid, f.up * (label == 0), f.down * (label == 1), time=f.time)
                        for f in frames]
-                part = integrate(own, initial[mask], potential, substeps_per_frame)
+                part = integrate(own, initial[mask], potential)
                 assert part.aborted == ()
                 positions[mask] = part.positions
             return Ensemble(part.frame_times, positions)
@@ -509,19 +548,17 @@ class TestScenarioTable:
         assert calls == ["no_crossing_check", "write_ensemble"]
 
 
-# every shipped config, plus the runs that read the keys no shipped config
-# reaches: a harmonic well under each deflection scenario, a uniform start
+# every shipped config, plus the run that reads the keys no shipped config
+# reaches: a uniform start
 KEY_RUNS = [(name, {}) for name in ("stern_gerlach", "sequential_zx", "no_crossing",
                                     "equilibrium_free", "equilibrium_harmonic", "pointer")]
-KEY_RUNS += [(name, {"potential_kind": "harmonic"})
-             for name in ("stern_gerlach", "sequential_zx", "no_crossing")]
 KEY_RUNS += [("equilibrium_free", {"init_kind": "uniform", "init_a": -2.5, "init_b": -1.5})]
 
 
 class TestKeyTable:
     def test_keys_per_scenario(self):
         assert {s: len(keys) for s, keys in SCENARIO_KEYS.items()} == {
-            "stern_gerlach": 17, "sequential": 18, "no_crossing": 17, "equilibrium": 19,
+            "stern_gerlach": 13, "sequential": 14, "no_crossing": 13, "equilibrium": 16,
             "pointer": 8, "mermin": 0, "vonneumann": 0, "chsh": 0}
 
     def test_each_scenario_reads_exactly_its_keys(self, tmp_path, monkeypatch):
@@ -668,9 +705,31 @@ def test_the_readme_states_every_check(tmp_path):
     for i, cfg in enumerate([*runs, *map(default_config, NOGO_SCENARIOS)]):
         out = tmp_path / str(i)
         out.mkdir()
-        _, checks = cli.SCENARIOS[cfg.scenario][0](cfg, out, "0" * 64, False)
+        _, checks, _ = cli.SCENARIOS[cfg.scenario][0](cfg, out, "0" * 64, False)
         emitted |= {c.name for c in checks}
     assert documented == emitted
+
+
+def test_the_readme_states_every_key():
+    # the README's key-group table and its per-scenario table, against
+    # the keys each scenario reads and their number
+    section = (ROOT / "README.md").read_text().split("\n## Config files\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+
+    def table(header):
+        lines = section.split(f"\n{header}\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[1:]]
+
+    groups = {name: {k.strip().strip("`") for k in keys.split(",")}
+              for name, keys in table("| group       | keys |")}
+    stated = {}
+    for scenarios, names, count in table("| scenario | groups | keys |"):
+        keys = set() if names.startswith("none") else \
+            set().union(*(groups[name] for name in names.split(", ")))
+        assert len(keys) == int(count), scenarios
+        for scenario in scenarios.split(", "):
+            stated[scenario.strip("`")] = keys
+    assert stated == {scenario: set(keys) for scenario, keys in SCENARIO_KEYS.items()}
 
 
 def test_no_run_imports_a_process_pool(tmp_path):
@@ -882,3 +941,32 @@ def test_a_rerun_replaces_its_outputs(tmp_path):
     assert (tmp_path / "kept.csv").read_bytes() == first
     assert tree(tmp_path / "reused") == tree(tmp_path / "fresh") != {}
     assert tree(tmp_path / "reused")["ensemble.csv"] != first
+
+
+@pytest.mark.parametrize("scenario", list(cli.SCENARIOS))
+def test_report_json_lists_the_files_the_run_wrote(tmp_path, scenario):
+    # sorted paths relative to --out, the reports left out
+    argv = [*cli._subcommand(scenario)]
+    if scenario in SIM_SCENARIOS:
+        argv += ["--trajectories", "200"]
+    if cli.SCENARIOS[scenario][1]:
+        argv += ["--dump-frames"]
+    assert run(*argv, out=tmp_path) in (0, 1)
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if p.is_file() and not p.name.startswith("report."))
+    assert json.loads((tmp_path / "report.json").read_text())["outputs"] == written
+
+
+def test_report_json_lists_no_file_of_an_earlier_run(tmp_path):
+    # another scenario's files stay in the directory, but outside the
+    # listing, which is a fresh run's
+    def outputs(out):
+        return json.loads((out / "report.json").read_text())["outputs"]
+
+    shared = tmp_path / "shared"
+    assert run("sim", "equilibrium", "--trajectories", "200", "--dump-frames",
+               out=shared) in (0, 1)
+    assert run("sim", "pointer", "--trajectories", "200", out=shared) == 0
+    assert run("sim", "pointer", "--trajectories", "200", out=tmp_path / "fresh") == 0
+    assert outputs(shared) == outputs(tmp_path / "fresh") == ["trials.csv"]
+    assert (shared / "ensemble.csv").exists() and len(list((shared / "frames").iterdir())) == 41

@@ -141,13 +141,13 @@ class TestSternGerlach:
                                  cfg.packet_momentum, cfg.alpha, cfg.beta)
         kicked = magnet_kick(packet, cfg.magnet())
         flight = detection_time(cfg)
-        frames = evolve_frames(kicked, cfg.potential(), flight / cfg.n_frames, cfg.n_frames)
+        frames = evolve_frames(kicked, experiments.FREE, flight / cfg.n_frames, cfg.n_frames)
         p = abs(cfg.alpha) ** 2
         halfwidth = 3 * math.sqrt(p * (1 - p) / cfg.n_trials)
         misses = 0
         for seed in range(100):
             x0 = sample_positions(frames[0], cfg.n_trials, seed)
-            ens = integrate(frames, x0, cfg.potential(), cfg.substeps_per_frame)
+            ens = integrate(frames, x0, experiments.FREE)
             f_up = float(np.mean(ens.positions[:, -1] >= 0))
             if abs(f_up - p) > halfwidth:
                 misses += 1

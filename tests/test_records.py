@@ -101,7 +101,7 @@ def test_no_results_tree_holds_a_record(tmp_path):
         size = {} if scenario in NOGO_SCENARIOS else {"n_trials": 200}
         out = tmp_path / scenario
         out.mkdir()
-        results, checks = runner(default_config(scenario, **size), out, "0" * 64, False)
+        results, checks, _ = runner(default_config(scenario, **size), out, "0" * 64, False)
         assert records_in(results) == [], scenario
         assert checks and all(type(c) is Check for c in checks), scenario
 

@@ -106,6 +106,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(frames, [0.0], FREE)
 
+    def test_requires_a_substep_per_frame(self, grid512):
+        frames = plane_wave_frames(grid512, 1.0, [0.0, 0.5])
+        with pytest.raises(ValueError, match="at least 1 RK4 substep, got 0"):
+            integrate(frames, [0.0], FREE, substeps_per_frame=0)
+
     def test_escaping_trajectory_is_aborted_and_flagged(self, grid512):
         # 15.9 lies in the underflowed tail ahead of the packet, whose
         # nodes take the velocity of the nearest live node, so it leaves
@@ -183,7 +188,7 @@ def integrate_in_given_order(frames, initial_positions, potential, substeps_per_
 @pytest.mark.parametrize("name", ["equilibrium_free", "equilibrium_harmonic"])
 def test_shipped_equilibrium_trajectories_match_the_oracle(name):
     # free: X = c + p t + (X0 - c) sigma_t / sigma; harmonic (coherent
-    # state, omega = 1 about 0): X = X0 - c + c cos t + p sin t
+    # state in the unit well): X = X0 - c + c cos t + p sin t
     cfg = shipped_config(name)
     potential = cfg.potential()
     packet = gaussian_packet(cfg.grid(), cfg.packet_center, cfg.packet_width,
@@ -196,7 +201,7 @@ def test_shipped_equilibrium_trajectories_match_the_oracle(name):
         spread = np.sqrt(1.0 + (t / (2.0 * cfg.packet_width**2)) ** 2)
         oracle = c + p * t + (start - c) * spread
     else:
-        assert (cfg.potential_omega, cfg.potential_center) == (1.0, 0.0)
+        assert potential == HARMONIC
         oracle = start - c + c * np.cos(t) + p * np.sin(t)
 
     def max_error(substeps):

@@ -216,23 +216,22 @@ class TestEvolve:
             phase = np.vdot(oracle, frame.psi)
             assert np.max(np.abs(frame.psi - phase / abs(phase) * oracle)) < 1e-12
 
-    @pytest.mark.parametrize("overrides", [
-        # a stiffer well off the origin: both chirp parameters
-        dict(potential_omega=1.7, potential_center=0.5, grid_n_points=1024,
-             packet_width=1 / math.sqrt(2 * 1.7)),
-        dict(grid_n_points=4096),
+    @pytest.mark.parametrize("overrides,potential", [
+        # a stiffer well off the origin, which no config sets: both chirp
+        # parameters
+        (dict(grid_n_points=1024, packet_width=1 / math.sqrt(2 * 1.7)),
+         PotentialSpec("harmonic", 1.7, 0.5)),
+        (dict(grid_n_points=4096), PotentialSpec("harmonic")),
     ], ids=["omega1.7-center0.5-n1024", "n4096"])
-    def test_harmonic_frames_match_oracle_off_the_shipped_well(self, overrides):
+    def test_harmonic_frames_match_oracle_off_the_shipped_well(self, overrides, potential):
         # every frame, global phase included
         cfg = shipped_config("equilibrium_harmonic", **overrides)
         f = gaussian_packet(cfg.grid(), cfg.packet_center, cfg.packet_width,
                             cfg.packet_momentum, cfg.alpha, cfg.beta)
-        for frame in evolve_frames(f, cfg.potential(), cfg.duration / cfg.n_frames,
-                                   cfg.n_frames):
+        for frame in evolve_frames(f, potential, cfg.duration / cfg.n_frames, cfg.n_frames):
             oracle = analytic_coherent_state(cfg.grid(), frame.time, cfg.packet_center,
                                              cfg.packet_momentum, cfg.alpha, cfg.beta,
-                                             omega=cfg.potential_omega,
-                                             center=cfg.potential_center).psi
+                                             omega=potential.omega, center=potential.center).psi
             assert np.max(np.abs(frame.psi - oracle)) < 1e-12
 
     def test_harmonic_evolution_composes(self):

@@ -471,9 +471,9 @@ class TestFrame:
         paths = []
         monkeypatch.setattr(cli, "write_frame", lambda field, path, **kwargs: (
             paths.append(path.name), write_frame(field, path, **kwargs)))
-        cli._write_frames(frames, tmp_path / "frames")
+        written = cli._write_frames(frames, tmp_path)
         names = [f"frame_{i:04d}.txt" for i in range(len(frames))]
-        assert paths == names
+        assert paths == names and written == [f"frames/{name}" for name in names]
         assert sorted(p.name for p in (tmp_path / "frames").iterdir()) == names
         for name, field in zip(names, frames):
             assert (tmp_path / "frames" / name).read_text() == ref_frame(field)
