@@ -17,22 +17,26 @@ x/y/z letters; `flight_time` accepts `auto`.
 `SCENARIO_KEYS` says which keys each scenario reads, built from key
 groups (`scenario` itself aside):
 
-    stern_gerlach, no_crossing  run, spin, grid, packet, magnet (13)
-    sequential                  the same plus axes (14)
-    equilibrium                 run, spin, grid, packet, equilibrium (16)
+    stern_gerlach, no_crossing  run, spin, grid, packet, magnet (11)
+    sequential                  the same plus axes (12)
+    equilibrium                 run, grid, packet, equilibrium (14)
     pointer                     run, spin, grid, pointer (8)
     mermin, vonneumann, chsh    none
 
 Units are hbar = m = omega = 1: `potential.kind = harmonic` is the well
-x^2/2.  A key read only under a condition (`init.a` and `init.b`, for a
-uniform start) belongs to every scenario that may read it.  A key its
-scenario does not read is fatal, in a file and in `default_config`
-alike; an unknown key is fatal, with the nearest key its scenario reads
-suggested.  `validate_config` names the key of any value that the run
-would reject, by the rule the library itself applies: the specs', the
-packet's (for `pointer`, its fixed pointer packet's), an auto flight
-time's and the trial count's (`rng.check_draws`); a uniform start must
-lie on the grid.  It imports `conditional` for a `pointer` config only.
+x^2/2.  A deflection starts at rest at x = 0, since a shifted or boosted
+start is the same run; an equilibrium packet carries a fixed spinor,
+since H does not act on spin.  A key read only under a condition
+(`init.a` and `init.b`, for a uniform start) belongs to every scenario
+that may read it.  A key its scenario does not read is fatal, in a file
+and in `default_config` alike; an unknown key is fatal, with the nearest
+key its scenario reads suggested.  `default_config`, and so every path
+that builds a config, calls `validate_config`: it names the key of any
+value that the run would reject, by the rule the library itself applies:
+the specs', the spin pair's, the packet's (for `pointer`, its fixed
+pointer packet's), an auto flight time's and the trial count's
+(`rng.check_draws`); a uniform start must lie on the grid.  It imports
+`conditional` for a `pointer` config only.
 
 The canonical form of a config is the sorted `key = value` listing of
 `scenario` and the keys its scenario reads (defaults filled in, floats
@@ -144,12 +148,11 @@ _RUN = {"seed": ("seed", _to_int), "n_trials": ("n_trials", _to_int)}
 _SPIN = {"spin.alpha": ("alpha", _to_complex), "spin.beta": ("beta", _to_complex)}
 _GRID = {"grid.x_min": ("grid_x_min", _to_float), "grid.x_max": ("grid_x_max", _to_float),
          "grid.n_points": ("grid_n_points", _to_int)}
-_PACKET = {"n_frames": ("n_frames", _to_int),
-           "packet.center": ("packet_center", _to_float),
-           "packet.width": ("packet_width", _to_float),
-           "packet.momentum": ("packet_momentum", _to_float)}
+_PACKET = {"n_frames": ("n_frames", _to_int), "packet.width": ("packet_width", _to_float)}
 _MAGNET = {"magnet.mu_b": ("magnet_mu_b", _to_float), "flight_time": ("flight_time", _to_flight)}
-_EQUILIBRIUM = {"duration": ("duration", _to_float), "potential.kind": ("potential_kind", str),
+_EQUILIBRIUM = {"packet.center": ("packet_center", _to_float),
+                "packet.momentum": ("packet_momentum", _to_float),
+                "duration": ("duration", _to_float), "potential.kind": ("potential_kind", str),
                 "init.kind": ("init_kind", str),
                 "init.a": ("init_a", _to_float), "init.b": ("init_b", _to_float)}
 _POINTER = {"pointer.shift": ("pointer_shift", _to_float)}
@@ -162,7 +165,7 @@ _SCENARIOS: dict[str, tuple] = {
     "stern_gerlach": (_DEFLECTION, {}),
     "sequential": ((*_DEFLECTION, _AXES), {"n_trials": 1000}),
     "no_crossing": (_DEFLECTION, {"n_trials": 1000}),
-    "equilibrium": ((_RUN, _SPIN, _GRID, _PACKET, _EQUILIBRIUM), {
+    "equilibrium": ((_RUN, _GRID, _PACKET, _EQUILIBRIUM), {
         "n_trials": 50000,
         "n_frames": 40,
         "grid_x_min": -16.0, "grid_x_max": 16.0,
@@ -186,15 +189,18 @@ _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
 
 def default_config(scenario: str, **fields) -> ExperimentConfig:
-    """The scenario's defaults with `fields` (attribute names) replaced.
-    A field the scenario does not read raises ConfigError."""
+    """The scenario's defaults with `fields` (attribute names) replaced,
+    checked by `validate_config`.  A field the scenario does not read
+    raises ConfigError."""
     if scenario not in _SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
     for attr in fields:
         key = _ATTR_TO_KEY.get(attr, attr)
         if key not in SCENARIO_KEYS[scenario]:
             raise ConfigError(f"key {key!r} is not read by scenario {scenario!r}")
-    return ExperimentConfig(scenario=scenario, **{**_SCENARIOS[scenario][1], **fields})
+    config = ExperimentConfig(scenario=scenario, **{**_SCENARIOS[scenario][1], **fields})
+    validate_config(config)
+    return config
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -249,9 +255,7 @@ def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from None
 
-    config = default_config(effective, **overrides)
-    validate_config(config)
-    return config
+    return default_config(effective, **overrides)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -261,16 +265,19 @@ def validate_config(config: ExperimentConfig) -> None:
         return                          # a no-go check reads no key
     from .rng import check_draws
     from .wavefield import check_placement, check_spin
-    rules = [("spin.alpha, spin.beta: ", lambda: check_spin(config.alpha, config.beta)),
-             ("grid.", config.grid), ("magnet.", config.magnet),
-             ("potential.", config.potential),
-             ("n_trials: ", lambda: check_draws(config.n_trials))]
+    rules = []
+    if "spin.alpha" in keys:            # an equilibrium packet's spinor is fixed
+        rules.append(("spin.alpha, spin.beta: ", lambda: check_spin(config.alpha, config.beta)))
+    rules += [("grid.", config.grid), ("magnet.", config.magnet),
+              ("potential.", config.potential),
+              ("n_trials: ", lambda: check_draws(config.n_trials))]
     if config.scenario == "pointer":    # its packet is fixed: its grid must hold it
         from .conditional import POINTER_CENTER, POINTER_WIDTH, CouplingSpec
         packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_min, grid.x_max: the pointer's "
         rules.append(("pointer.", lambda: CouplingSpec(config.pointer_shift)))
-    else:
-        packet, at = (config.packet_center, config.packet_width), "packet."
+    else:                               # a deflection's packet starts at x = 0
+        center = config.packet_center if "packet.center" in keys else 0.0
+        packet, at = (center, config.packet_width), "packet."
     rules.append((at, lambda: check_placement(config.grid(), *packet)))
     if "magnet.mu_b" in keys and config.flight_time is None:
         rules.append(("magnet.", lambda: config.magnet().separation_time(config.packet_width)))

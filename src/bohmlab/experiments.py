@@ -28,12 +28,6 @@ from .wavefield import (
 
 HBAR = 1.0
 
-_AXIS_VECTORS = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
-
 
 MeasurementStatistics = namedtuple(
     "MeasurementStatistics",
@@ -81,13 +75,13 @@ FREE = PotentialSpec("free")
 
 def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                  n_trials: int, seed: int):
-    """Shared deflection pipeline: prepare, kick, fly, sample, integrate,
-    classify by side of the symmetry axis (ties count as up).  Returns the
+    """Shared deflection pipeline: prepare at rest at x = 0 (a shifted or
+    boosted start is the same run), kick, fly, sample, integrate, classify
+    by side of the symmetry axis x = 0 (ties count as up).  Returns the
     branch supports at detection time, the up mask and the survivor mask;
     an aborted trajectory ends at NaN, so it is neither up nor down."""
     grid = config.grid()
-    packet = gaussian_packet(grid, config.packet_center, config.packet_width,
-                             config.packet_momentum, alpha, beta)
+    packet = gaussian_packet(grid, 0.0, config.packet_width, 0.0, alpha, beta)
     kicked = magnet_kick(packet, config.magnet())
     flight = detection_time(config)
     frames = evolve_frames(kicked, FREE, flight / config.n_frames, config.n_frames)
@@ -95,9 +89,8 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
     branches = branch_supports(frames[-1], BRANCH_THRESHOLD)
     initial = sample_positions(frames[0], n_trials, seed)
     ensemble = integrate(frames, initial, FREE)
-    axis_position = config.packet_center + config.packet_momentum * flight
     finals = ensemble.positions[:, -1]
-    return frames, ensemble, branches, finals >= axis_position, np.isfinite(finals), flight
+    return frames, ensemble, branches, finals >= 0.0, np.isfinite(finals), flight
 
 
 def _no_aborted_check(n_aborted: int) -> Check:
@@ -162,7 +155,7 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     n_aborted = 0
 
     for stage, axis in enumerate(config.axes):
-        u = spin_rotation(_AXIS_VECTORS[axis])
+        u = spin_rotation(axis)
         u_dag = u.conj().T
         weight_up = weight_down = 0.0
         ids_up, ids_down = [], []
@@ -206,8 +199,8 @@ NoCrossingResult = namedtuple(
 def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     """Order preservation plus side retrodiction for the symmetric state:
     a trajectory ends on the up side exactly when it started above the
-    packet center (ties on the center count as up on both sides of the
-    equivalence)."""
+    packet center x = 0 (ties on the center count as up on both sides of
+    the equivalence)."""
     symmetric = abs(abs(config.alpha) ** 2 - 0.5) < 1e-12 and \
         abs(abs(config.beta) ** 2 - 0.5) < 1e-12
     frames, ensemble, branches, up_mask, alive, flight = _sg_pipeline(
@@ -215,7 +208,7 @@ def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     report = check_no_crossing(ensemble)
     stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(alive & ~up_mask))),
                                    (abs(config.alpha) ** 2, abs(config.beta) ** 2))
-    started_above = ensemble.positions[alive, 0] >= config.packet_center
+    started_above = ensemble.positions[alive, 0] >= 0.0
     accuracy = float(np.mean(up_mask[alive] == started_above))
     checks = (
         Check("symmetric_preparation", symmetric,
@@ -240,6 +233,9 @@ class EquilibriumResult(namedtuple("EquilibriumResult", "comparisons frames ense
 
 N_BINS = 64                 # equal bins of each histogram comparison
 TV_TOLERANCE = 0.03         # every frame's total variation must stay below this
+# H does not act on spin, so |psi|^2, the current and every trajectory are
+# the envelope's whatever the spinor: the equilibrium packet carries this one
+EQUILIBRIUM_SPIN = (complex(1 / math.sqrt(2)),) * 2
 
 
 def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
@@ -248,7 +244,7 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     law), and compare the ensemble histogram to |psi_t|^2 at every frame."""
     grid = config.grid()
     packet = gaussian_packet(grid, config.packet_center, config.packet_width,
-                             config.packet_momentum, config.alpha, config.beta)
+                             config.packet_momentum, *EQUILIBRIUM_SPIN)
     potential = config.potential()
 
     def draw():

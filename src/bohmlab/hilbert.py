@@ -1,5 +1,5 @@
 """Spin-1/2 operators: the Pauli table, the arithmetic the no-go checks do
-with it, Hermitian spectra, and the rotation that takes a measurement axis to z.
+with it, Hermitian spectra, and the rotation that takes a lab axis x, y or z to z.
 
 An operator is a tuple of rows of Python `complex`.  The no-go operators are
 2x2 and 4x4 with entries 0, +-1, +-i and +-1/sqrt(2), so this arithmetic is
@@ -91,34 +91,19 @@ def hermitian_eigenvalues(a) -> tuple:
     return tuple(sorted(a[k][k].real for k in range(n)))
 
 
-def spin_rotation(axis):
-    """Unitary U (a complex ndarray) with U (axis . sigma) U^dagger = sigma_z.
+# the rotation n_hat, theta taking each lab axis to z: about (axis x z_hat)
+# by arccos(axis . z_hat), so z is not rotated
+_TO_Z = {"x": ((0.0, -1.0, 0.0), math.pi / 2), "y": ((1.0, 0.0, 0.0), math.pi / 2),
+         "z": ((0.0, 0.0, 1.0), 0.0)}
 
-    Fixed deterministically: rotate by theta = arccos(axis . z_hat) about
-    (axis x z_hat)/|axis x z_hat|; the antiparallel case axis = -z_hat is
-    mapped to a rotation about x_hat by pi.
-    """
+
+def spin_rotation(axis: str):
+    """Unitary U (a complex ndarray) with U sigma_axis U^dagger = sigma_z for
+    axis 'x', 'y' or 'z': the rotation by theta about n_hat of `_TO_Z`,
+    cos(theta/2) I - i sin(theta/2) n_hat . sigma."""
     import numpy as np
 
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    length = np.linalg.norm(axis)
-    if abs(length - 1.0) > 1e-9:
-        if length == 0.0:
-            raise ValueError("axis must be a unit vector, got the zero vector")
-        raise ValueError(f"axis must be a unit vector, |axis| = {length}")
-    z_hat = np.array([0.0, 0.0, 1.0])
-    cos_theta = float(axis @ z_hat)
-    cross = np.cross(axis, z_hat)
-    cross_norm = np.linalg.norm(cross)
-    if cross_norm < 1e-12:
-        if cos_theta > 0.0:
-            return np.eye(2, dtype=complex)
-        n_hat, theta = np.array([1.0, 0.0, 0.0]), np.pi
-    else:
-        n_hat = cross / cross_norm
-        theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+    n_hat, theta = _TO_Z[axis]
     sx, sy, sz = (np.array(_PAULI[k]) for k in "xyz")
     n_sigma = n_hat[0] * sx + n_hat[1] * sy + n_hat[2] * sz
     return np.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2) * n_sigma

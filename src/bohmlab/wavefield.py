@@ -16,9 +16,8 @@ and `evolve` applies the exact grid propagator exp(-i H t) for any t,
 one FFT pair per boundary-monitor checkpoint of length h:
 
     V = 0:         psi -> IFFT( exp(-i k^2 h/2) FFT(psi) )
-    V = w^2 (x - c)^2 / 2:
-                   psi -> C IFFT( exp(-i k^2 s/2) FFT(C psi) ),
-                   C = exp(-i (w/2) tan(w h/2) (x - c)^2),  s = sin(w h)/w
+    V = x^2 / 2:   psi -> C IFFT( exp(-i k^2 s/2) FFT(C psi) ),
+                   C = exp(-i tan(h/2) x^2 / 2),  s = sin(h)
 
 The harmonic step is the exact chirp-kinetic-chirp (x-p-x shear)
 factorization of the oscillator flow, the chirp-convolution-chirp form of
@@ -127,8 +126,9 @@ class MagnetSpec(namedtuple("MagnetSpec", "mu_b")):
         return 10.0 * width / math.sqrt(disc)
 
 
-class PotentialSpec(namedtuple("PotentialSpec", "kind omega center", defaults=(1.0, 0.0))):
-    """kind is "free" or "harmonic" (V = omega^2 (x - center)^2 / 2, omega > 0)."""
+class PotentialSpec(namedtuple("PotentialSpec", "kind")):
+    """kind is "free" or "harmonic" (V = x^2 / 2; a well of another
+    frequency or centre is this one in rescaled and shifted coordinates)."""
 
     __slots__ = ()
 
@@ -136,14 +136,12 @@ class PotentialSpec(namedtuple("PotentialSpec", "kind omega center", defaults=(1
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("free", "harmonic"):
             raise ValueError(f"kind must be 'free' or 'harmonic', got {self.kind!r}")
-        if self.kind == "harmonic" and not self.omega > 0:
-            raise ValueError("omega must be positive")
         return self
 
     def evaluate(self, grid: Grid1D) -> np.ndarray:
         if self.kind == "free":
             return np.zeros(grid.n_points)
-        return 0.5 * self.omega**2 * (grid.nodes - self.center) ** 2
+        return 0.5 * grid.nodes**2
 
 
 class SpinorField:
@@ -247,9 +245,8 @@ def evolve(field: SpinorField, potential: PotentialSpec, dt: float, steps: int) 
     h = span / max(checks, 1)
     chirp = None
     if potential.kind == "harmonic":
-        w = potential.omega
-        chirp = np.exp(-0.5j * w * math.tan(0.5 * w * h) * (grid.nodes - potential.center) ** 2)
-        h = math.sin(w * h) / w
+        chirp = np.exp(-0.5j * math.tan(0.5 * h) * grid.nodes**2)
+        h = math.sin(h)
     kinetic_phase = np.exp(-0.5j * h * grid.wavenumbers**2)
     psi = field.psi
     for _ in range(checks):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bohmlab.config import parse_config
+from bohmlab.config import parse_config, validate_config
 from bohmlab.trajectories import sample_positions
 from bohmlab.wavefield import Grid1D, SpinorField
 
@@ -31,8 +31,10 @@ def pytest_terminal_summary(terminalreporter):
 
 def shipped_config(name: str, **overrides):
     """The config of `configs/<name>.cfg`, with fields such as n_trials
-    or n_frames replaced to shrink a run."""
-    return parse_config((CONFIG_DIR / f"{name}.cfg").read_text())._replace(**overrides)
+    or n_frames replaced to shrink a run, checked by `validate_config`."""
+    config = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())._replace(**overrides)
+    validate_config(config)
+    return config
 
 
 def analytic_free_gaussian(grid: Grid1D, width: float, t: float,
@@ -50,19 +52,15 @@ def analytic_free_gaussian(grid: Grid1D, width: float, t: float,
 
 
 def analytic_coherent_state(grid: Grid1D, t: float, x0: float, p0: float,
-                            alpha: complex = 1.0, beta: complex = 0.0,
-                            omega: float = 1.0, center: float = 0.0) -> SpinorField:
-    """Closed-form coherent state of V = omega^2 (x - center)^2 / 2 at time
-    t, the oracle for V != 0: a packet of ground-state width 1/sqrt(2 omega)
-    that starts at x0 with momentum p0 (as `gaussian_packet` builds it) and
-    swings rigidly along q = y0 cos(omega t) + (p0/omega) sin(omega t),
-    p = p0 cos(omega t) - omega y0 sin(omega t), with y = x - center."""
-    y0 = x0 - center
-    q = y0 * np.cos(omega * t) + p0 / omega * np.sin(omega * t)
-    p = p0 * np.cos(omega * t) - omega * y0 * np.sin(omega * t)
-    y = grid.nodes - center
-    psi = np.exp(-0.5 * omega * (y - q) ** 2 + 1j * p * y
-                 + 0.5j * (y0 * p0 - q * p - omega * t) + 1j * p0 * center)
+                            alpha: complex = 1.0, beta: complex = 0.0) -> SpinorField:
+    """Closed-form coherent state of V = x^2 / 2 at time t, the oracle for
+    V != 0: a packet of ground-state width 1/sqrt(2) that starts at x0
+    with momentum p0 (as `gaussian_packet` builds it) and swings rigidly
+    along q = x0 cos t + p0 sin t, p = p0 cos t - x0 sin t."""
+    q = x0 * np.cos(t) + p0 * np.sin(t)
+    p = p0 * np.cos(t) - x0 * np.sin(t)
+    x = grid.nodes
+    psi = np.exp(-0.5 * (x - q) ** 2 + 1j * p * x + 0.5j * (x0 * p0 - q * p - t))
     psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
     return SpinorField(grid, alpha * psi, beta * psi, time=t)
 

@@ -180,7 +180,7 @@ def test_c08_effective_collapse_and_repeatability():
 def test_c09_numerics():
     grid = default_config("stern_gerlach").grid()
     packet = gaussian_packet(grid, 0.0, 1.0, 1.0, 0.6, 0.8)
-    pot = PotentialSpec("harmonic", 1.0)
+    pot = PotentialSpec("harmonic")
     span = 1000 * 0.2 / grid.k_max**2
     drift = abs(evolve(packet, pot, span, 1).norm() - packet.norm())
 

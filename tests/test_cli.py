@@ -253,10 +253,11 @@ class TestDispatch:
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
         key = line.splitlines()[-1].split("=")[0].strip()
-        # duration and potential.kind (the first key) are equilibrium keys;
-        # the pointer's packet is fixed, so its grid is at fault when the
-        # packet does not fit
+        # duration, potential.kind (the first key) and packet.center are
+        # equilibrium keys; the pointer's packet is fixed, so its grid is at
+        # fault when the packet does not fit
         subcommand = {"duration": "equilibrium", "potential.kind": "equilibrium",
+                      "packet.center": "equilibrium",
                       "grid.x_min": "pointer"}.get(line.split("=")[0].strip(), "stern-gerlach")
         status = cli.main(["sim", subcommand, "--config", str(bad),
                            "--out", str(tmp_path / "out"), "--quiet"])
@@ -268,21 +269,23 @@ class TestDispatch:
 
     @pytest.mark.parametrize("scenario,key", [
         # the deflection potential, the RK4 substeps, the well's frequency
-        # and centre: 15 settable values that no run varied
+        # and centre, a deflection's start and an equilibrium spinor: 23
+        # settable values that change no run
         *((s, k) for s in ("stern_gerlach", "sequential", "no_crossing")
           for k in ("potential.kind", "potential.omega", "potential.center",
-                    "substeps_per_frame")),
+                    "substeps_per_frame", "packet.center", "packet.momentum")),
         *(("equilibrium", k) for k in ("potential.omega", "potential.center",
-                                       "substeps_per_frame"))])
+                                       "substeps_per_frame", "spin.alpha", "spin.beta"))])
     def test_a_removed_key_fails_cleanly(self, tmp_path, capsys, scenario, key):
         cfg = tmp_path / "removed.cfg"
         cfg.write_text(f"scenario = {scenario}\n{key} = 1\n")
         assert run("sim", scenario.replace("_", "-"), "--config", str(cfg),
                    out=tmp_path / "out") == 2
         (err,) = capsys.readouterr().err.splitlines()
-        # potential.kind is still an equilibrium key
+        # a key another scenario reads is named as one this scenario does not
         assert err.startswith(f"error: key {key!r} is not read by scenario {scenario!r}"
-                              if key == "potential.kind" else f"error: unknown key {key!r}")
+                              if any(key in keys for keys in SCENARIO_KEYS.values())
+                              else f"error: unknown key {key!r}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bounds", [(-30, 30), (-16.5, 0), (0, 16.5), (1, 1)])
@@ -558,7 +561,7 @@ KEY_RUNS += [("equilibrium_free", {"init_kind": "uniform", "init_a": -2.5, "init
 class TestKeyTable:
     def test_keys_per_scenario(self):
         assert {s: len(keys) for s, keys in SCENARIO_KEYS.items()} == {
-            "stern_gerlach": 13, "sequential": 14, "no_crossing": 13, "equilibrium": 16,
+            "stern_gerlach": 11, "sequential": 12, "no_crossing": 11, "equilibrium": 14,
             "pointer": 8, "mermin": 0, "vonneumann": 0, "chsh": 0}
 
     def test_each_scenario_reads_exactly_its_keys(self, tmp_path, monkeypatch):

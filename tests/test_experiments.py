@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bohmlab import experiments
-from bohmlab.config import default_config
-from bohmlab.experiments import _AXIS_VECTORS, detection_time, measurement_statistics
+from bohmlab.config import ConfigError, default_config
+from bohmlab.experiments import detection_time, measurement_statistics
 from bohmlab.hilbert import spin_rotation
 from bohmlab.trajectories import Ensemble, sample_positions, integrate
 from bohmlab.wavefield import evolve_frames, gaussian_packet, magnet_kick
@@ -94,8 +94,12 @@ class TestDetectionTime:
         assert detection_time(cfg) == 2.5
 
     def test_weak_magnet_rejected(self):
-        cfg = default_config("stern_gerlach", magnet_mu_b=1.0)
-        with pytest.raises(ValueError):
+        # the config is checked where it is built, by the rule detection_time
+        # applies itself
+        with pytest.raises(ConfigError, match="^magnet.mu_b too weak"):
+            default_config("stern_gerlach", magnet_mu_b=1.0)
+        cfg = default_config("stern_gerlach")._replace(magnet_mu_b=1.0)
+        with pytest.raises(ValueError, match="^mu_b too weak"):
             detection_time(cfg)
 
 
@@ -137,8 +141,7 @@ class TestSternGerlach:
         # the 3-sigma band must capture the frequency in >= 99 of them
         cfg = default_config("stern_gerlach", **FAST)
         grid = cfg.grid()
-        packet = gaussian_packet(grid, cfg.packet_center, cfg.packet_width,
-                                 cfg.packet_momentum, cfg.alpha, cfg.beta)
+        packet = gaussian_packet(grid, 0.0, cfg.packet_width, 0.0, cfg.alpha, cfg.beta)
         kicked = magnet_kick(packet, cfg.magnet())
         flight = detection_time(cfg)
         frames = evolve_frames(kicked, experiments.FREE, flight / cfg.n_frames, cfg.n_frames)
@@ -160,7 +163,7 @@ def reference_born_chain(config, axes) -> list[float]:
     dist = [(1.0, np.array([config.alpha, config.beta], dtype=complex))]
     born_up = []
     for axis in axes:
-        u = spin_rotation(_AXIS_VECTORS[axis])
+        u = spin_rotation(axis)
         u_dag = u.conj().T
         p_up_stage = 0.0
         up_state = u_dag @ np.array([1.0, 0.0], dtype=complex)
@@ -255,6 +258,12 @@ class TestEquilibrium:
         assert res.comparisons[0].total_variation > 0.3
         flags = {c.name: c.passed for c in res.checks}
         assert not flags["equivariance_total_variation"]
+
+    def test_a_uniform_start_off_the_grid_is_rejected_where_it_is_built(self):
+        # the rule of a config file: these starts would abort at frame 0
+        with pytest.raises(ConfigError, match="^init.a, init.b: a uniform start needs"):
+            default_config("equilibrium", n_trials=2000, init_kind="uniform",
+                           init_a=-30.0, init_b=30.0)
 
 
 class TestPointerExperiment:

@@ -19,7 +19,7 @@ RECORDS = [
     default_config("pointer"),
     Grid1D(-16.0, 16.0, 512),
     MagnetSpec(5.0),
-    PotentialSpec("harmonic", 1.0),
+    PotentialSpec("harmonic"),
     BranchSupports((-3.0, -1.0), (1.0, 3.0), 2.0),
     CouplingSpec(10.0),
     PointerMeasurement(np.zeros(1), np.ones(1, dtype=int), np.zeros((1, 2)), (1, 0), 1.0, 0.0),
@@ -59,10 +59,14 @@ def test_a_grid_keeps_its_cached_arrays():
 
 
 def test_defaults_fill_the_trailing_fields():
-    assert PotentialSpec("free") == ("free", 1.0, 0.0)
     assert Ensemble(np.zeros(2), np.zeros((1, 2))).aborted == ()
     assert nogo.ContextConstraint(((0, 0),), 1).label == ""
     assert default_config("chsh").seed == 42
+
+
+def test_a_potential_is_its_kind():
+    # the harmonic well is x^2/2: no frequency or centre to set
+    assert PotentialSpec._fields == ("kind",)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -71,7 +75,6 @@ def test_defaults_fill_the_trailing_fields():
      "n_points must be a power of two in [256, 16384]"),
     (lambda: Grid1D(0.0, 1.0, 32768), "n_points must be a power of two in [256, 16384]"),
     (lambda: MagnetSpec(-1.0), "mu_b must be nonnegative"),
-    (lambda: PotentialSpec("harmonic", 0.0), "omega must be positive"),
     (lambda: PotentialSpec("bogus"), "kind must be 'free' or 'harmonic', got 'bogus'"),
     (lambda: CouplingSpec(-0.5), "shift must be nonnegative"),
     (lambda: nogo.ContextConstraint(((0, 0),), 2), "required_product_sign must be +1 or -1"),

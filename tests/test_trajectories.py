@@ -5,6 +5,7 @@ import pytest
 
 from bohmlab import threads
 from bohmlab.cli import write_ensemble
+from bohmlab.experiments import EQUILIBRIUM_SPIN
 from bohmlab.trajectories import (
     Ensemble,
     check_no_crossing,
@@ -26,7 +27,7 @@ from bohmlab.wavefield import (
 from conftest import analytic_coherent_state, analytic_free_gaussian, shipped_config
 
 FREE = PotentialSpec("free")
-HARMONIC = PotentialSpec("harmonic", 1.0)
+HARMONIC = PotentialSpec("harmonic")
 
 
 def histogram_mass(positions, edges):
@@ -192,7 +193,7 @@ def test_shipped_equilibrium_trajectories_match_the_oracle(name):
     cfg = shipped_config(name)
     potential = cfg.potential()
     packet = gaussian_packet(cfg.grid(), cfg.packet_center, cfg.packet_width,
-                             cfg.packet_momentum, cfg.alpha, cfg.beta)
+                             cfg.packet_momentum, *EQUILIBRIUM_SPIN)
     frames = evolve_frames(packet, potential, cfg.duration / cfg.n_frames, cfg.n_frames)
     x0 = sample_positions(frames[0], 2000, cfg.seed)
     start, t = x0[:, None], np.array([f.time for f in frames])

@@ -6,6 +6,7 @@ import pytest
 
 from bohmlab.cli import write_frame
 from bohmlab.config import parse_config
+from bohmlab.experiments import EQUILIBRIUM_SPIN
 from bohmlab.wavefield import (
     BoundaryMassError,
     Grid1D,
@@ -125,7 +126,7 @@ class TestEvolve:
 
     def test_norm_conserved_over_1000_steps(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 1.0, 0.6, 0.8)
-        pot = PotentialSpec("harmonic", 1.0)
+        pot = PotentialSpec("harmonic")
         out = evolve(f, pot, 1000 * 0.2 / grid512.k_max**2, 1)
         assert abs(out.norm() - f.norm()) < 1e-10
 
@@ -169,7 +170,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match="steps"):
             evolve(f, PotentialSpec("free"), 0.1, -1)
 
-    @pytest.mark.parametrize("pot", [PotentialSpec("free"), PotentialSpec("harmonic", 1.0)])
+    @pytest.mark.parametrize("pot", [PotentialSpec("free"), PotentialSpec("harmonic")])
     def test_zero_steps_leave_the_field_unchanged(self, grid512, pot):
         f = gaussian_packet(grid512, 0.0, 1.0, 1.0, 0.6, 0.8)
         out = evolve(f, pot, 0.1, 0)
@@ -195,7 +196,7 @@ class TestEvolve:
         one = evolve(f, PotentialSpec("free"), a + b, 1)
         assert np.max(np.abs(two.psi - one.psi)) < 1e-13
 
-    @pytest.mark.parametrize("pot", [PotentialSpec("free"), PotentialSpec("harmonic", 1.0)])
+    @pytest.mark.parametrize("pot", [PotentialSpec("free"), PotentialSpec("harmonic")])
     def test_returned_time_is_exact(self, grid512, pot):
         f = SpinorField(grid512, *gaussian_packet(grid512, 0.0, 1.0, 0.0, 0.6, 0.8).psi,
                         time=0.3)
@@ -207,36 +208,31 @@ class TestEvolve:
         # global phase
         cfg = parse_config((CONFIG_DIR / "equilibrium_harmonic.cfg").read_text())
         f = gaussian_packet(cfg.grid(), cfg.packet_center, cfg.packet_width,
-                            cfg.packet_momentum, cfg.alpha, cfg.beta)
+                            cfg.packet_momentum, *EQUILIBRIUM_SPIN)
         frames = evolve_frames(f, cfg.potential(), cfg.duration / cfg.n_frames, cfg.n_frames)
         assert len(frames) == 41
         for frame in frames:
             oracle = analytic_coherent_state(cfg.grid(), frame.time, cfg.packet_center,
-                                             cfg.packet_momentum, cfg.alpha, cfg.beta).psi
+                                             cfg.packet_momentum, *EQUILIBRIUM_SPIN).psi
             phase = np.vdot(oracle, frame.psi)
             assert np.max(np.abs(frame.psi - phase / abs(phase) * oracle)) < 1e-12
 
     @pytest.mark.parametrize("overrides,potential", [
-        # a stiffer well off the origin, which no config sets: both chirp
-        # parameters
-        (dict(grid_n_points=1024, packet_width=1 / math.sqrt(2 * 1.7)),
-         PotentialSpec("harmonic", 1.7, 0.5)),
         (dict(grid_n_points=4096), PotentialSpec("harmonic")),
-    ], ids=["omega1.7-center0.5-n1024", "n4096"])
+    ], ids=["n4096"])
     def test_harmonic_frames_match_oracle_off_the_shipped_well(self, overrides, potential):
         # every frame, global phase included
         cfg = shipped_config("equilibrium_harmonic", **overrides)
         f = gaussian_packet(cfg.grid(), cfg.packet_center, cfg.packet_width,
-                            cfg.packet_momentum, cfg.alpha, cfg.beta)
+                            cfg.packet_momentum, *EQUILIBRIUM_SPIN)
         for frame in evolve_frames(f, potential, cfg.duration / cfg.n_frames, cfg.n_frames):
             oracle = analytic_coherent_state(cfg.grid(), frame.time, cfg.packet_center,
-                                             cfg.packet_momentum, cfg.alpha, cfg.beta,
-                                             omega=potential.omega, center=potential.center).psi
+                                             cfg.packet_momentum, *EQUILIBRIUM_SPIN).psi
             assert np.max(np.abs(frame.psi - oracle)) < 1e-12
 
     def test_harmonic_evolution_composes(self):
         grid = Grid1D(-12.0, 12.0, 256)
-        pot = PotentialSpec("harmonic", 1.0)
+        pot = PotentialSpec("harmonic")
         f = gaussian_packet(grid, 2.0, math.sqrt(0.5), 1.0, 0.6, 0.8)
         a, b = 0.7, 1.9
         two = evolve(evolve(f, pot, a, 1), pot, b, 1)
@@ -249,7 +245,7 @@ class TestEvolve:
         # center, so only the checkpoints inside the call can see it
         f = gaussian_packet(grid512, 0.0, math.sqrt(0.5), 12.0, 1.0, 0.0)
         with pytest.raises(BoundaryMassError):
-            evolve(f, PotentialSpec("harmonic", 1.0), math.pi, 1)
+            evolve(f, PotentialSpec("harmonic"), math.pi, 1)
 
     def test_components_never_mix(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.5, 1.0, 0.0)
@@ -262,7 +258,7 @@ class TestEvolve:
         grid = Grid1D(-12.0, 12.0, 256)
         w = 1 / math.sqrt(2.0)
         f = gaussian_packet(grid, 2.0, w, 0.0, 1.0, 0.0)
-        pot = PotentialSpec("harmonic", 1.0)
+        pot = PotentialSpec("harmonic")
         t_final = math.pi / 2
         out = evolve(f, pot, t_final, 1)
         assert abs(position_expectation(out) - 2.0 * math.cos(t_final)) < 1e-3
@@ -391,7 +387,7 @@ class TestVelocityField:
             nearest = live[np.argmin(np.abs(live - j))]  # the first, i.e. left, on a tie
             assert v[j] == v[nearest], j
 
-    @pytest.mark.parametrize("potential", [PotentialSpec("free"), PotentialSpec("harmonic", 1.0)],
+    @pytest.mark.parametrize("potential", [PotentialSpec("free"), PotentialSpec("harmonic")],
                              ids=["free", "harmonic"])
     def test_a_stack_gives_each_frame_its_own_bits(self, grid512, potential):
         # frames with sub-threshold tails and a dead gap, and a NaN frame,
