@@ -15,14 +15,14 @@ import numpy as np
 
 from bohmlab import experiments
 from bohmlab.config import default_config
+from bohmlab.wavefield import DEFLECTION_WIDTH
 
 ALPHA, BETA = 0.6, 0.8
 cfg = default_config("stern_gerlach", alpha=complex(ALPHA), beta=complex(BETA),
                      n_trials=4000, n_frames=32)
 
 print(f"spin state: ({ALPHA}, {BETA})  ->  P(up) = {ALPHA**2:.2f}, P(down) = {BETA**2:.2f}")
-print(f"magnet kick mu_b = {cfg.magnet_mu_b}, "
-      f"packet width = {cfg.packet_width}")
+print(f"magnet kick mu_b = {cfg.magnet_mu_b}, packet width = {DEFLECTION_WIDTH}")
 
 result = experiments.stern_gerlach(cfg)
 stats = result.statistics

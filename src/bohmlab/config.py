@@ -17,24 +17,25 @@ x/y/z letters; `flight_time` accepts `auto`.
 `SCENARIO_KEYS` says which keys each scenario reads, built from key
 groups (`scenario` itself aside):
 
-    stern_gerlach, no_crossing  run, spin, grid, packet, magnet (11)
-    sequential                  the same plus axes (12)
-    equilibrium                 run, grid, packet, equilibrium (14)
-    pointer                     run, spin, grid, pointer (8)
+    stern_gerlach, no_crossing  run, spin, grid, frames, magnet (9)
+    sequential                  the same plus axes (10)
+    equilibrium                 run, grid, frames, equilibrium (13)
+    pointer                     run, spin, grid, pointer (7)
     mermin, vonneumann, chsh    none
 
 Units are hbar = m = omega = 1: `potential.kind = harmonic` is the well
-x^2/2.  A deflection starts at rest at x = 0, since a shifted or boosted
-start is the same run; an equilibrium packet carries a fixed spinor,
-since H does not act on spin.  A key read only under a condition
-(`init.a` and `init.b`, for a uniform start) belongs to every scenario
-that may read it.  A key its scenario does not read is fatal, in a file
-and in `default_config` alike; an unknown key is fatal, with the nearest
-key its scenario reads suggested.  `default_config`, and so every path
-that builds a config, calls `validate_config`: it names the key of any
-value that the run would reject, by the rule the library itself applies:
-the specs', the spin pair's, the packet's (for `pointer`, its fixed
-pointer packet's), an auto flight time's and the trial count's
+x^2/2.  Every grid is [-grid.x_max, grid.x_max).  A deflection's packet
+starts at rest at x = 0 with width 1 (`wavefield.DEFLECTION_WIDTH`): a
+shifted, boosted or wider start is the same run translated or rescaled.
+An equilibrium packet carries a fixed spinor, since H does not act on
+spin.  A key read only under a condition (`init.a`, `init.b`) belongs to
+every scenario that may read it.  A key its scenario does not read is
+fatal, in a file and in `default_config` alike; an unknown key is fatal,
+with the nearest key its scenario reads suggested.  `default_config` and
+`ExperimentConfig._replace` call `validate_config`, which names the key
+of any value that the run would reject, by the rule the library itself
+applies: the specs', the spin pair's, the packet's (the grid's, for a
+fixed packet), an auto flight time's and the trial count's
 (`rng.check_draws`); a uniform start must lie on the grid.  It imports
 `conditional` for a `pointer` config only.
 
@@ -47,7 +48,6 @@ reports and every CSV table of a run.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 
@@ -73,7 +73,6 @@ _FIELD_DEFAULTS = {
     "n_frames": 64,
     "alpha": complex(1 / math.sqrt(2)),
     "beta": complex(1 / math.sqrt(2)),
-    "grid_x_min": -20.0,
     "grid_x_max": 20.0,
     "grid_n_points": 512,
     "packet_center": 0.0,
@@ -95,12 +94,16 @@ class ExperimentConfig(namedtuple("ExperimentConfig", ["scenario", *_FIELD_DEFAU
                                   defaults=_FIELD_DEFAULTS.values())):
     __slots__ = ()
 
+    def _replace(self, **fields):
+        """A copy with `fields` replaced, checked by `validate_config`."""
+        return validate_config(super()._replace(**fields))
+
     # the specs are imported where they are built, so that a no-go run,
     # which builds none, does not load the wave layer
 
     def grid(self):
         from .wavefield import Grid1D
-        return Grid1D(self.grid_x_min, self.grid_x_max, self.grid_n_points)
+        return Grid1D(-self.grid_x_max, self.grid_x_max, self.grid_n_points)
 
     def magnet(self):
         from .wavefield import MagnetSpec
@@ -109,10 +112,6 @@ class ExperimentConfig(namedtuple("ExperimentConfig", ["scenario", *_FIELD_DEFAU
     def potential(self):
         from .wavefield import PotentialSpec
         return PotentialSpec(self.potential_kind)
-
-
-def _to_int(s: str) -> int:
-    return int(s, 10)
 
 
 def _to_float(s: str) -> float:
@@ -124,19 +123,16 @@ def _to_float(s: str) -> float:
 
 def _to_complex(s: str) -> complex:
     value = complex(s.replace(" ", ""))
-    if not cmath.isfinite(value):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError("value must be finite")
     return value
 
 
 def _to_axes(s: str) -> tuple:
-    tokens = [t for t in s.replace(",", " ").split() if t]
-    for t in tokens:
-        if t not in ("x", "y", "z"):
-            raise ConfigError(f"axes entries must be x, y or z, got {t!r}")
-    if not tokens:
-        raise ConfigError("axes list is empty")
-    return tuple(tokens)
+    axes = tuple(s.replace(",", " ").split())
+    if not axes or not set(axes) <= {"x", "y", "z"}:
+        raise ValueError("axes must be a list of x, y and z letters")
+    return axes
 
 
 def _to_flight(s: str):
@@ -144,20 +140,20 @@ def _to_flight(s: str):
 
 
 # key groups: config key -> (attribute, converter)
-_RUN = {"seed": ("seed", _to_int), "n_trials": ("n_trials", _to_int)}
+_RUN = {"seed": ("seed", int), "n_trials": ("n_trials", int)}
 _SPIN = {"spin.alpha": ("alpha", _to_complex), "spin.beta": ("beta", _to_complex)}
-_GRID = {"grid.x_min": ("grid_x_min", _to_float), "grid.x_max": ("grid_x_max", _to_float),
-         "grid.n_points": ("grid_n_points", _to_int)}
-_PACKET = {"n_frames": ("n_frames", _to_int), "packet.width": ("packet_width", _to_float)}
+_GRID = {"grid.x_max": ("grid_x_max", _to_float), "grid.n_points": ("grid_n_points", int)}
+_FRAMES = {"n_frames": ("n_frames", int)}
 _MAGNET = {"magnet.mu_b": ("magnet_mu_b", _to_float), "flight_time": ("flight_time", _to_flight)}
 _EQUILIBRIUM = {"packet.center": ("packet_center", _to_float),
+                "packet.width": ("packet_width", _to_float),
                 "packet.momentum": ("packet_momentum", _to_float),
                 "duration": ("duration", _to_float), "potential.kind": ("potential_kind", str),
                 "init.kind": ("init_kind", str),
                 "init.a": ("init_a", _to_float), "init.b": ("init_b", _to_float)}
 _POINTER = {"pointer.shift": ("pointer_shift", _to_float)}
 _AXES = {"axes": ("axes", _to_axes)}
-_DEFLECTION = (_RUN, _SPIN, _GRID, _PACKET, _MAGNET)
+_DEFLECTION = (_RUN, _SPIN, _GRID, _FRAMES, _MAGNET)
 
 # every scenario: (the key groups it reads, the defaults it changes); a
 # no-go check reads no key
@@ -165,17 +161,10 @@ _SCENARIOS: dict[str, tuple] = {
     "stern_gerlach": (_DEFLECTION, {}),
     "sequential": ((*_DEFLECTION, _AXES), {"n_trials": 1000}),
     "no_crossing": (_DEFLECTION, {"n_trials": 1000}),
-    "equilibrium": ((_RUN, _GRID, _PACKET, _EQUILIBRIUM), {
-        "n_trials": 50000,
-        "n_frames": 40,
-        "grid_x_min": -16.0, "grid_x_max": 16.0,
-        "packet_center": -2.0, "packet_momentum": 1.0,
-        "duration": 2.0,
-    }),
-    "pointer": ((_RUN, _SPIN, _GRID, _POINTER), {
-        "n_trials": 10000,
-        "grid_x_min": -24.0, "grid_x_max": 24.0,
-    }),
+    "equilibrium": ((_RUN, _GRID, _FRAMES, _EQUILIBRIUM), {
+        "n_trials": 50000, "n_frames": 40, "grid_x_max": 16.0,
+        "packet_center": -2.0, "packet_momentum": 1.0}),
+    "pointer": ((_RUN, _SPIN, _GRID, _POINTER), {"n_trials": 10000, "grid_x_max": 24.0}),
     "mermin": ((), {}),
     "vonneumann": ((), {}),
     "chsh": ((), {}),
@@ -198,9 +187,8 @@ def default_config(scenario: str, **fields) -> ExperimentConfig:
         key = _ATTR_TO_KEY.get(attr, attr)
         if key not in SCENARIO_KEYS[scenario]:
             raise ConfigError(f"key {key!r} is not read by scenario {scenario!r}")
-    config = ExperimentConfig(scenario=scenario, **{**_SCENARIOS[scenario][1], **fields})
-    validate_config(config)
-    return config
+    return validate_config(ExperimentConfig(scenario=scenario,
+                                            **{**_SCENARIOS[scenario][1], **fields}))
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -246,25 +234,25 @@ def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
             import difflib
             hint = difflib.get_close_matches(key, [*SCENARIO_KEYS[effective], "scenario"], n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigError(f"unknown key {key!r}{suggestion}")
+            raise ConfigError(f"unknown key {key!r} for scenario {effective!r}{suggestion}")
         attr, convert = _KEYS[key]
         try:
             overrides[attr] = convert(value)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from None
 
     return default_config(effective, **overrides)
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError naming the key of a value its run would reject."""
+def validate_config(config: ExperimentConfig) -> ExperimentConfig:
+    """`config`, or ConfigError naming the key of a value its run would reject."""
     keys = SCENARIO_KEYS[config.scenario]
     if not keys:
-        return                          # a no-go check reads no key
+        return config                   # a no-go check reads no key
+    if not config.grid_x_max > 0:       # the grid is [-grid.x_max, grid.x_max)
+        raise ConfigError("grid.x_max must be positive")
     from .rng import check_draws
-    from .wavefield import check_placement, check_spin
+    from .wavefield import DEFLECTION_WIDTH, check_placement, check_spin
     rules = []
     if "spin.alpha" in keys:            # an equilibrium packet's spinor is fixed
         rules.append(("spin.alpha, spin.beta: ", lambda: check_spin(config.alpha, config.beta)))
@@ -273,14 +261,15 @@ def validate_config(config: ExperimentConfig) -> None:
               ("n_trials: ", lambda: check_draws(config.n_trials))]
     if config.scenario == "pointer":    # its packet is fixed: its grid must hold it
         from .conditional import POINTER_CENTER, POINTER_WIDTH, CouplingSpec
-        packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_min, grid.x_max: the pointer's "
+        packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_max: the pointer's "
         rules.append(("pointer.", lambda: CouplingSpec(config.pointer_shift)))
-    else:                               # a deflection's packet starts at x = 0
-        center = config.packet_center if "packet.center" in keys else 0.0
-        packet, at = (center, config.packet_width), "packet."
+    elif "packet.center" in keys:
+        packet, at = (config.packet_center, config.packet_width), "packet."
+    else:                               # a deflection's packet is fixed: its grid must hold it
+        packet, at = (0.0, DEFLECTION_WIDTH), "grid.x_max: the deflected packet's "
     rules.append((at, lambda: check_placement(config.grid(), *packet)))
     if "magnet.mu_b" in keys and config.flight_time is None:
-        rules.append(("magnet.", lambda: config.magnet().separation_time(config.packet_width)))
+        rules.append(("magnet.", lambda: config.magnet().separation_time()))
     for prefix, check in rules:
         try:
             check()
@@ -298,9 +287,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("init.kind must be 'born' or 'uniform'")
     # `trajectories.integrate` would abort a start off the grid at frame 0
     if config.init_kind == "uniform" and not (
-            config.grid_x_min <= config.init_a < config.init_b <= config.grid_x_max):
+            -config.grid_x_max <= config.init_a < config.init_b <= config.grid_x_max):
         raise ConfigError("init.a, init.b: a uniform start needs "
-                          "grid.x_min <= init.a < init.b <= grid.x_max")
+                          "-grid.x_max <= init.a < init.b <= grid.x_max")
+    return config
 
 
 def _format_value(attr: str, value) -> str:
@@ -339,8 +329,4 @@ def with_overrides(config: ExperimentConfig, *, seed: int | None = None,
     scenario reads them: a no-go check reads neither, so ignores --seed."""
     updates = {key: value for key, value in (("seed", seed), ("n_trials", n_trials))
                if value is not None and key in SCENARIO_KEYS[config.scenario]}
-    if not updates:
-        return config
-    new = config._replace(**updates)
-    validate_config(new)
-    return new
+    return config._replace(**updates) if updates else config

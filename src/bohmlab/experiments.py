@@ -19,6 +19,7 @@ from .config import Check, ExperimentConfig
 from .conditional import CouplingSpec, run_pointer_measurement
 from .trajectories import check_no_crossing, equilibrium_distance, integrate, sample_positions
 from .wavefield import (
+    DEFLECTION_WIDTH,
     PotentialSpec,
     branch_supports,
     evolve_frames,
@@ -64,7 +65,7 @@ def detection_time(config: ExperimentConfig) -> float:
     branch separation 2*kick*T reaches 10 spread packet widths."""
     if config.flight_time is not None:
         return config.flight_time
-    return config.magnet().separation_time(config.packet_width)
+    return config.magnet().separation_time()
 
 
 BRANCH_THRESHOLD = 0.01     # of a branch's mass left outside its support
@@ -75,13 +76,14 @@ FREE = PotentialSpec("free")
 
 def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                  n_trials: int, seed: int):
-    """Shared deflection pipeline: prepare at rest at x = 0 (a shifted or
-    boosted start is the same run), kick, fly, sample, integrate, classify
-    by side of the symmetry axis x = 0 (ties count as up).  Returns the
+    """Shared deflection pipeline: prepare at rest at x = 0 with width 1 (a
+    shifted, boosted or wider start is the same run moved or rescaled),
+    kick, fly, sample, integrate, classify by side of the symmetry axis
+    x = 0 (ties count as up).  Returns the
     branch supports at detection time, the up mask and the survivor mask;
     an aborted trajectory ends at NaN, so it is neither up nor down."""
     grid = config.grid()
-    packet = gaussian_packet(grid, 0.0, config.packet_width, 0.0, alpha, beta)
+    packet = gaussian_packet(grid, 0.0, DEFLECTION_WIDTH, 0.0, alpha, beta)
     kicked = magnet_kick(packet, config.magnet())
     flight = detection_time(config)
     frames = evolve_frames(kicked, FREE, flight / config.n_frames, config.n_frames)

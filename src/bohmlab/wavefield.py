@@ -104,6 +104,9 @@ class Grid1D(namedtuple("Grid1D", "x_min x_max n_points")):
         return k
 
 
+DEFLECTION_WIDTH = 1.0      # a deflection's packet width, its unit of length
+
+
 class MagnetSpec(namedtuple("MagnetSpec", "mu_b")):
     """Impulsive deflection magnet: mu_b is the momentum kick it gives
     each spin component (moment times field gradient times transit time)."""
@@ -116,14 +119,17 @@ class MagnetSpec(namedtuple("MagnetSpec", "mu_b")):
             raise ValueError("mu_b must be nonnegative")
         return self
 
-    def separation_time(self, width: float) -> float:
-        """Flight time after the kick by which the branches of a packet of
-        this width lie 10 spread widths apart."""
-        disc = 4.0 * self.mu_b * self.mu_b - 25.0 / (width * width)
+    def separation_time(self) -> float:
+        """Flight time T after the kick by which the branches of a packet of
+        width `DEFLECTION_WIDTH` = 1 lie 10 spread widths apart, 2 mu_b T =
+        10 sqrt(1 + T^2 / 4); free flight after a kick maps x -> s x,
+        T -> s^2 T, mu_b -> mu_b / s, so a packet of width s is this run
+        rescaled."""
+        disc = 4.0 * self.mu_b * self.mu_b - 25.0
         if disc <= 0.0:
             raise ValueError("mu_b too weak to separate the branches by 10 packet widths; "
                              "increase it or fix the flight time")
-        return 10.0 * width / math.sqrt(disc)
+        return 10.0 / math.sqrt(disc)
 
 
 class PotentialSpec(namedtuple("PotentialSpec", "kind")):

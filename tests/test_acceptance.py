@@ -15,6 +15,7 @@ from bohmlab import cli, experiments, nogo
 from bohmlab.config import default_config, parse_config
 from bohmlab.trajectories import integrate
 from bohmlab.wavefield import (
+    DEFLECTION_WIDTH,
     PotentialSpec,
     evolve,
     evolve_frames,
@@ -105,7 +106,7 @@ def test_c05_branch_group_velocity():
     cfg = default_config("stern_gerlach")
     kick = cfg.magnet_mu_b
     grid = cfg.grid()
-    packet = gaussian_packet(grid, 0.0, cfg.packet_width, 0.0,
+    packet = gaussian_packet(grid, 0.0, DEFLECTION_WIDTH, 0.0,
                              1 / SQRT2, 1 / SQRT2)
     kicked = magnet_kick(packet, cfg.magnet())
     t_final = 1.0

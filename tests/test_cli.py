@@ -86,10 +86,25 @@ class TestParseConfig:
             default_config("pointer", magnet_mu_b=7.0)
 
     def test_a_uniform_start_may_reach_the_grid_edges(self):
-        # `integrate` keeps a start on x_min or x_max
+        # `integrate` keeps a start on either edge of [-grid.x_max, grid.x_max]
         cfg = parse_config("init.kind = uniform\ninit.a = -16\ninit.b = 16\n",
                            scenario="equilibrium")
-        assert (cfg.init_a, cfg.init_b) == (cfg.grid_x_min, cfg.grid_x_max)
+        assert (cfg.init_a, cfg.init_b) == (-cfg.grid_x_max, cfg.grid_x_max)
+
+    def test_an_edited_config_is_validated(self):
+        # `_replace` applies the rules of a config file: a weak magnet is
+        # named here, not met as a bare ValueError inside detection_time
+        with pytest.raises(ConfigError, match="^magnet.mu_b too weak"):
+            default_config("stern_gerlach")._replace(magnet_mu_b=1.0)
+        with pytest.raises(ConfigError, match="^grid.x_max must be positive$"):
+            default_config("pointer")._replace(grid_x_max=0.0)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0.6+infj", "0.6-nanj", "-inf-0.8j",
+                                       "nan+nanj"])
+    def test_a_complex_value_must_be_finite_in_either_part(self, value):
+        with pytest.raises(ConfigError, match=r"^key 'spin.alpha': cannot parse .*"
+                                              r"\(value must be finite\)$"):
+            parse_config(f"spin.alpha = {value}\n", scenario="stern_gerlach")
 
     def test_hash_tracks_semantic_changes(self):
         a = default_config("stern_gerlach")
@@ -230,6 +245,8 @@ class TestDispatch:
         assert (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("line", ["grid.n_points = 1000", "grid.x_max = -30",
+                                      # the fixed deflected packet off the grid
+                                      "grid.x_max = 4",
                                       # magnet.tau is an unknown key: mu_b is the kick
                                       "magnet.mu_b = -1", "magnet.tau = 0",
                                       "potential.kind = bogus",
@@ -237,7 +254,9 @@ class TestDispatch:
                                       # which the run would meet only once it started
                                       "spin.beta = 0.5", "packet.width = 0",
                                       "packet.center = 17", "magnet.mu_b = 0.5",
-                                      "grid.x_min = -4",
+                                      # under sim pointer: no grid, and one too small
+                                      # for the pointer's packet
+                                      "grid.x_max = -4", "grid.x_max = 4.5",
                                       # non-finite values, rejected while parsing
                                       "duration = inf", "flight_time = inf", "spin.alpha = nan",
                                       # seeds are taken modulo 2**64
@@ -253,12 +272,16 @@ class TestDispatch:
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
         key = line.splitlines()[-1].split("=")[0].strip()
-        # duration, potential.kind (the first key) and packet.center are
-        # equilibrium keys; the pointer's packet is fixed, so its grid is at
-        # fault when the packet does not fit
-        subcommand = {"duration": "equilibrium", "potential.kind": "equilibrium",
-                      "packet.center": "equilibrium",
-                      "grid.x_min": "pointer"}.get(line.split("=")[0].strip(), "stern-gerlach")
+        # duration, potential.kind (the first key) and the packet's keys are
+        # equilibrium keys; a deflection's packet and the pointer's are fixed,
+        # so the grid is at fault when the packet does not fit
+        if line.split("=")[0].strip() in ("duration", "potential.kind", "packet.center",
+                                          "packet.width"):
+            subcommand = "equilibrium"
+        elif line in ("grid.x_max = -4", "grid.x_max = 4.5"):
+            subcommand = "pointer"
+        else:
+            subcommand = "stern-gerlach"
         status = cli.main(["sim", subcommand, "--config", str(bad),
                            "--out", str(tmp_path / "out"), "--quiet"])
         assert status == 2
@@ -269,13 +292,17 @@ class TestDispatch:
 
     @pytest.mark.parametrize("scenario,key", [
         # the deflection potential, the RK4 substeps, the well's frequency
-        # and centre, a deflection's start and an equilibrium spinor: 23
-        # settable values that change no run
+        # and centre, a deflection's start and width, an equilibrium spinor
+        # and the grid's lower edge: 31 settable values that change no run
+        # but by a translation or a rescaling
         *((s, k) for s in ("stern_gerlach", "sequential", "no_crossing")
           for k in ("potential.kind", "potential.omega", "potential.center",
-                    "substeps_per_frame", "packet.center", "packet.momentum")),
+                    "substeps_per_frame", "packet.center", "packet.momentum",
+                    "packet.width", "grid.x_min")),
         *(("equilibrium", k) for k in ("potential.omega", "potential.center",
-                                       "substeps_per_frame", "spin.alpha", "spin.beta"))])
+                                       "substeps_per_frame", "spin.alpha", "spin.beta",
+                                       "grid.x_min")),
+        ("pointer", "grid.x_min")])
     def test_a_removed_key_fails_cleanly(self, tmp_path, capsys, scenario, key):
         cfg = tmp_path / "removed.cfg"
         cfg.write_text(f"scenario = {scenario}\n{key} = 1\n")
@@ -285,12 +312,12 @@ class TestDispatch:
         # a key another scenario reads is named as one this scenario does not
         assert err.startswith(f"error: key {key!r} is not read by scenario {scenario!r}"
                               if any(key in keys for keys in SCENARIO_KEYS.values())
-                              else f"error: unknown key {key!r}")
+                              else f"error: unknown key {key!r} for scenario {scenario!r}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bounds", [(-30, 30), (-16.5, 0), (0, 16.5), (1, 1)])
     def test_a_uniform_start_off_the_grid_fails_cleanly(self, tmp_path, capsys, bounds):
-        # starts outside [grid.x_min, grid.x_max] = [-16, 16] would abort at
+        # starts outside [-grid.x_max, grid.x_max] = [-16, 16] would abort at
         # frame 0; an empty interval has no start
         cfg = tmp_path / "uniform.cfg"
         cfg.write_text("init.kind = uniform\ninit.a = {}\ninit.b = {}\n".format(*bounds))
@@ -298,7 +325,7 @@ class TestDispatch:
                    out=tmp_path / "out") == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert err == ("error: init.a, init.b: a uniform start needs "
-                       "grid.x_min <= init.a < init.b <= grid.x_max")
+                       "-grid.x_max <= init.a < init.b <= grid.x_max")
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_outside_64_bits_fails_cleanly(self, tmp_path, capsys):
@@ -561,8 +588,8 @@ KEY_RUNS += [("equilibrium_free", {"init_kind": "uniform", "init_a": -2.5, "init
 class TestKeyTable:
     def test_keys_per_scenario(self):
         assert {s: len(keys) for s, keys in SCENARIO_KEYS.items()} == {
-            "stern_gerlach": 11, "sequential": 12, "no_crossing": 11, "equilibrium": 14,
-            "pointer": 8, "mermin": 0, "vonneumann": 0, "chsh": 0}
+            "stern_gerlach": 9, "sequential": 10, "no_crossing": 9, "equilibrium": 13,
+            "pointer": 7, "mermin": 0, "vonneumann": 0, "chsh": 0}
 
     def test_each_scenario_reads_exactly_its_keys(self, tmp_path, monkeypatch):
         # record the ExperimentConfig fields each runner reads, as config keys

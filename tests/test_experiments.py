@@ -8,7 +8,15 @@ from bohmlab.config import ConfigError, default_config
 from bohmlab.experiments import detection_time, measurement_statistics
 from bohmlab.hilbert import spin_rotation
 from bohmlab.trajectories import Ensemble, sample_positions, integrate
-from bohmlab.wavefield import evolve_frames, gaussian_packet, magnet_kick
+from bohmlab.wavefield import (
+    DEFLECTION_WIDTH,
+    Grid1D,
+    MagnetSpec,
+    branch_supports,
+    evolve_frames,
+    gaussian_packet,
+    magnet_kick,
+)
 
 from conftest import shipped_config
 
@@ -85,7 +93,7 @@ class TestDetectionTime:
     def test_matches_separation_rule(self):
         cfg = default_config("stern_gerlach")
         t = detection_time(cfg)
-        k, w = cfg.magnet_mu_b, cfg.packet_width
+        k, w = cfg.magnet_mu_b, DEFLECTION_WIDTH
         width_t = w * math.sqrt(1 + (t / (2 * w**2)) ** 2)
         assert 2 * k * t == pytest.approx(10 * width_t, rel=1e-12)
 
@@ -94,13 +102,12 @@ class TestDetectionTime:
         assert detection_time(cfg) == 2.5
 
     def test_weak_magnet_rejected(self):
-        # the config is checked where it is built, by the rule detection_time
-        # applies itself
+        # the config is checked where it is built, by the magnet's own rule,
+        # which detection_time applies too
         with pytest.raises(ConfigError, match="^magnet.mu_b too weak"):
             default_config("stern_gerlach", magnet_mu_b=1.0)
-        cfg = default_config("stern_gerlach")._replace(magnet_mu_b=1.0)
         with pytest.raises(ValueError, match="^mu_b too weak"):
-            detection_time(cfg)
+            MagnetSpec(1.0).separation_time()
 
 
 class TestSternGerlach:
@@ -141,7 +148,7 @@ class TestSternGerlach:
         # the 3-sigma band must capture the frequency in >= 99 of them
         cfg = default_config("stern_gerlach", **FAST)
         grid = cfg.grid()
-        packet = gaussian_packet(grid, 0.0, cfg.packet_width, 0.0, cfg.alpha, cfg.beta)
+        packet = gaussian_packet(grid, 0.0, DEFLECTION_WIDTH, 0.0, cfg.alpha, cfg.beta)
         kicked = magnet_kick(packet, cfg.magnet())
         flight = detection_time(cfg)
         frames = evolve_frames(kicked, experiments.FREE, flight / cfg.n_frames, cfg.n_frames)
@@ -264,6 +271,55 @@ class TestEquilibrium:
         with pytest.raises(ConfigError, match="^init.a, init.b: a uniform start needs"):
             default_config("equilibrium", n_trials=2000, init_kind="uniform",
                            init_a=-30.0, init_b=30.0)
+
+
+class TestSymmetriesOfTheCut:
+    """The symmetries that make `packet.width` no deflection key and
+    `grid.x_min` no key at all."""
+
+    @staticmethod
+    def deflection(width: float, n_trials: int = 2000, n_frames: int = 32):
+        # free flight after a kick maps x -> s x, t -> s^2 t, mu_b -> mu_b / s
+        grid = Grid1D(-20.0 * width, 20.0 * width, 512)
+        packet = gaussian_packet(grid, 0.0, width, 0.0, 0.6, 0.8)
+        kicked = magnet_kick(packet, MagnetSpec(5.0 / width))
+        flight = MagnetSpec(5.0).separation_time() * width**2
+        frames = evolve_frames(kicked, experiments.FREE, flight / n_frames, n_frames)
+        ensemble = integrate(frames, sample_positions(frames[0], n_trials, 7),
+                             experiments.FREE)
+        return ensemble.positions, branch_supports(frames[-1], experiments.BRANCH_THRESHOLD)
+
+    @pytest.mark.parametrize("width", [4.0, 0.25])
+    def test_a_wider_or_narrower_deflection_is_the_unit_run_rescaled(self, width):
+        # bit for bit at a power of four (at width 2 the positions agree
+        # only to about 1e-13)
+        unit, unit_supports = self.deflection(DEFLECTION_WIDTH)
+        positions, supports = self.deflection(width)
+        assert np.array_equal(positions, width * unit)
+        assert int(np.sum(positions[:, -1] >= 0.0)) == int(np.sum(unit[:, -1] >= 0.0)) == 703
+        assert supports.up_interval == tuple(width * x for x in unit_supports.up_interval)
+        assert supports.down_interval == tuple(width * x for x in unit_supports.down_interval)
+        assert supports.gap == width * unit_supports.gap
+
+    @pytest.mark.parametrize("shift", [2.7, -3.3])
+    def test_a_free_run_on_a_shifted_grid_is_the_run_translated(self, shift):
+        n_frames = 40
+
+        def run(d):
+            grid = Grid1D(-16.0 + d, 16.0 + d, 512)
+            packet = gaussian_packet(grid, -2.0 + d, 1.0, 1.0, *experiments.EQUILIBRIUM_SPIN)
+            frames = evolve_frames(packet, experiments.FREE, 2.0 / n_frames, n_frames)
+            return integrate(frames, sample_positions(frames[0], 2000, 7),
+                             experiments.FREE).positions, grid
+        centred, grid = run(0.0)
+        shifted, _ = run(shift)
+        # the shift moves a grid node, and so each position an RK4 stage
+        # reads off the grid, by rounding only: at most an ulp of the grid
+        # length (7.1e-15, 1.1e-13 of a grid spacing) per read, 4 reads per
+        # frame, 160 over the run: 1.1e-12, 1.8e-11 of a grid spacing
+        tolerance = 4 * n_frames * np.spacing(grid.length)
+        assert tolerance < 2e-11 * grid.dx
+        assert np.max(np.abs(shifted - shift - centred)) <= tolerance
 
 
 class TestPointerExperiment:
