@@ -34,7 +34,7 @@ for row in square.labels:
     print("   ".join(f"{lab:>3}" for lab in row))
 identities = nogo.verify_square_identities(square)
 print(f"identities checked: {len(identities)}, worst residual "
-      f"{max(residual for _, _, residual in identities):.2e}")
+      f"{max(residual for _, residual in identities):.2e}")
 print("row products are +I +I +I, column products +I +I -I, so a value")
 print("table would need the product of all nine values to be both +1 and -1.")
 start = time.perf_counter()

@@ -51,4 +51,4 @@ for i in range(len(counts) - 1, -1, -1):
     print(f"{edges[i]:+7.2f} | {bar}")
 print()
 for check in result.checks:
-    print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    print(check)                # the check's line in report.txt

@@ -20,10 +20,12 @@ a subcommand, only its parser is built.  A runner runs its scenario,
 writes its own tables and returns its results tree, its checks and the
 files it wrote.  Every run writes `report.json` and `report.txt`: the
 config echo, the results tree (as `key = value` lines in the text
-report) and one PASS/FAIL line per declared check; `report.json` also
-lists the run's other files as `outputs`.  Trajectory scenarios add
-`ensemble.csv`, the pointer scenario `trials.csv`, the equilibrium
-scenario `histograms.csv`, and --dump-frames a `frames/` directory, one
+report) and the declared checks, each a value, relation and bound made
+by `config.gate` (one `PASS|FAIL name: value relation bound` line each
+in `report.txt`, the check's `str`); `report.json` also lists the run's
+other files as `outputs`.  Trajectory scenarios add `ensemble.csv`, the
+pointer scenario `trials.csv`, the equilibrium scenario
+`histograms.csv`, and --dump-frames a `frames/` directory, one
 `write_frame` per file: the node column is formatted once and the
 amplitudes of a stack of frames (about `table._CHUNK_VALUES` values, 4
 frames of 512 nodes) in one call.  Both reports and every CSV table
@@ -54,11 +56,11 @@ from pathlib import Path
 
 from .config import (
     NOGO_SCENARIOS,
-    Check,
     ConfigError,
     canonical_text,
     config_hash,
     default_config,
+    gate,
     parse_config,
     with_overrides,
 )
@@ -131,16 +133,14 @@ def _mermin(cfg, out, chash, dump_frames):
     from . import nogo
     square = nogo.build_mermin_square()
     identities = nogo.verify_square_identities(square)
-    worst = max(residual for _, _, residual in identities)
     satisfying = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
     checks = (
-        Check("square_identities", all(passed for _, passed, _ in identities),
-              f"worst residual {worst:.3e}"),
-        Check("no_consistent_assignment", satisfying == 0,
-              f"{satisfying}/512 satisfy the six sign constraints"),
+        gate("square_identities", max(residual for _, residual in identities),
+             "<", nogo.IDENTITY_TOL),
+        gate("no_consistent_assignment", satisfying, "==", 0),
     )
-    return ({"identities": [{"constraint": name, "passed": passed, "residual": residual}
-                            for name, passed, residual in identities],
+    return ({"identities": [{"constraint": name, "residual": residual}
+                            for name, residual in identities],
              "total_assignments": 512,
              "satisfying_assignments": satisfying}, checks, [])
 
@@ -148,9 +148,8 @@ def _mermin(cfg, out, chash, dump_frames):
 def _vonneumann(cfg, out, chash, dump_frames):
     from . import nogo
     sum_eigenvalues, individual_sums, min_gap = nogo.von_neumann_counterexample()
-    expected = 2.0 - 2.0**0.5
-    check = Check("spectrum_not_additive", abs(min_gap - expected) < 1e-12,
-                  f"min gap {fmt(min_gap)} (2 - sqrt(2) = {fmt(expected)})")
+    check = gate("spectrum_not_additive", abs(min_gap - (2.0 - 2.0**0.5)),
+                 "<", nogo.IDENTITY_TOL)
     return ({"sum_eigenvalues": sum_eigenvalues, "individual_sums": individual_sums,
              "min_gap": min_gap}, (check,), [])
 
@@ -160,10 +159,9 @@ def _chsh(cfg, out, chash, dump_frames):
     local_max, optimal = nogo.chsh_local_bound()
     quantum = nogo.chsh_quantum_value()
     checks = (
-        Check("local_bound_is_two", local_max == 2.0, f"max S = {fmt(local_max)}"),
-        Check("quantum_value", abs(quantum - 2 * 2**0.5) < 1e-9, f"{fmt(quantum)}"),
-        Check("quantum_exceeds_local", local_max < quantum,
-              f"{fmt(local_max)} < {fmt(quantum)}"),
+        gate("local_bound_is_two", local_max, "==", 2.0),
+        gate("quantum_value", abs(quantum - 2 * 2**0.5), "<", nogo.QUANTUM_TOL),
+        gate("quantum_exceeds_local", local_max, "<", quantum),
     )
     return ({"local_max_S": local_max, "optimal_strategy_count": optimal,
              "quantum_value": quantum}, checks, [])
@@ -273,10 +271,6 @@ def _result_lines(tree, prefix: str = ""):
             yield f"{name} = {fmt(value)}"
 
 
-def _check_lines(checks) -> list[str]:
-    return [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
-
-
 def dispatch(args: argparse.Namespace) -> int:
     """Run the parsed invocation, write its reports, and return the exit status.
     A bad config, a run that cannot complete or an output path that cannot
@@ -297,7 +291,7 @@ def dispatch(args: argparse.Namespace) -> int:
         subcommand = f"{args.group} {args.scenario}"
         report_lines = [f"config_hash: {chash}", f"subcommand: {subcommand}", "",
                         "-- config --", echo, "", "-- results --", *_result_lines(results), "",
-                        "-- checks --", *_check_lines(checks), "", f"exit: {status}"]
+                        "-- checks --", *map(str, checks), "", f"exit: {status}"]
         with create(out / "report.txt") as fh:
             fh.write(("\n".join(report_lines) + "\n").encode())
         json_report = {

@@ -33,11 +33,12 @@ every scenario that may read it.  A key its scenario does not read is
 fatal, in a file and in `default_config` alike; an unknown key is fatal,
 with the nearest key its scenario reads suggested.  `default_config` and
 `ExperimentConfig._replace` call `validate_config`, which names the key
-of any value that the run would reject, by the rule the library itself
-applies: the specs', the spin pair's, the packet's (the grid's, for a
-fixed packet), an auto flight time's and the trial count's
-(`rng.check_draws`); a uniform start must lie on the grid.  It imports
-`conditional` for a `pointer` config only.
+of a field that its scenario does not read and that differs from its
+default, and the key of any value that the run would reject, by the rule
+the library itself applies: the specs', the spin pair's, the packet's
+(the grid's, for a fixed packet), an auto flight time's and the trial
+count's (`rng.check_draws`); a uniform start must lie on the grid.  It
+imports `conditional` for a `pointer` config only.
 
 The canonical form of a config is the sorted `key = value` listing of
 `scenario` and the keys its scenario reads (defaults filled in, floats
@@ -49,6 +50,7 @@ reports and every CSV table of a run.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .serialize import fmt
@@ -60,10 +62,24 @@ class ConfigError(ValueError):
     pass
 
 
-class Check(namedtuple("Check", "name passed detail")):
-    """One named PASS/FAIL verdict of a run, as its reports print it."""
+class Check(namedtuple("Check", "name passed value relation bound")):
+    """One named PASS/FAIL verdict of a run: `passed` is whether
+    `value relation bound` holds.  Built by `gate` alone."""
 
     __slots__ = ()
+
+    def __str__(self):
+        """The check's line in report.txt."""
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.name}: "
+                f"{fmt(self.value)} {self.relation} {fmt(self.bound)}")
+
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">": operator.gt}
+
+
+def gate(name: str, value, relation: str, bound) -> Check:
+    """The check `name`, passed exactly when `value relation bound` holds."""
+    return Check(name, bool(_RELATIONS[relation](value, bound)), value, relation, bound)
 
 
 # ExperimentConfig's fields after `scenario`, with their defaults
@@ -245,8 +261,13 @@ def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """`config`, or ConfigError naming the key of a value its run would reject."""
+    """`config`, or ConfigError naming the key of a value its run would
+    reject, or of an unread field that differs from its default."""
     keys = SCENARIO_KEYS[config.scenario]
+    for attr, default in _FIELD_DEFAULTS.items():
+        if _ATTR_TO_KEY[attr] not in keys and getattr(config, attr) != default:
+            raise ConfigError(f"key {_ATTR_TO_KEY[attr]!r} is not read by "
+                              f"scenario {config.scenario!r}")
     if not keys:
         return config                   # a no-go check reads no key
     if not config.grid_x_max > 0:       # the grid is [-grid.x_max, grid.x_max)

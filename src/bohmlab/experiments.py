@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import rng, threads
-from .config import Check, ExperimentConfig
+from .config import ExperimentConfig, gate
 from .conditional import CouplingSpec, run_pointer_measurement
 from .trajectories import check_no_crossing, equilibrium_distance, integrate, sample_positions
 from .wavefield import (
@@ -50,14 +50,15 @@ def measurement_statistics(counts, born_probabilities) -> MeasurementStatistics:
                                  expectation_value=expectation)
 
 
-def born_check(stats: MeasurementStatistics) -> Check:
-    devs = [abs(f - p) for f, p in zip(stats.frequencies, stats.born_probabilities)]
-    hw = stats.three_sigma_halfwidths
-    ok = all(d <= max(h, 0.0) + 1e-15 for d, h in zip(devs, hw))
-    detail = ", ".join(f"{lab}: |{f:.6f} - {p:.6f}| vs 3sigma {h:.6f}"
-                       for lab, f, p, h in zip(("up", "down"), stats.frequencies,
-                                               stats.born_probabilities, hw))
-    return Check("born_within_3sigma", ok, detail)
+BORN_SLACK = 1e-15          # rounding room in |f - p| - 3 sigma
+
+
+def born_check(stats: MeasurementStatistics, name: str = "born_within_3sigma"):
+    """Every outcome frequency f within 3 sigma of its Born weight p: the
+    worst |f - p| - 3 sigma is at most BORN_SLACK."""
+    excess = max(abs(f - p) - h for f, p, h in zip(
+        stats.frequencies, stats.born_probabilities, stats.three_sigma_halfwidths))
+    return gate(name, excess, "<=", BORN_SLACK)
 
 
 def detection_time(config: ExperimentConfig) -> float:
@@ -95,17 +96,14 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
     return frames, ensemble, branches, finals >= 0.0, np.isfinite(finals), flight
 
 
-def _no_aborted_check(n_aborted: int) -> Check:
-    return Check("no_aborted_trajectories", n_aborted == 0, f"{n_aborted} aborted")
+def _no_aborted_check(n_aborted: int):
+    return gate("no_aborted_trajectories", n_aborted, "==", 0)
 
 
-def _separated_check(supports) -> Check:
-    """One check over the branch supports of every deflection in a run,
-    reporting the smallest gap."""
-    worst = min(supports, key=lambda s: s.gap)
-    return Check("branches_separated", worst.separated,
-                 f"gap {worst.gap:.6g} between up {worst.up_interval} "
-                 f"and down {worst.down_interval}")
+def _separated_check(supports):
+    """One check over the branch supports of every deflection in a run:
+    the smallest gap is positive."""
+    return gate("branches_separated", min(s.gap for s in supports), ">", 0)
 
 
 SternGerlachResult = namedtuple(
@@ -185,8 +183,7 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
         stats = measurement_statistics((ids_up.size, ids_down.size),
                                        (weight_up, 1.0 - weight_up))
         stage_stats.append(stats)
-        base = born_check(stats)
-        checks.append(Check(f"stage{stage + 1}_{axis}_{base.name}", base.passed, base.detail))
+        checks.append(born_check(stats, f"stage{stage + 1}_{axis}_born_within_3sigma"))
 
     return SequentialResult(stage_statistics=tuple(stage_stats), outcomes=outcomes,
                             checks=(_separated_check(supports), _no_aborted_check(n_aborted),
@@ -194,8 +191,8 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
 
 
 NoCrossingResult = namedtuple(
-    "NoCrossingResult",
-    "crossing_report inference_accuracy symmetric_preparation statistics ensemble checks")
+    "NoCrossingResult", "crossing_report inference_accuracy statistics ensemble checks")
+SYMMETRY_TOL = 1e-12        # of |alpha|^2 and |beta|^2 from 1/2
 
 
 def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
@@ -203,8 +200,7 @@ def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     a trajectory ends on the up side exactly when it started above the
     packet center x = 0 (ties on the center count as up on both sides of
     the equivalence)."""
-    symmetric = abs(abs(config.alpha) ** 2 - 0.5) < 1e-12 and \
-        abs(abs(config.beta) ** 2 - 0.5) < 1e-12
+    asymmetry = max(abs(abs(config.alpha) ** 2 - 0.5), abs(abs(config.beta) ** 2 - 0.5))
     frames, ensemble, branches, up_mask, alive, flight = _sg_pipeline(
         config, config.alpha, config.beta, config.n_trials, config.seed)
     report = check_no_crossing(ensemble)
@@ -213,18 +209,14 @@ def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     started_above = ensemble.positions[alive, 0] >= 0.0
     accuracy = float(np.mean(up_mask[alive] == started_above))
     checks = (
-        Check("symmetric_preparation", symmetric,
-              f"|alpha|^2 = {abs(config.alpha) ** 2:.6f}"),
+        gate("symmetric_preparation", asymmetry, "<", SYMMETRY_TOL),
         _separated_check([branches]),
         _no_aborted_check(len(ensemble.aborted)),
-        Check("zero_crossings", report.violations == 0,
-              f"{report.violations} ordering violations"),
-        Check("side_inference_exact", accuracy == 1.0 and symmetric,
-              f"accuracy {accuracy:.6f}"),
+        gate("zero_crossings", report.violations, "==", 0),
+        gate("side_inference_exact", accuracy, "==", 1.0),
     )
     return NoCrossingResult(crossing_report=report, inference_accuracy=accuracy,
-                            symmetric_preparation=symmetric, statistics=stats,
-                            ensemble=ensemble, checks=checks)
+                            statistics=stats, ensemble=ensemble, checks=checks)
 
 
 class EquilibriumResult(namedtuple("EquilibriumResult", "comparisons frames ensemble checks")):
@@ -277,17 +269,17 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
         lower = helper.submit(compare, 0, half)
         upper = compare(half, len(frames))
         comparisons = tuple(lower() + upper)
-    max_tv = max(c.total_variation for c in comparisons)
     checks = (
         _no_aborted_check(len(ensemble.aborted)),
-        Check("equivariance_total_variation", max_tv < TV_TOLERANCE,
-              f"max TV {max_tv:.6f} vs tolerance {TV_TOLERANCE}"),
+        gate("equivariance_total_variation", max(c.total_variation for c in comparisons),
+             "<", TV_TOLERANCE),
     )
     return EquilibriumResult(comparisons=comparisons, frames=frames,
                              ensemble=ensemble, checks=checks)
 
 
 PointerResult = namedtuple("PointerResult", "statistics measurement checks")
+MIN_PURITY = 1.0 - 1e-6     # every trial's collapsed spin state must exceed this
 
 
 def pointer_experiment(config: ExperimentConfig) -> PointerResult:
@@ -301,7 +293,6 @@ def pointer_experiment(config: ExperimentConfig) -> PointerResult:
                                    (abs(config.alpha) ** 2, abs(config.beta) ** 2))
     checks = (
         born_check(stats),
-        Check("collapse_purity", measurement.min_purity > 1.0 - 1e-6,
-              f"min purity {measurement.min_purity:.12f}"),
+        gate("collapse_purity", measurement.min_purity, ">", MIN_PURITY),
     )
     return PointerResult(statistics=stats, measurement=measurement, checks=checks)

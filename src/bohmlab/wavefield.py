@@ -284,16 +284,9 @@ def magnet_kick(field: SpinorField, magnet: MagnetSpec) -> SpinorField:
     return SpinorField(field.grid, field.up * phase, field.down * np.conj(phase), field.time)
 
 
-class BranchSupports(namedtuple("BranchSupports", "up_interval down_interval gap")):
-    """Each interval is (left, right), or None when its branch is empty;
-    gap lies between them: < 0 where they overlap, inf when a branch is
-    empty."""
-
-    __slots__ = ()
-
-    @property
-    def separated(self) -> bool:
-        return self.gap > 0
+# each interval is (left, right), or None when its branch is empty; gap
+# lies between them: < 0 where they overlap, inf when a branch is empty
+BranchSupports = namedtuple("BranchSupports", "up_interval down_interval gap")
 
 
 def _smallest_mass_interval(grid: Grid1D, component: np.ndarray, fraction: float):

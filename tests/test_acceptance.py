@@ -38,8 +38,8 @@ def test_c01_mermin_square_impossibility():
     start = time.perf_counter()
     square = nogo.build_mermin_square()
     identities = nogo.verify_square_identities(square)
-    commutators = [res for name, _, res in identities if name.startswith("commute")]
-    products = [res for name, _, res in identities if name.startswith("product")]
+    commutators = [res for name, res in identities if name.startswith("commute")]
+    products = [res for name, res in identities if name.startswith("product")]
     satisfying = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
     elapsed = time.perf_counter() - start
 

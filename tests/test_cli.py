@@ -2,7 +2,10 @@ import argparse
 import gc
 import hashlib
 import json
+import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import types
@@ -25,6 +28,7 @@ from bohmlab.config import (
 )
 
 from bohmlab.conditional import CouplingSpec, run_pointer_measurement
+from bohmlab.serialize import fmt
 from bohmlab.trajectories import Ensemble, NoCrossingReport, sample_positions
 from bohmlab.wavefield import Grid1D, SpinorField, gaussian_packet
 
@@ -98,6 +102,18 @@ class TestParseConfig:
             default_config("stern_gerlach")._replace(magnet_mu_b=1.0)
         with pytest.raises(ConfigError, match="^grid.x_max must be positive$"):
             default_config("pointer")._replace(grid_x_max=0.0)
+
+    def test_an_edit_of_a_key_the_scenario_does_not_read_is_fatal(self):
+        # a deflection's packet has width 1: a wider one would be ignored,
+        # and the config hash would not change
+        for scenario, fields, key in (("stern_gerlach", {"packet_width": 4.0}, "packet.width"),
+                                      ("chsh", {"seed": 5}, "seed")):
+            with pytest.raises(ConfigError, match=f"^key {key!r} is not read by "
+                                                  f"scenario {scenario!r}$"):
+                default_config(scenario)._replace(**fields)
+        # at its default, such a field is no edit
+        cfg = default_config("stern_gerlach")
+        assert cfg._replace(packet_width=1.0) == cfg
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0.6+infj", "0.6-nanj", "-inf-0.8j",
                                        "nan+nanj"])
@@ -383,7 +399,8 @@ class TestDispatch:
         assert (tmp_path / "out" / "report.txt").exists()
         checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
         (separated,) = [c for c in checks if c["name"] == "branches_separated"]
-        assert not separated["passed"] and separated["detail"].startswith("gap -")
+        assert not separated["passed"] and separated["value"] < 0
+        assert (separated["relation"], separated["bound"]) == (">", 0)
 
     def test_overlapping_pointer_branches_fail_collapse_purity(self, tmp_path):
         # a shift of 4 widths leaves the branches overlapping: min purity ~0.992
@@ -725,19 +742,69 @@ def test_every_package_export_resolves():
 
 
 def test_the_readme_states_every_check(tmp_path):
-    # the check column of the README's check table, against the checks that
-    # the shipped configs (shrunk) and the three no-go checks emit
+    # the README's check table against the checks that the shipped configs
+    # (shrunk) and the three no-go checks emit: the scenarios that emit
+    # each, its relation and its bound, whose cell holds an expression and
+    # may name the constant that holds it
+    from bohmlab import nogo
     section = (ROOT / "README.md").read_text().split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
-    documented = {row[2].strip().strip("`") for row in rows}
-    emitted = set()
+    rows = [re.split(r"(?<!\\)\|", line) for line in section.splitlines()
+            if line.startswith("| `")]
+    documented = {}
+    for _, scenarios, name, _, relation, bound, *_ in rows:
+        expression, *constant = re.findall(r"`([^`]+)`", bound)
+        value = eval(expression, {"S_q": nogo.chsh_quantum_value()})
+        for qualified in constant:
+            module, attr = qualified.split(".")
+            assert getattr({"experiments": experiments, "nogo": nogo}[module], attr) == value
+        documented[name.strip().strip("`")] = (
+            set(re.findall(r"`(\w+)`", scenarios)), relation.strip().strip("`"), value)
+    emitted = {}
     runs = [shipped_config(path.stem, n_trials=200) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
     for i, cfg in enumerate([*runs, *map(default_config, NOGO_SCENARIOS)]):
         out = tmp_path / str(i)
         out.mkdir()
-        _, checks, _ = cli.SCENARIOS[cfg.scenario][0](cfg, out, "0" * 64, False)
-        emitted |= {c.name for c in checks}
+        for check in cli.SCENARIOS[cfg.scenario][0](cfg, out, "0" * 64, False)[1]:
+            scenarios, relation, bound = emitted.setdefault(
+                check.name, (set(), check.relation, check.bound))
+            assert (relation, bound) == (check.relation, check.bound), check.name
+            scenarios.add(cfg.scenario)
     assert documented == emitted
+
+
+RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">": operator.gt}
+
+
+def test_every_report_check_is_its_comparison(tmp_path):
+    # each check of report.json passes exactly when its value stands in its
+    # relation to its bound, both numbers ("inf" for a branch gap with one
+    # branch), and report.txt prints the same verdict and numbers
+    one_branch = tmp_path / "one_branch.cfg"
+    one_branch.write_text("spin.alpha = 1\nspin.beta = 0\n")
+    invocations = [["sim", "stern-gerlach", "--config", str(one_branch)]]
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        scenario = parse_config(path.read_text()).scenario
+        invocations.append(["sim", scenario.replace("_", "-"), "--config", str(path)])
+    invocations = [[*argv, "--trajectories", "200"] for argv in invocations]
+    invocations += [["nogo", scenario] for scenario in NOGO_SCENARIOS]
+    numbers = []
+    for i, argv in enumerate(invocations):
+        out = tmp_path / str(i)
+        status = run(*argv, out=out)
+        report = json.loads((out / "report.json").read_text())
+        lines = (out / "report.txt").read_text().splitlines()
+        lines = lines[lines.index("-- checks --") + 1:lines.index(f"exit: {status}") - 1]
+        assert len(lines) == len(report["checks"]) > 0, argv
+        for check, line in zip(report["checks"], lines):
+            value, bound = (float(x) if x in ("inf", "-inf", "nan") else x
+                            for x in (check["value"], check["bound"]))
+            assert all(type(x) in (int, float) for x in (value, bound)), check
+            assert check["passed"] is RELATIONS[check["relation"]](value, bound), check
+            assert line == (f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: "
+                            f"{fmt(value)} {check['relation']} {fmt(bound)}")
+            numbers.append(value)
+        assert status == (0 if all(c["passed"] for c in report["checks"]) else 1), argv
+    assert math.inf in numbers
 
 
 def test_the_readme_states_every_key():

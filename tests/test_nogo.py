@@ -63,12 +63,11 @@ class TestSquareIdentities:
     def test_all_identities_pass(self, square):
         checks = nogo.verify_square_identities(square)
         assert len(checks) == 24  # 18 commutators + 6 products
-        assert all(passed for _, passed, _ in checks)
         # the operators are exact, so every residual is exactly zero
-        assert [residual for _, _, residual in checks] == [0.0] * 24
+        assert [residual for _, residual in checks] == [0.0] * 24
 
     def test_labels_in_order(self, square):
-        labels = [name for name, _, _ in nogo.verify_square_identities(square)]
+        labels = [name for name, _ in nogo.verify_square_identities(square)]
         assert labels[:3] == ["commute row1: x.,.x", "commute row1: x.,xx", "commute row1: .x,xx"]
         assert labels[9:12] == ["commute col1: x.,.y", "commute col1: x.,xy",
                                 "commute col1: .y,xy"]
@@ -82,8 +81,8 @@ class TestSquareIdentities:
                    nogo.ContextConstraint(c.member_indices, +1, c.label)
                    for c in nogo.mermin_constraints()]
         monkeypatch.setattr(nogo, "mermin_constraints", lambda: flipped)
-        failed = [(name, residual) for name, passed, residual
-                  in nogo.verify_square_identities(square) if not passed]
+        failed = [(name, residual) for name, residual
+                  in nogo.verify_square_identities(square) if not residual < nogo.IDENTITY_TOL]
         assert failed == [("product col3 = +I", pytest.approx(4.0))]
 
     def test_row_and_column_product_signs(self, square):

@@ -9,13 +9,13 @@ import pytest
 
 from bohmlab import cli, experiments, nogo
 from bohmlab.conditional import CouplingSpec, PointerMeasurement
-from bohmlab.config import NOGO_SCENARIOS, Check, default_config
+from bohmlab.config import NOGO_SCENARIOS, Check, default_config, gate
 from bohmlab.trajectories import Ensemble, HistogramComparison, NoCrossingReport
 from bohmlab.wavefield import BranchSupports, Grid1D, MagnetSpec, PotentialSpec
 
 # one valid instance of each record
 RECORDS = [
-    Check("name", True, "detail"),
+    gate("name", 1.0, "<", 2.0),
     default_config("pointer"),
     Grid1D(-16.0, 16.0, 512),
     MagnetSpec(5.0),

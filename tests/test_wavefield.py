@@ -311,12 +311,12 @@ class TestBranchSupports:
         f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
         report = branch_supports(f, 0.01)
         assert report.down_interval is None
-        assert report.separated
+        assert report.gap == math.inf
 
     def test_identical_envelopes_not_separated(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2))
         kicked = magnet_kick(f, MagnetSpec(5.0))
-        assert not branch_supports(kicked, 0.01).separated
+        assert branch_supports(kicked, 0.01).gap <= 0
 
     def test_separated_after_flight(self, grid512):
         kick, w0 = 5.0, 1.0
@@ -326,7 +326,7 @@ class TestBranchSupports:
         t_final = 10 * w0 / math.sqrt(4 * kick**2 - 25 / w0**2)
         out = evolve(kicked, PotentialSpec("free"), t_final, 1)
         report = branch_supports(out, 0.01)
-        assert report.separated
+        assert report.gap > 0
         assert report.up_interval[0] > report.down_interval[1]
 
     def test_threshold_validated(self, grid512):
