@@ -302,6 +302,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("n_frames must be at least 1")
     if config.flight_time is not None and not config.flight_time > 0:
         raise ConfigError("flight_time must be positive (or auto)")
+    if not config.duration > 0:
+        raise ConfigError("duration must be positive")
     if config.scenario == "sequential" and len(config.axes) < 2:
         raise ConfigError("sequential runs need at least 2 axes")
     if config.init_kind not in ("born", "uniform"):

@@ -3,16 +3,15 @@
 Doubles are written with 17 significant digits (`"%.17g"`), which
 round-trips any IEEE-754 double.  `fmt` defines a scalar's text and
 `json_text` a report's; the one table writer, `table.write_table`, must
-give the same bytes as `fmt` on every value.  Both unwrap numpy values only
-once numpy is loaded, as none can exist before; neither loads it.
-Every output file of a run is made by `create`.
+give the same bytes as `fmt` on every value.  Both take Python values
+only (every value of a report is one), and neither loads numpy.  Every
+output file of a run is made by `create`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 
 
 def create(path):
@@ -30,9 +29,6 @@ def create(path):
 
 def fmt(x) -> str:
     """Canonical text for one scalar (17 significant digits for floats)."""
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(x, np.generic):
-        x = x.item()
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, complex):
@@ -48,17 +44,15 @@ _JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c i
 def json_text(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and stable key order.
 
-    Supports the types that appear in run reports: dict, list/tuple,
-    str, bool, None, int, float.  Dict keys keep insertion order so the
-    emitted bytes are a pure function of the report content.  An
-    integral float gains `.0` (`2.0`, `-0.0`) so that it reads back as a
-    float; nan and inf, which JSON cannot hold, are written as the
-    strings `"nan"`, `"inf"` and `"-inf"`.
+    Supports the Python types that appear in run reports: dict,
+    list/tuple, str, bool, None, int, float; another type, such as a
+    numpy array or integer, raises `TypeError`.  Dict keys keep
+    insertion order so the emitted bytes are a pure function of the
+    report content.  An integral float gains `.0` (`2.0`, `-0.0`) so that
+    it reads back as a float; nan and inf, which JSON cannot hold, are
+    written as the strings `"nan"`, `"inf"` and `"-inf"`.
     """
     pad = " " * indent
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, (np.generic, np.ndarray)):
-        obj = obj.tolist()
     if obj is None:
         return "null"
     if isinstance(obj, bool):

@@ -25,16 +25,13 @@ whole) is one byte buffer in which each column's cells sit at their
 offset.  A fixed column, one that repeats in every row block such as an
 ensemble's frame times, is formatted once per table and cut to its
 longest text; it, the separators and the newlines are laid out only
-when the cell widths or chunk shape change.  A mask drops the zero bytes
-as the text is written, _COMPACT_BYTES (124 KiB) at a time.  Buffer and
-mask are reused, so per chunk the calling thread allocates nothing of
-128 KiB or more, which glibc may serve with mmap at a page-fault cost
-that depends on all the run did before.  A table of
-2**18 rows or more, on two usable CPUs (`threads.two_threads`), formats
-the next chunk on a helper thread while this one is laid out, compacted
-and written, in chunks of about 2**15 values.  A chunk's text is a
-function of its values alone, so the bytes depend neither on the chunk
-size nor on the thread or CPU count.
+when the cell widths or chunk shape change, so the buffer is reused from
+chunk to chunk.  One boolean index per chunk drops the zero bytes as
+the text is written.  A table of 2**18 rows or more, on two usable CPUs
+(`threads.two_threads`), formats the next chunk on a helper thread while
+this one is laid out, compacted and written, in chunks of about 2**15
+values.  A chunk's text is a function of its values alone, so the bytes
+depend neither on the chunk size nor on the thread or CPU count.
 
 The frame dumps, many small tables that share their first column, are
 written in two steps instead: `format_cells` formats the grid nodes once
@@ -369,7 +366,6 @@ def _rows(cells, fixed, sep: str, buffer: np.ndarray, layout):
 # memory of a `stern_gerlach --dump-frames` run rose from 37.2 to 40.8 MB.
 _CHUNK_VALUES = 2**13
 _TWO_THREAD_CHUNK_VALUES = 2**15
-_COMPACT_BYTES = 2**17 - 2**12  # text compacted per write: below malloc's 128 KiB mmap threshold
 
 
 def write_table(path, header, columns, sep: str = ",") -> None:
@@ -404,10 +400,7 @@ def write_table(path, header, columns, sep: str = ",") -> None:
                                        for c, f in zip(columns, fixed) if f is None]))
             return [next(fresh) if f is None else f for f in fixed]
 
-        # per chunk the calling thread allocates nothing of 128 KiB or more,
-        # so its speed does not depend on where malloc's mmap threshold has
-        # moved: the row buffer and the mask are reused
-        buffer, mask = np.empty(0, np.uint8), np.empty(_COMPACT_BYTES, bool)
+        buffer = np.empty(0, np.uint8)
         layout, is_fixed = None, [f is not None for f in fixed]
         with threads.Helper(two_threads) as helper:
             pending = helper.submit(chunk_cells, 0)
@@ -417,16 +410,7 @@ def write_table(path, header, columns, sep: str = ",") -> None:
                     pending = helper.submit(chunk_cells, lo + step)
                 buffer, text, layout = _rows(cells, is_fixed, sep, buffer, layout)
                 del cells
-                _write_text(fh, text, mask)
-
-
-def _write_text(fh, text, mask) -> None:
-    """Write the zero-padded `text` without its zero bytes, which numpy
-    drops (without holding the interpreter lock) _COMPACT_BYTES at a time,
-    into the bool `mask` of at least that size."""
-    for at in range(0, text.size, _COMPACT_BYTES):
-        piece = text[at:at + _COMPACT_BYTES]
-        fh.write(piece[np.not_equal(piece, 0, out=mask[:piece.size])])
+                fh.write(text[text != 0])
 
 
 def write_cells(path, header, cells, sep: str = ",") -> None:
@@ -438,4 +422,4 @@ def write_cells(path, header, cells, sep: str = ",") -> None:
     _, text, _ = _rows(cells, [False] * len(cells), sep, np.empty(0, np.uint8), None)
     with create(path) as fh:
         fh.write("".join(h + "\n" for h in header).encode())
-        _write_text(fh, text, np.empty(min(text.size, _COMPACT_BYTES), bool))
+        fh.write(text[text != 0])

@@ -25,6 +25,7 @@ from bohmlab.config import (
     config_hash,
     default_config,
     parse_config,
+    with_overrides,
 )
 
 from bohmlab.conditional import CouplingSpec, run_pointer_measurement
@@ -275,6 +276,8 @@ class TestDispatch:
                                       "grid.x_max = -4", "grid.x_max = 4.5",
                                       # non-finite values, rejected while parsing
                                       "duration = inf", "flight_time = inf", "spin.alpha = nan",
+                                      # a run needs time to pass
+                                      "duration = 0", "duration = -1",
                                       # seeds are taken modulo 2**64
                                       "seed = -1", "seed = 18446744073709551616",
                                       # counts, by the rules the library states
@@ -805,6 +808,33 @@ def test_every_report_check_is_its_comparison(tmp_path):
             numbers.append(value)
         assert status == (0 if all(c["passed"] for c in report["checks"]) else 1), argv
     assert math.inf in numbers
+
+
+def leaves(tree):
+    """The values of a results tree that are no dict, list or tuple."""
+    if not isinstance(tree, (dict, list, tuple)):
+        yield tree
+        return
+    for value in tree.values() if isinstance(tree, dict) else tree:
+        yield from leaves(value)
+
+
+def test_every_report_value_is_a_python_value(tmp_path):
+    # `fmt` and `json_text` take Python values only: each runner's results
+    # tree and its checks' values and bounds hold no numpy value (not even
+    # np.float64, which `isinstance(x, float)` would let through)
+    configs = [parse_config(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+    configs += [default_config(scenario) for scenario in NOGO_SCENARIOS]
+    assert {cfg.scenario for cfg in configs} == set(cli.SCENARIOS)
+    for i, cfg in enumerate(configs):
+        cfg = with_overrides(cfg, n_trials=200)
+        runner, dump_frames = cli.SCENARIOS[cfg.scenario]
+        out = tmp_path / str(i)
+        out.mkdir()
+        results, checks, _ = runner(cfg, out, config_hash(cfg), dump_frames)
+        values = [*leaves(results), *(x for c in checks for x in (c.value, c.bound))]
+        assert checks and values, cfg.scenario
+        assert {type(x) for x in values} <= {int, float, str, bool, type(None)}, cfg.scenario
 
 
 def test_the_readme_states_every_key():

@@ -79,7 +79,7 @@ class TestFailures:
 
             def write(self, data):
                 self.writes += 1
-                if self.writes == 4:            # the header, then two slices of a chunk
+                if self.writes == 4:            # the header, then the third chunk
                     raise OSError(28, "No space left on device")
                 return self.fh.write(data)
 
