@@ -273,22 +273,29 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if not config.grid_x_max > 0:       # the grid is [-grid.x_max, grid.x_max)
         raise ConfigError("grid.x_max must be positive")
     from .rng import check_draws
-    from .wavefield import DEFLECTION_WIDTH, check_placement, check_spin
+    from .wavefield import DEFLECTION_WIDTH, check_band, check_placement, check_spin
     rules = []
     if "spin.alpha" in keys:            # an equilibrium packet's spinor is fixed
         rules.append(("spin.alpha, spin.beta: ", lambda: check_spin(config.alpha, config.beta)))
     rules += [("grid.", config.grid), ("magnet.", config.magnet),
               ("potential.", config.potential),
               ("n_trials: ", lambda: check_draws(config.n_trials))]
+    # the packet's (center, width, momentum), and the keys that its grid
+    # position and its momentum band answer to
     if config.scenario == "pointer":    # its packet is fixed: its grid must hold it
         from .conditional import POINTER_CENTER, POINTER_WIDTH, CouplingSpec
-        packet, at = (POINTER_CENTER, POINTER_WIDTH), "grid.x_max: the pointer's "
+        center, width, momentum = POINTER_CENTER, POINTER_WIDTH, 0.0
+        at, band_at = "grid.x_max: the pointer's ", "grid.n_points: the pointer's "
         rules.append(("pointer.", lambda: CouplingSpec(config.pointer_shift)))
     elif "packet.center" in keys:
-        packet, at = (config.packet_center, config.packet_width), "packet."
+        center, width, momentum = config.packet_center, config.packet_width, config.packet_momentum
+        at, band_at = "packet.", "packet.momentum, packet.width: the packet's "
     else:                               # a deflection's packet is fixed: its grid must hold it
-        packet, at = (0.0, DEFLECTION_WIDTH), "grid.x_max: the deflected packet's "
-    rules.append((at, lambda: check_placement(config.grid(), *packet)))
+        # the kick's momentum, which free flight keeps for the whole run
+        center, width, momentum = 0.0, DEFLECTION_WIDTH, config.magnet_mu_b
+        at, band_at = "grid.x_max: the deflected packet's ", "magnet.mu_b: the kicked packet's "
+    rules += [(at, lambda: check_placement(config.grid(), center, width)),
+              (band_at, lambda: check_band(config.grid(), momentum, width))]
     if "magnet.mu_b" in keys and config.flight_time is None:
         rules.append(("magnet.", lambda: config.magnet().separation_time()))
     for prefix, check in rules:

@@ -1,13 +1,13 @@
-"""The one table writer: int and float columns as text, a chunk at a time.
+"""The one table writer: each column as exact `%.17g` text, a chunk at a time.
 
 Every table of a run (`ensemble.csv`, `trials.csv`, `histograms.csv`)
 goes through `write_table`, which formats whole columns in numpy and must
 give the same bytes as `serialize.fmt` on every value; a column of
 another dtype raises `TypeError`, since `fmt` would write it
-differently.  An int column's cells are as wide as the chunk's longest
-text and formed by arithmetic: the digits of |v| in 8-byte lanes of
-4-digit table entries, as many lanes as that text needs, moved down over
-their leading zeros, with the sign in front.  For a finite nonzero
+differently.  An int column is formatted as its doubles: an int within
++-2**53 is a double exactly, below 10**16, so `"%.17g"` writes it as
+`str` does; `write_table` raises `ValueError` for an int beyond.  Its
+cells are cut to the chunk's longest text.  For a finite nonzero
 double x with decimal exponent E, the 17-digit significand
 |x|*10**(16-E) of `"%.17g"`
 is formed as |x|*2**(16-E) times 5**(16-E), held as a double-double
@@ -268,64 +268,26 @@ def _fast_cells(x) -> np.ndarray:
     return cells.astype("<u8", copy=False)
 
 
-# An int's cell is `str(v)`, left-aligned, then zero bytes.  The digits of
-# |v|, zero-padded to 8 per lane, fill as many '<u8' lanes (`_DENSE`, most
-# significant first) as the longest text needs.  The string then moves
-# down by its leading '0' bytes, all but the last for a negative v, whose
-# last leading '0' becomes its '-'.
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)       # 10**1 .. 10**19
-
-
-def _int_cells(v, width: int) -> np.ndarray:
-    """(n, ceil(width / 8)) '<u8' lanes of `str(x)` for every x of the 1-d
-    int array v, whose longest text has at most `width` bytes."""
-    lanes = -(-width // 8)
-    if v.dtype.kind == "i":
-        v = v.astype(np.int64, copy=False)
-        negative = v < 0
-        m = np.abs(v).view(np.uint64)          # |x|: int64's min wraps to 2**63
-    else:
-        negative = False                       # as a `where=`, it selects nothing
-        m = v.astype(np.uint64, copy=False)
-    # bytes to drop: the leading '0's, all but the last for a negative x
-    drop = (8 * lanes - 1) - _POW10.searchsorted(m, "right") - negative
-    words = np.zeros((m.size, lanes + 1), np.uint64)    # the last lane stays zero
-    for k in range(lanes - 1, 0, -1):
-        m, group = _divmod(m, 10**8)
-        high, low = _divmod(group, 10**4)
-        words[:, k] = _DENSE[0].take(high) | _DENSE[1].take(low)
-    high, low = _divmod(m, 10**4)
-    words[:, 0] = _DENSE[0].take(high) | _DENSE[1].take(low)
-    # drop = 8 q + r/8: lane k of the cell is lane k + q shifted down by r
-    # bits and, above it, lane k + q + 1 (numpy shifts it by 64 to 0); q
-    # is 0 when there is one lane
-    if lanes > 1:
-        at = np.minimum((drop >> 3)[:, None] + np.arange(lanes + 1), lanes)
-        words = np.take_along_axis(words, at, 1)
-    r = ((drop & 7) << 3).astype(np.uint64)[:, None]
-    cells = (words[:, :-1] >> r) | (words[:, 1:] << (64 - r))
-    np.subtract(cells[:, 0], ord("0") - ord("-"), out=cells[:, 0], where=negative)
-    return cells.astype("<u8", copy=False)
+def _cut(cells):
+    """Cells cut to their longest text."""
+    return cells[..., :np.count_nonzero(cells.reshape(-1, cells.shape[-1]).any(axis=0))]
 
 
 def format_cells(arrays) -> list:
     """The text of each int or float array as zero-padded uint8 cells,
     shaped `a.shape + (width,)`: 24 bytes for a float, the longest
-    value's length for an int.  The float values of all arrays are
-    formatted in one batch, and each array's cells are a view of it."""
-    floats = [a.ravel() for a in arrays if a.dtype.kind == "f"]
-    if floats:
-        x = np.concatenate(floats) if len(floats) > 1 else floats[0]
-        lanes = _fast_cells(x.astype(np.float64, copy=False)).view(np.uint8).reshape(-1, 24)
+    value's length for an int.  All values are formatted as float64 in
+    one batch, and each array's cells are a view of it; an int must lie
+    within +-2**53, where its double is exact and `%.17g` writes it as
+    `str` does."""
+    # the empty float64 array sets the batch's dtype, and lets no array be given
+    x = np.concatenate([*(a.ravel() for a in arrays), np.empty(0)])
+    lanes = _fast_cells(x).view(np.uint8).reshape(-1, 24)
     cells, at = [], 0
     for a in arrays:
-        if a.dtype.kind == "f":
-            cells.append(lanes[at:at + a.size].reshape(*a.shape, 24))
-            at += a.size
-        else:
-            width = max(len(str(a.min())), len(str(a.max())))
-            text = _int_cells(a.ravel(), width).view(np.uint8)
-            cells.append(text.reshape(*a.shape, -1)[..., :width])
+        c = lanes[at:at + a.size].reshape(*a.shape, 24)
+        cells.append(c if a.dtype.kind == "f" else _cut(c))
+        at += a.size
     return cells
 
 
@@ -372,6 +334,7 @@ def write_table(path, header, columns, sep: str = ",") -> None:
     """Write the `header` lines, then one line per row of `columns` (int
     or float arrays that broadcast together; rows run over the broadcast
     shape in C order), each value as `fmt` writes it, joined by `sep`.
+    An int beyond +-2**53 raises ValueError before the file is created.
 
     A column of length 1 along the first axis is a fixed column; each
     chunk formats about _CHUNK_VALUES values of the others, or
@@ -380,16 +343,16 @@ def write_table(path, header, columns, sep: str = ",") -> None:
     for c in columns:
         if c.dtype.kind not in "iuf":
             raise TypeError(f"cannot write a column of dtype {c.dtype}")
+        if c.dtype.kind != "f" and c.size and (c.min() < -2**53 or c.max() > 2**53):
+            raise ValueError("cannot write an int beyond +-2**53")
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
     with create(path) as fh:
         fh.write("".join(h + "\n" for h in header).encode())
         if 0 in shape:
             return
-        # a fixed column's cells, cut to its longest text
-        fixed = [format_cells([c])[0] if c.shape[0] == 1 else None for c in columns]
-        fixed = [f if f is None else np.ascontiguousarray(f[..., :np.count_nonzero(
-            f.reshape(-1, f.shape[-1]).any(axis=0))]) for f in fixed]
+        fixed = [np.ascontiguousarray(_cut(format_cells([c])[0])) if c.shape[0] == 1 else None
+                 for c in columns]
         per_row = sum(math.prod(c.shape[1:]) for c, f in zip(columns, fixed) if f is None)
         two_threads = threads.two_threads(math.prod(shape))
         chunk = _TWO_THREAD_CHUNK_VALUES if two_threads else _CHUNK_VALUES

@@ -199,6 +199,19 @@ def check_placement(grid: Grid1D, center: float, width: float) -> None:
                          f"[{grid.x_min:g}, {grid.x_max:g}], got {center:g}")
 
 
+def check_band(grid: Grid1D, momentum: float, width: float) -> None:
+    """Raise ValueError unless the grid's band (-k_max, k_max) holds all
+    but BOUNDARY_MASS_LIMIT of a Gaussian packet's momentum density, a
+    normal law of mean `momentum` and standard deviation 1/(2 width): a
+    wavenumber beyond the band wraps to the other side of it."""
+    z = math.sqrt(2.0) * width
+    tail = 0.5 * (math.erfc(z * (grid.k_max - momentum)) + math.erfc(z * (grid.k_max + momentum)))
+    if tail > BOUNDARY_MASS_LIMIT:
+        raise ValueError(f"momentum density must lie within the grid's band |k| < "
+                         f"{grid.k_max:.6g}: {tail:.2g} of it lies outside "
+                         f"(limit {BOUNDARY_MASS_LIMIT:g})")
+
+
 def gaussian_packet(grid: Grid1D, center: float, width: float, momentum: float,
                     alpha: complex, beta: complex) -> SpinorField:
     """Normalized spinor Gaussian exp(-(x-center)^2/(4 width^2) + i k x),

@@ -104,6 +104,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^grid.x_max must be positive$"):
             default_config("pointer")._replace(grid_x_max=0.0)
 
+    def test_a_packet_beyond_the_grids_band_is_rejected(self):
+        # a wavenumber beyond k_max wraps to the other side of the band:
+        # on [-20, 20) with 256 points, k_max = 20.1, and a kick of 17
+        # leaves 2.6e-10 of the momentum density beyond it, one of 18 1.3e-5
+        base = {"grid_n_points": 256, "flight_time": 0.6}
+        default_config("stern_gerlach", magnet_mu_b=17.0, **base)
+        with pytest.raises(ConfigError, match="^magnet.mu_b: the kicked packet's momentum"):
+            default_config("stern_gerlach", magnet_mu_b=18.0, **base)
+        with pytest.raises(ConfigError, match="^packet.momentum, packet.width: "):
+            default_config("equilibrium", packet_momentum=60.0, packet_center=0.0)
+
     def test_an_edit_of_a_key_the_scenario_does_not_read_is_fatal(self):
         # a deflection's packet has width 1: a wider one would be ignored,
         # and the config hash would not change
@@ -274,6 +285,11 @@ class TestDispatch:
                                       # under sim pointer: no grid, and one too small
                                       # for the pointer's packet
                                       "grid.x_max = -4", "grid.x_max = 4.5",
+                                      # momentum beyond the grid's band: the kick
+                                      # would wrap, and the pointer's packet too
+                                      "grid.n_points = 256\nflight_time = 0.6\n"
+                                      "magnet.mu_b = 30",
+                                      "grid.x_max = 200\ngrid.n_points = 256",
                                       # non-finite values, rejected while parsing
                                       "duration = inf", "flight_time = inf", "spin.alpha = nan",
                                       # a run needs time to pass
@@ -297,7 +313,8 @@ class TestDispatch:
         if line.split("=")[0].strip() in ("duration", "potential.kind", "packet.center",
                                           "packet.width"):
             subcommand = "equilibrium"
-        elif line in ("grid.x_max = -4", "grid.x_max = 4.5"):
+        elif line in ("grid.x_max = -4", "grid.x_max = 4.5",
+                      "grid.x_max = 200\ngrid.n_points = 256"):
             subcommand = "pointer"
         else:
             subcommand = "stern-gerlach"
@@ -737,11 +754,6 @@ class TestEntryPoint:
         import tomllib
         project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
         assert project["scripts"] == {"bohmlab": "bohmlab.cli:entry_point"}
-
-
-def test_every_package_export_resolves():
-    import bohmlab
-    assert [name for name in bohmlab.__all__ if not hasattr(bohmlab, name)] == []
 
 
 def test_the_readme_states_every_check(tmp_path):

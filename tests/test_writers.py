@@ -254,15 +254,16 @@ INT_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "u
 
 
 def int_inputs(dtype):
-    """0, +-1, +-9, +-10, each power of ten and +-1 around it, the dtype's
-    limits and +-1 inside them, all that the dtype holds, then seeded
-    random draws over its whole range."""
+    """0, +-1, +-9, +-10, each power of ten and +-1 around it, the limits
+    of the dtype's values that a table writes (its own, or +-2**53 where
+    wider) and +-1 inside them, all between those limits, then seeded
+    random draws between them."""
     info = np.iinfo(dtype)
-    edges = {info.min, info.min + 1, info.max - 1, info.max}
+    lo, hi = max(info.min, -2**53), min(info.max, 2**53)
+    edges = {lo, lo + 1, hi - 1, hi}
     edges |= {sign * 10**k + d for k in range(21) for sign in (1, -1) for d in (-1, 0, 1)}
-    edges = sorted(v for v in edges if info.min <= v <= info.max)
-    draws = np.random.default_rng(11).integers(info.min, info.max, size=5000, dtype=dtype,
-                                               endpoint=True)
+    edges = sorted(v for v in edges if lo <= v <= hi)
+    draws = np.random.default_rng(11).integers(lo, hi, size=5000, dtype=dtype, endpoint=True)
     return np.array(edges, dtype), draws
 
 
@@ -319,8 +320,8 @@ def edge_tables():
 
 def int_tables(values):
     """A table whose negative int column narrows and widens between
-    chunks (-120 ... 14), beside int64 and uint64 columns that reach their
-    limits."""
+    chunks (-120 ... 14), beside int64 and uint64 columns that reach
+    +-2**53, the limits of an int column."""
     n = 135
     counts = np.arange(-120, n - 120)
     wide = np.resize(int_inputs("int64")[0], n)
@@ -366,6 +367,17 @@ def test_write_table_rejects_columns_fmt_would_write_differently(tmp_path, colum
     path = tmp_path / "table.csv"
     with pytest.raises(TypeError):
         write_table(path, [], [np.arange(2), column])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("column", [np.array([0, 2**53 + 1]), np.array([-2**53 - 1, 0]),
+                                    np.array([0, 2**64 - 1], np.uint64)],
+                         ids=["int64-above", "int64-below", "uint64-max"])
+def test_write_table_rejects_ints_beyond_2_to_the_53(tmp_path, column):
+    # beyond +-2**53 not every int is a double
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError):
+        write_table(path, [], [column, np.ones(2)])
     assert not path.exists()
 
 
