@@ -273,8 +273,8 @@ def _result_lines(tree, prefix: str = ""):
 
 def dispatch(args: argparse.Namespace) -> int:
     """Run the parsed invocation, write its reports, and return the exit status.
-    A bad config, a run that cannot complete or an output path that cannot
-    be written prints one `error:` line and returns 2."""
+    A bad config, a run that cannot complete or allocate, or an output path
+    that cannot be written prints one `error:` line and returns 2."""
     try:
         scenario = args.scenario.replace("-", "_")
         cfg = _load_config(args, scenario)
@@ -306,8 +306,8 @@ def dispatch(args: argparse.Namespace) -> int:
         }
         with create(out / "report.json") as fh:
             fh.write((json_text(json_report) + "\n").encode())
-    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
     if not args.quiet:

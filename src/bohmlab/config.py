@@ -17,8 +17,9 @@ x/y/z letters; `flight_time` accepts `auto`.
 `SCENARIO_KEYS` says which keys each scenario reads, built from key
 groups (`scenario` itself aside):
 
-    stern_gerlach, no_crossing  run, spin, grid, frames, magnet (9)
+    stern_gerlach               run, spin, grid, frames, magnet (9)
     sequential                  the same plus axes (10)
+    no_crossing                 run, grid, frames, magnet (7)
     equilibrium                 run, grid, frames, equilibrium (13)
     pointer                     run, spin, grid, pointer (7)
     mermin, vonneumann, chsh    none
@@ -28,17 +29,18 @@ x^2/2.  Every grid is [-grid.x_max, grid.x_max).  A deflection's packet
 starts at rest at x = 0 with width 1 (`wavefield.DEFLECTION_WIDTH`): a
 shifted, boosted or wider start is the same run translated or rescaled.
 An equilibrium packet carries a fixed spinor, since H does not act on
-spin.  A key read only under a condition (`init.a`, `init.b`) belongs to
-every scenario that may read it.  A key its scenario does not read is
-fatal, in a file and in `default_config` alike; an unknown key is fatal,
-with the nearest key its scenario reads suggested.  `default_config` and
-`ExperimentConfig._replace` call `validate_config`, which names the key
-of a field that its scenario does not read and that differs from its
-default, and the key of any value that the run would reject, by the rule
-the library itself applies: the specs', the spin pair's, the packet's
-(the grid's, for a fixed packet), an auto flight time's and the trial
-count's (`rng.check_draws`); a uniform start must lie on the grid.  It
-imports `conditional` for a `pointer` config only.
+spin, and `no_crossing` the symmetric state, whose outcome side is its
+start side.  A key read only under a condition (`init.a`, `init.b`)
+belongs to every scenario that may read it.  A key its scenario does
+not read is fatal, in a file and in `default_config` alike; an unknown
+key is fatal, with the nearest key its scenario reads suggested.
+`default_config` and `ExperimentConfig._replace` call `validate_config`,
+which names the key of a field that its scenario does not read and that
+differs from its default, and the key of any value that the run would
+reject, by the rule the library itself applies: the specs', the spin
+pair's, the packet's (the grid's, for a fixed packet), an auto flight
+time's and the trial count's (`rng.check_draws`); a uniform start must
+lie on the grid.  It imports `conditional` for a `pointer` config only.
 
 The canonical form of a config is the sorted `key = value` listing of
 `scenario` and the keys its scenario reads (defaults filled in, floats
@@ -176,7 +178,7 @@ _DEFLECTION = (_RUN, _SPIN, _GRID, _FRAMES, _MAGNET)
 _SCENARIOS: dict[str, tuple] = {
     "stern_gerlach": (_DEFLECTION, {}),
     "sequential": ((*_DEFLECTION, _AXES), {"n_trials": 1000}),
-    "no_crossing": (_DEFLECTION, {"n_trials": 1000}),
+    "no_crossing": ((_RUN, _GRID, _FRAMES, _MAGNET), {"n_trials": 1000}),
     "equilibrium": ((_RUN, _GRID, _FRAMES, _EQUILIBRIUM), {
         "n_trials": 50000, "n_frames": 40, "grid_x_max": 16.0,
         "packet_center": -2.0, "packet_momentum": 1.0}),
@@ -275,7 +277,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     from .rng import check_draws
     from .wavefield import DEFLECTION_WIDTH, check_band, check_placement, check_spin
     rules = []
-    if "spin.alpha" in keys:            # an equilibrium packet's spinor is fixed
+    if "spin.alpha" in keys:            # some scenarios fix their spinor
         rules.append(("spin.alpha, spin.beta: ", lambda: check_spin(config.alpha, config.beta)))
     rules += [("grid.", config.grid), ("magnet.", config.magnet),
               ("potential.", config.potential),

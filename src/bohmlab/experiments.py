@@ -192,24 +192,22 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
 
 NoCrossingResult = namedtuple(
     "NoCrossingResult", "crossing_report inference_accuracy statistics ensemble checks")
-SYMMETRY_TOL = 1e-12        # of |alpha|^2 and |beta|^2 from 1/2
+SYMMETRIC_SPIN = (complex(math.sqrt(0.5)),) * 2    # its separatrix is x = 0
 
 
 def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
-    """Order preservation plus side retrodiction for the symmetric state:
-    a trajectory ends on the up side exactly when it started above the
-    packet center x = 0 (ties on the center count as up on both sides of
-    the equivalence)."""
-    asymmetry = max(abs(abs(config.alpha) ** 2 - 0.5), abs(abs(config.beta) ** 2 - 0.5))
+    """Order preservation plus side retrodiction for the symmetric state
+    `SYMMETRIC_SPIN`: a trajectory ends on the up side exactly when it
+    started above the packet center x = 0 (ties on the center count as up
+    on both sides of the equivalence)."""
     frames, ensemble, branches, up_mask, alive, flight = _sg_pipeline(
-        config, config.alpha, config.beta, config.n_trials, config.seed)
+        config, *SYMMETRIC_SPIN, config.n_trials, config.seed)
     report = check_no_crossing(ensemble)
     stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(alive & ~up_mask))),
-                                   (abs(config.alpha) ** 2, abs(config.beta) ** 2))
+                                   [abs(c) ** 2 for c in SYMMETRIC_SPIN])
     started_above = ensemble.positions[alive, 0] >= 0.0
     accuracy = float(np.mean(up_mask[alive] == started_above))
     checks = (
-        gate("symmetric_preparation", asymmetry, "<", SYMMETRY_TOL),
         _separated_check([branches]),
         _no_aborted_check(len(ensemble.aborted)),
         gate("zero_crossings", report.violations, "==", 0),

@@ -1,5 +1,6 @@
 """Spin-1/2 operators: the Pauli table, the arithmetic the no-go checks do
-with it, Hermitian spectra, and the rotation that takes a lab axis x, y or z to z.
+with it, Hermitian spectra (one cyclic Jacobi algorithm for every size),
+and the rotation that takes a lab axis x, y or z to z.
 
 An operator is a tuple of rows of Python `complex`.  The no-go operators are
 2x2 and 4x4 with entries 0, +-1, +-i and +-1/sqrt(2), so this arithmetic is
@@ -55,8 +56,8 @@ def norm(a) -> float:
 
 
 def hermitian_eigenvalues(a) -> tuple:
-    """Real eigenvalues of a Hermitian operator, ascending: in closed form
-    for 2x2, by cyclic complex Jacobi rotations otherwise."""
+    """Real eigenvalues of a Hermitian operator of any size, ascending, by
+    cyclic complex Jacobi rotations."""
     a = [[complex(z) for z in row] for row in a]
     n = len(a)
     if any(len(row) != n for row in a):
@@ -64,10 +65,6 @@ def hermitian_eigenvalues(a) -> tuple:
     if not all(abs(a[i][j] - a[j][i].conjugate()) < HERMITIAN_TOL
                for i in range(n) for j in range(n)):
         raise ValueError("operator is not Hermitian within tolerance")
-    if n == 2:
-        mean, half = (a[0][0].real + a[1][1].real) / 2, (a[0][0].real - a[1][1].real) / 2
-        radius = math.hypot(half, a[0][1].real, a[0][1].imag)
-        return (mean - radius, mean + radius)
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     for _ in range(50):
         if not any(a[p][q] for p, q in pairs):

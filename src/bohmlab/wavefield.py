@@ -303,26 +303,18 @@ BranchSupports = namedtuple("BranchSupports", "up_interval down_interval gap")
 
 
 def _smallest_mass_interval(grid: Grid1D, component: np.ndarray, fraction: float):
+    """The first narrowest [x_i, x_j + dx] holding `fraction` of the mass."""
     masses = np.abs(component) ** 2 * grid.dx
     total = float(masses.sum())
-    if total < 1e-12:
-        return None
-    target = fraction * total
     cum = np.concatenate(([0.0], np.cumsum(masses)))
+    # each start's first end that holds the fraction; past the grid for the last starts
+    ends = np.searchsorted(cum, cum[:-1] + fraction * total) - 1
+    ends = ends[ends < grid.n_points]
+    if total < 1e-12 or ends.size == 0:
+        return None
     x = grid.nodes
-    best = None
-    j = 0
-    for i in range(grid.n_points):
-        if j < i:
-            j = i
-        while j < grid.n_points and cum[j + 1] - cum[i] < target:
-            j += 1
-        if j == grid.n_points:
-            break
-        left, right = float(x[i]), float(x[j] + grid.dx)
-        if best is None or right - left < best[1] - best[0]:
-            best = (left, right)
-    return best
+    i = int(np.argmin(x[ends] + grid.dx - x[:ends.size]))
+    return float(x[i]), float(x[ends[i]] + grid.dx)
 
 
 def branch_supports(field: SpinorField, threshold: float) -> BranchSupports:

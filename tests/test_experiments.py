@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohmlab import experiments
+from bohmlab import cli, experiments
 from bohmlab.config import ConfigError, default_config
 from bohmlab.experiments import detection_time, measurement_statistics
 from bohmlab.hilbert import spin_rotation
@@ -18,7 +18,7 @@ from bohmlab.wavefield import (
     magnet_kick,
 )
 
-from conftest import shipped_config
+from conftest import CONFIG_DIR, shipped_config
 
 FAST = dict(n_trials=2000, n_frames=32)
 
@@ -236,16 +236,19 @@ class TestNoCrossing:
         assert res.inference_accuracy == 1.0
         assert all(c.passed for c in res.checks)
 
-    def test_asymmetric_state_flags_precondition(self):
-        cfg = default_config("no_crossing", alpha=complex(0.6), beta=complex(0.8),
-                             n_trials=300, n_frames=32)
-        res = experiments.no_crossing_check(cfg)
-        checks = {c.name: c for c in res.checks}
-        assert not checks["symmetric_preparation"].passed
-        assert checks["symmetric_preparation"].value == pytest.approx(0.14)
-        # f_up is about 0.36, so about 0.86 of the outcomes match the start side
-        assert not checks["side_inference_exact"].passed
-        assert 0.8 < checks["side_inference_exact"].value < 0.9
+    def test_an_asymmetric_state_is_a_config_error(self, tmp_path, capsys):
+        # the symmetric state is fixed: a spin key is one no_crossing does
+        # not read, in the library and in a config file, and no --out is made
+        with pytest.raises(ConfigError, match="'spin.alpha'"):
+            default_config("no_crossing", alpha=complex(0.6), beta=complex(0.8))
+        cfg = tmp_path / "asymmetric.cfg"
+        cfg.write_text((CONFIG_DIR / "no_crossing.cfg").read_text()
+                       + "spin.alpha = 0.6\nspin.beta = 0.8\n")
+        assert cli.main(["sim", "no-crossing", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: key 'spin.alpha' is not read by scenario 'no_crossing'"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestEquilibrium:

@@ -150,6 +150,19 @@ class TestEigenvalues:
                 assert isinstance(got, tuple) and list(got) == sorted(got)
                 assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_every_run_operator_has_its_closed_form_spectrum(self):
+        # sigma_x, sigma_z and sigma_x + sigma_z, the 2x2 operators that the
+        # no-go checks diagonalize, get the bits of the 2x2 closed form
+        # mean -+ hypot(half difference, |off-diagonal|) from the one
+        # Jacobi algorithm
+        def closed_form(a):
+            mean, half = (a[0][0].real + a[1][1].real) / 2, (a[0][0].real - a[1][1].real) / 2
+            radius = math.hypot(half, a[0][1].real, a[0][1].imag)
+            return (mean - radius, mean + radius)
+        x, z = hilbert.pauli("x"), hilbert.pauli("z")
+        for op in (x, z, hilbert.combine((1, x), (1, z))):
+            assert hermitian_eigenvalues(op) == closed_form(op)
+
     def test_degenerate_and_diagonal_spectra(self):
         # repeated eigenvalues and an operator that needs no rotation
         gen = np.random.default_rng(3)

@@ -6,13 +6,15 @@ import pytest
 
 from bohmlab.cli import write_frame
 from bohmlab.config import parse_config
-from bohmlab.experiments import EQUILIBRIUM_SPIN
+from bohmlab.experiments import EQUILIBRIUM_SPIN, detection_time
 from bohmlab.wavefield import (
+    DEFLECTION_WIDTH,
     BoundaryMassError,
     Grid1D,
     MagnetSpec,
     PotentialSpec,
     SpinorField,
+    _smallest_mass_interval,
     branch_supports,
     evolve,
     evolve_frames,
@@ -328,6 +330,52 @@ class TestBranchSupports:
         report = branch_supports(out, 0.01)
         assert report.gap > 0
         assert report.up_interval[0] > report.down_interval[1]
+
+    @staticmethod
+    def two_pointer_interval(grid, component, fraction):
+        # the reference: for each start node, walk the end node forward
+        # until the window holds the fraction; keep the first narrowest
+        masses = np.abs(component) ** 2 * grid.dx
+        total = float(masses.sum())
+        if total < 1e-12:
+            return None
+        target = fraction * total
+        cum = np.concatenate(([0.0], np.cumsum(masses)))
+        x = grid.nodes
+        best = None
+        j = 0
+        for i in range(grid.n_points):
+            j = max(j, i)
+            while j < grid.n_points and cum[j + 1] - cum[i] < target:
+                j += 1
+            if j == grid.n_points:
+                break
+            left, right = float(x[i]), float(x[j] + grid.dx)
+            if best is None or right - left < best[1] - best[0]:
+                best = (left, right)
+        return best
+
+    def test_the_binary_search_finds_the_two_pointer_intervals(self, grid512):
+        # bit for bit, on every frame of the shipped deflection configs at
+        # four spin states and on random packets, at four fractions
+        fields = []
+        for name in ("stern_gerlach", "sequential_zx", "no_crossing"):
+            cfg = shipped_config(name)
+            for alpha in (0.6, 1 / math.sqrt(2), 0.1, 1.0):
+                packet = gaussian_packet(cfg.grid(), 0.0, DEFLECTION_WIDTH, 0.0,
+                                         alpha, math.sqrt(1 - alpha ** 2))
+                fields += evolve_frames(magnet_kick(packet, cfg.magnet()), PotentialSpec("free"),
+                                        detection_time(cfg) / cfg.n_frames, cfg.n_frames)
+        gen = np.random.default_rng(37)
+        for _ in range(200):
+            alpha = gen.uniform(0.0, 1.0)
+            fields.append(gaussian_packet(grid512, gen.uniform(-6, 6), gen.uniform(0.3, 2.0),
+                                          gen.uniform(-3, 3), alpha, math.sqrt(1 - alpha ** 2)))
+        for field in fields:
+            for component in (field.up, field.down):
+                for fraction in (0.5, 0.9, 0.99, 0.999999):
+                    assert (_smallest_mass_interval(field.grid, component, fraction)
+                            == self.two_pointer_interval(field.grid, component, fraction))
 
     def test_threshold_validated(self, grid512):
         f = gaussian_packet(grid512, 0.0, 1.0, 0.0, 1.0, 0.0)
