@@ -26,14 +26,18 @@ in `report.txt`, the check's `str`); `report.json` also lists the run's
 other files as `outputs`.  Trajectory scenarios add `ensemble.csv`, the
 pointer scenario `trials.csv`, the equilibrium scenario
 `histograms.csv`, and --dump-frames a `frames/` directory, one
-`write_frame` per file: the node column is formatted once and the
-amplitudes of a stack of frames (about `table._CHUNK_VALUES` values, 4
-frames of 512 nodes) in one call.  Both reports and every CSV table
-begin with the config hash; the frame dumps do not.
+`write_frame` per file, given its cells: `_write_frames` formats the
+node column once and the amplitudes of a stack of frames (about
+`table._CHUNK_VALUES` values, 4 frames of 512 nodes) in one call.  Both
+reports and every CSV table begin with the config hash; the frame dumps
+do not.
 Nothing in a file depends on the clock, so re-running an invocation
 reproduces every file byte for byte.  Every file is made by
 `serialize.create`, so a re-run into the same --out replaces each file
-rather than truncating it.
+rather than truncating it.  Before the run, `dispatch` makes both
+reports anew and empty: an --out they cannot be written to fails
+before the run, and a run that then exits 2 leaves them empty, not an
+earlier run's.
 The exit status is 0 exactly when all declared checks pass.  A config
 that its run would reject fails in `config.validate_config`, before the
 output directory is made.  A `nogo` run never imports numpy: here only
@@ -194,21 +198,15 @@ def write_ensemble(ensemble, path, config_hash: str, seed: int) -> None:
                 [ids, ensemble.frame_times, ensemble.positions])
 
 
-def write_frame(field, path, cells=None) -> None:
+def write_frame(field, path, cells) -> None:
     """Dump one `wavefield.SpinorField` frame as structured text; it
-    round-trips bit-exactly.  `cells`, if given, are the table cells of
-    its five columns, formatted beforehand (see `_write_frames`)."""
-    from . import table
+    round-trips bit-exactly.  `cells` are the table cells of its five
+    columns, formatted beforehand (see `_write_frames`)."""
+    from .table import write_cells
     grid = field.grid
-    header = [
-        f"# spinor-frame x_min={fmt(grid.x_min)} x_max={fmt(grid.x_max)}"
-        f" n_points={grid.n_points} time={fmt(field.time)}",
-        "# x re_up im_up re_down im_down",
-    ]
-    if cells is None:
-        up, down = field.up, field.down
-        cells = table.format_cells([grid.nodes, up.real, up.imag, down.real, down.imag])
-    table.write_cells(path, header, cells, sep=" ")
+    write_cells(path, [f"# spinor-frame x_min={fmt(grid.x_min)} x_max={fmt(grid.x_max)}"
+                       f" n_points={grid.n_points} time={fmt(field.time)}",
+                       "# x re_up im_up re_down im_down"], cells)
 
 
 def write_trials(measurement, path, config_hash: str) -> None:
@@ -281,9 +279,8 @@ def dispatch(args: argparse.Namespace) -> int:
         chash = config_hash(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"       # fail before the run, not after it
-        create(probe).close()
-        probe.unlink()
+        for name in ("report.json", "report.txt"):   # fail before the run, and
+            create(out / name).close()               # leave no earlier run's report
         runner, _ = SCENARIOS[scenario]
         results, checks, outputs = runner(cfg, out, chash, args.dump_frames)
         status = 0 if all(c.passed for c in checks) else 1

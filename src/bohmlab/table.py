@@ -1,18 +1,18 @@
 """The one table writer: each column as exact `%.17g` text, a chunk at a time.
 
 Every table of a run (`ensemble.csv`, `trials.csv`, `histograms.csv`)
-goes through `write_table`, which formats whole columns in numpy and must
-give the same bytes as `serialize.fmt` on every value; a column of
-another dtype raises `TypeError`, since `fmt` would write it
-differently.  An int column is formatted as its doubles: an int within
-+-2**53 is a double exactly, below 10**16, so `"%.17g"` writes it as
-`str` does; `write_table` raises `ValueError` for an int beyond.  Its
-cells are cut to the chunk's longest text.  For a finite nonzero
-double x with decimal exponent E, the 17-digit significand
-|x|*10**(16-E) of `"%.17g"`
-is formed as |x|*2**(16-E) times 5**(16-E), held as a double-double
-table built exactly at import, with Dekker's TwoProduct (Numer. Math. 18,
-224 (1971)), and rounded half to even.  The product is exact where
+goes through `write_table`, which writes comma-separated rows, formats
+whole columns in numpy and must give the same bytes as `serialize.fmt`
+on every value; a column of another dtype raises `TypeError`, since
+`fmt` would write it differently.  An int column is formatted as its
+doubles: an int within +-2**53 is a double exactly, below 10**16, so
+`"%.17g"` writes it as `str` does; `write_table` raises `ValueError` for
+an int beyond.  Its cells are cut to the chunk's longest text.  For a
+finite nonzero double x with decimal exponent E, the 17-digit
+significand |x|*10**(16-E) of `"%.17g"` is formed as |x|*2**(16-E)
+times 5**(16-E), held as a double-double table built exactly at
+import, with Dekker's TwoProduct (Numer. Math. 18, 224 (1971)), and
+rounded half to even.  The product is exact where
 5**(16-E) is a double; elsewhere its error is proved below 2**-47, and
 only a value within a margin of a rounding tie goes through `"%.17g" % x`,
 the fast path with an exact fallback of Grisu3 (Loitsch, PLDI 2010).  The
@@ -36,8 +36,9 @@ depend neither on the chunk size nor on the thread or CPU count.
 The frame dumps, many small tables that share their first column, are
 written in two steps instead: `format_cells` formats the grid nodes once
 and the amplitudes of a stack of frames (about one chunk) in one call,
-and `write_cells` lays out and writes each file from those cells, with
-the bytes `write_table` would write.
+and `write_cells` lays out and writes each file from those cells as
+space-separated rows, the bytes `write_table` would write with a space
+for each comma.
 
 This module and its tables are loaded by the first table a run writes,
 so a run that writes none (a no-go check) does not pay for them.
@@ -330,10 +331,10 @@ _CHUNK_VALUES = 2**13
 _TWO_THREAD_CHUNK_VALUES = 2**15
 
 
-def write_table(path, header, columns, sep: str = ",") -> None:
+def write_table(path, header, columns) -> None:
     """Write the `header` lines, then one line per row of `columns` (int
     or float arrays that broadcast together; rows run over the broadcast
-    shape in C order), each value as `fmt` writes it, joined by `sep`.
+    shape in C order), each value as `fmt` writes it, joined by `,`.
     An int beyond +-2**53 raises ValueError before the file is created.
 
     A column of length 1 along the first axis is a fixed column; each
@@ -371,18 +372,18 @@ def write_table(path, header, columns, sep: str = ",") -> None:
                 cells = pending()
                 if lo + step < shape[0]:
                     pending = helper.submit(chunk_cells, lo + step)
-                buffer, text, layout = _rows(cells, is_fixed, sep, buffer, layout)
+                buffer, text, layout = _rows(cells, is_fixed, ",", buffer, layout)
                 del cells
                 fh.write(text[text != 0])
 
 
-def write_cells(path, header, cells, sep: str = ",") -> None:
+def write_cells(path, header, cells) -> None:
     """Write the `header` lines, then one line per row of `cells`, the
-    cells of (rows,) columns from `format_cells`: the bytes `write_table`
-    writes for those columns.  It serves a small table whose values were
-    formatted together with other tables' (a stack of frame dumps), and
-    lays out the whole text in one buffer."""
-    _, text, _ = _rows(cells, [False] * len(cells), sep, np.empty(0, np.uint8), None)
+    cells of (rows,) columns from `format_cells`, joined by spaces: the
+    bytes `write_table` writes for them, a space for each comma.  It
+    serves the frame dumps, formatted a stack at a time, and lays out the
+    whole text in one buffer."""
+    _, text, _ = _rows(cells, [False] * len(cells), " ", np.empty(0, np.uint8), None)
     with create(path) as fh:
         fh.write("".join(h + "\n" for h in header).encode())
         fh.write(text[text != 0])

@@ -247,7 +247,9 @@ class TestDispatch:
          lambda p: p.write_text("")),
         (["sim", "pointer", "--trajectories", "100"], "trials.csv", lambda p: p.mkdir()),
         (["nogo", "chsh"], "report.txt", lambda p: p.mkdir()),
-    ], ids=["frames-is-a-file", "trials-is-a-directory", "report-is-a-directory"])
+        (["sim", "pointer", "--trajectories", "100"], "report.json", lambda p: p.mkdir()),
+    ], ids=["frames-is-a-file", "trials-is-a-directory", "report-is-a-directory",
+            "report-fails-before-the-run"])
     def test_unwritable_output_path_fails_cleanly(self, tmp_path, capsys, argv, blocker, make):
         out = tmp_path / "out"
         out.mkdir()
@@ -256,6 +258,8 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(out / blocker) in err[0]
+        if blocker.startswith("report"):
+            assert not (out / "trials.csv").exists()     # the run never started
 
     def test_bad_config_fails(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -417,6 +421,36 @@ class TestDispatch:
         monkeypatch.setattr(experiments, "pointer_experiment", cannot_allocate)
         assert run("sim", "pointer", out=tmp_path / "out") == 2
         assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.parametrize("scenario,trajectories,message", [
+        ("pointer", "200", "MemoryError"),
+        # a valid config whose packet reaches the grid's edge only as it runs
+        ("equilibrium", "2000", "1.679e-06 of the mass entered the outer 5% of the grid"),
+    ], ids=["pointer", "equilibrium"])
+    def test_a_failed_rerun_leaves_no_earlier_report(self, tmp_path, capsys, monkeypatch,
+                                                     scenario, trajectories, message):
+        # the reports of a completed run must not outlive a re-run into the
+        # same --out that fails: they would answer the failed invocation
+        out = tmp_path / "out"
+        assert run("sim", scenario, "--trajectories", trajectories, out=out) in (0, 1)
+        assert (out / "report.json").stat().st_size > 0
+        rerun = ["sim", scenario]
+        if scenario == "pointer":
+            def cannot_allocate(cfg):
+                raise MemoryError
+            monkeypatch.setattr(experiments, "pointer_experiment", cannot_allocate)
+            rerun += ["--trajectories", "300"]
+        else:
+            cfg = tmp_path / "edge.cfg"
+            cfg.write_text("packet.momentum = 5.0\nduration = 4.0\n")
+            parse_config(cfg.read_text(), scenario=scenario)      # a config that validates
+            rerun += ["--config", str(cfg), "--trajectories", trajectories]
+        capsys.readouterr()
+        assert run(*rerun, out=out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        for name in ("report.json", "report.txt"):
+            assert (out / name).exists() and (out / name).stat().st_size == 0, name
 
     def test_nogo_seed_flag_is_ignored(self, tmp_path):
         assert run("nogo", "chsh", "--seed", "5", out=tmp_path / "seeded") == 0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bohmlab.cli import write_frame
+from bohmlab.cli import _write_frames
 from bohmlab.config import parse_config
 from bohmlab.experiments import EQUILIBRIUM_SPIN, detection_time
 from bohmlab.wavefield import (
@@ -477,7 +477,7 @@ class TestContinuity:
 
 
 def load_frame(path) -> SpinorField:
-    """Read a `write_frame` file back; the real and imaginary parts are set
+    """Read a frame dump back; the real and imaginary parts are set
     separately, since `re + 1j * im` turns an infinite `im` into a NaN real part."""
     with open(path) as fh:
         meta = dict(tok.split("=") for tok in fh.readline().split()[2:])
@@ -506,9 +506,8 @@ class TestFrameIO:
         up[:len(edge)] = edge
         down[-len(edge):] = edge[::-1]
         f = SpinorField(grid512, up, down, time=f.time)
-        path = tmp_path / "frame.txt"
-        write_frame(f, path)
-        g = load_frame(path)
+        _write_frames([f], tmp_path)
+        g = load_frame(tmp_path / "frames/frame_0000.txt")
         assert g.grid == f.grid
         assert g.time == f.time
         for a, b in ((g.up, f.up), (g.down, f.down)):

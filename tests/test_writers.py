@@ -93,6 +93,13 @@ def written(tmp_path, write, *args, **kwargs) -> bytes:
     return path.read_bytes()
 
 
+def dump_frame(field, path) -> None:
+    """Write `field` as a run writes its frame 0, by `_write_frames` into
+    `frames/frame_0000.txt` beside `path`, and move that file to `path`."""
+    cli._write_frames([field], path.parent)
+    (path.parent / "frames/frame_0000.txt").replace(path)
+
+
 @pytest.fixture(scope="module")
 def free_run():
     """Frames of a free Gaussian, an integrated ensemble with one
@@ -227,7 +234,7 @@ def test_run_tables_need_no_per_value_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr(table, "_percent_cells",
                         lambda values: counted.append(values.size) or fallback(values))
     sg = experiments.stern_gerlach(shipped_config("stern_gerlach", seed=7))
-    write_frame(sg.frames[16], tmp_path / "frame.txt")
+    dump_frame(sg.frames[16], tmp_path / "frame.txt")
     pointer = experiments.pointer_experiment(shipped_config("pointer", seed=7))
     write_trials(pointer.measurement, tmp_path / "trials.csv", config_hash="abc")
     for name, values in (("frame.txt", 5 * 512), ("trials.csv", 5 * pointer.measurement.y.size)):
@@ -307,7 +314,7 @@ def edge_tables():
                      ref_ensemble(ensemble, "abc", 1)),
         "trials": (lambda path: write_trials(trials, path, config_hash="abc"),
                    ref_trials(trials, "abc")),
-        "frame": (lambda path: write_frame(field, path), ref_frame(field)),
+        "frame": (lambda path: dump_frame(field, path), ref_frame(field)),
         "histograms": (lambda path: _write_histograms(result, path, chash="abc"),
                        ref_histograms(result, "abc")),
         "ids": (lambda path: write_table(path, [], [ids[:, None], values[:3], rows]),
@@ -459,7 +466,7 @@ class TestFrame:
         # the 40-byte-cell writer's traced peak (0.525 MB) plus 10%
         frames, _, _ = free_run
         assert frames[-1].grid.n_points == 512
-        assert traced_peak(lambda: write_frame(frames[-1], tmp_path / "frame.txt")) < 0.578e6
+        assert traced_peak(lambda: cli._write_frames(frames[-1:], tmp_path)) < 0.578e6
 
     @pytest.mark.parametrize("stack", [1, 3, 1000])
     def test_stacked_dumps(self, tmp_path, monkeypatch, free_run, stack):
@@ -468,8 +475,8 @@ class TestFrame:
         frames, _, _ = free_run
         monkeypatch.setattr(table, "_CHUNK_VALUES", stack * 4 * frames[0].grid.n_points)
         paths = []
-        monkeypatch.setattr(cli, "write_frame", lambda field, path, **kwargs: (
-            paths.append(path.name), write_frame(field, path, **kwargs)))
+        monkeypatch.setattr(cli, "write_frame", lambda field, path, cells: (
+            paths.append(path.name), write_frame(field, path, cells)))
         written = cli._write_frames(frames, tmp_path)
         names = [f"frame_{i:04d}.txt" for i in range(len(frames))]
         assert paths == names and written == [f"frames/{name}" for name in names]
@@ -480,7 +487,7 @@ class TestFrame:
     def test_evolved_frames(self, tmp_path, free_run):
         frames, _, _ = free_run
         for field in (frames[0], frames[-1]):
-            assert written(tmp_path, write_frame, field) == ref_frame(field).encode()
+            assert written(tmp_path, dump_frame, field) == ref_frame(field).encode()
 
     def test_edge_values(self, tmp_path):
         grid = Grid1D(-1.0, 1.0, 256)
@@ -488,7 +495,7 @@ class TestFrame:
         up, down = values.astype(complex), -values.astype(complex)
         up.imag, down.imag = values[::-1], values
         field = SpinorField(grid, up, down, time=1e300)
-        assert written(tmp_path, write_frame, field) == ref_frame(field).encode()
+        assert written(tmp_path, dump_frame, field) == ref_frame(field).encode()
 
 
 class TestTrials:
