@@ -3,8 +3,8 @@
 Every random draw in this package comes from the SplitMix64 output
 function, used in counter mode so that the i-th draw of a stream is a
 pure function of (seed, i).  This gives bit-reproducible sample streams
-that are trivial to parallelize (disjoint counter ranges) and to
-re-implement in any language.
+that are trivial to re-implement in any language, and independent
+substreams by `derive` rather than by shared state.
 
 Algorithm (all arithmetic modulo 2**64):
 
@@ -46,21 +46,21 @@ def derive(seed: int, tag: int) -> int:
     return _mix64_int((seed & _MASK) ^ _mix64_int(((tag & _MASK) + 1) * _GAMMA))
 
 
-def raw(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Raw 64-bit outputs out_start .. out_{start+count-1} of the stream."""
+def raw(seed: int, count: int) -> np.ndarray:
+    """Raw 64-bit outputs out_0 .. out_{count-1} of the stream."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     with np.errstate(over="ignore"):
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        idx = np.arange(1, count + 1, dtype=np.uint64)
         z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
         return z ^ (z >> np.uint64(31))
 
 
-def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """`count` doubles in [0, 1), draws start..start+count-1 of the stream."""
-    return (raw(seed, count, start) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """`count` doubles in [0, 1), draws 0 .. count-1 of the stream."""
+    return (raw(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def check_draws(n: int) -> None:

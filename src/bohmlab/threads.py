@@ -8,9 +8,8 @@ runs two pieces of that work at once, one on a helper thread:
   while it evolves the packet; later it compares the first half of the
   frames with |psi|^2 there (`trajectories.equilibrium_distance`) while
   it compares the rest;
-- `trajectories.integrate` sorts the starts on the helper while it
-  computes the stage velocity fields; then it advances the lower half
-  of that order there while it advances the upper half;
+- `trajectories.integrate` advances the lower half of the starts on
+  the helper while it advances the upper half;
 - `table.write_table` formats a table's next chunk on the helper while
   it lays out and writes the current one.
 

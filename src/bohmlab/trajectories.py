@@ -1,14 +1,14 @@
 """Quantum-equilibrium sampling and guided-trajectory integration.
 
-Initial positions are drawn from the |psi|^2 density of a stored frame;
-trajectories then follow dX/dt = v(X, t) by classical RK4 inside each
-frame interval.  Bohm's law sets the velocity from psi at the same
-instant, so every RK4 stage reads the guiding field of psi at its own
-stage time, evolved there from the frame by the exact propagator: there
-is no blending in time between frames.  The one remaining approximation
-is linear interpolation in space between grid nodes.  Everything is
-driven by the counter-based RNG in `rng`, so a (seed, configuration)
-pair reproduces positions bit for bit.
+Initial positions are drawn from the |psi|^2 density of a stored frame,
+in ascending order; trajectories then follow dX/dt = v(X, t) by
+classical RK4 inside each frame interval.  Bohm's law sets the velocity
+from psi at the same instant, so every RK4 stage reads the guiding field
+of psi at its own stage time, evolved there from the frame by the exact
+propagator: there is no blending in time between frames.  The one
+remaining approximation is linear interpolation in space between grid
+nodes.  Everything is driven by the counter-based RNG in `rng`, so a
+(seed, configuration) pair reproduces positions bit for bit.
 """
 
 from __future__ import annotations
@@ -31,27 +31,19 @@ from .wavefield import PotentialSpec, SpinorField, velocity_field
 _STACK_VALUES = 2**12
 
 
-class Ensemble(namedtuple("Ensemble", "frame_times positions aborted order",
-                          defaults=((), None))):
+class Ensemble(namedtuple("Ensemble", "frame_times positions aborted", defaults=((),))):
     """Positions of n trajectories at the stored frame times: frame_times
     is (n_frames,), positions (n_trajectories, n_frames) with NaN after an
-    abort, aborted the ids of the trajectories that left the grid, order
-    the ids sorted by start, np.argsort(positions[:, 0], kind="stable"):
-    the order that trajectories in one dimension keep, in which the
-    comparisons read every frame.  `integrate` passes the order it
-    computed; an ensemble built without one computes it here (the ids in
-    turn when there is no frame).
+    abort, aborted the ids of the trajectories that left the grid.  A
+    trajectory's id is its row, the index of its start among the starts
+    given to `integrate`; every scenario draws its starts in ascending
+    order, so id k is the k-th lowest start, the order that trajectories
+    in one dimension keep.
     `integrate` stores positions frame-major, as the read-only transpose
     of an (n_frames, n_trajectories) array, so a frame's column
     positions[:, i] is contiguous."""
 
     __slots__ = ()
-
-    def __new__(cls, frame_times, positions, aborted=(), order=None):
-        if order is None:           # with no frame there is no start to sort by
-            order = (np.argsort(positions[:, 0], kind="stable") if positions.shape[1]
-                     else np.arange(positions.shape[0]))
-        return super().__new__(cls, frame_times, positions, aborted, order)
 
     @property
     def n_trajectories(self) -> int:
@@ -70,10 +62,11 @@ class NoCrossingReport(namedtuple("NoCrossingReport", "violations first_violatio
 
 def sample_positions(field: SpinorField, n: int, seed: int) -> np.ndarray:
     """n independent draws from the spin-summed density of the field
-    (n as `rng.check_draws` allows)."""
+    (n as `rng.check_draws` allows), in ascending order: draw k of the
+    returned array is the k-th lowest of the stream's first n draws."""
     if field.norm() < 1e-12:
         raise ValueError("cannot sample from a zero-norm field")
-    return rng.sample_from_density(field.grid.nodes, field.density(), n, seed)
+    return np.sort(rng.sample_from_density(field.grid.nodes, field.density(), n, seed))
 
 
 def integrate(frames: list[SpinorField], initial_positions, potential: PotentialSpec,
@@ -89,19 +82,17 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     boundary monitor checks those fields too).  Node velocities are
     interpolated linearly in space.
 
-    Trajectories are integrated in the order of their initial positions,
-    which Bohmian motion preserves, so the position lookups in the
-    velocity fields run over (nearly) sorted points; each point's
-    arithmetic is independent of that order, and the result is put back
-    in the caller's order in place, a frame at a time, with that order as
-    `Ensemble.order`.  Every
-    stage velocity field is computed first, for a stack of frames at a
-    time (about _STACK_VALUES amplitudes, which bound the memory used).
-    An ensemble for which `threads.two_threads` holds (2**18 positions
-    or more, two usable CPUs) sorts the starts on a helper thread
-    meanwhile; then the helper advances the lower half of the order and
-    the calling thread the upper half, and each puts half of the frames
-    back in order.  The positions do not depend on the split.
+    Trajectories are advanced in the order given: row i of the result
+    starts at initial_positions[i].  The position lookups in the velocity
+    fields are fastest on ascending starts, which every scenario draws
+    and Bohmian motion keeps ascending; each point's arithmetic is
+    independent of the order.  Every stage velocity field is computed
+    first, for a stack of frames at a time (about _STACK_VALUES
+    amplitudes, which bound the memory used).  An ensemble for which
+    `threads.two_threads` holds (2**18 positions or more, two usable
+    CPUs) then advances its lower half of the rows on a helper thread and
+    the upper half on the calling thread.  The positions do not depend on
+    the split.
 
     A trajectory that leaves the grid is aborted (NaN from that frame
     on) and listed in `aborted`; such a run signals a mis-sized domain
@@ -124,10 +115,9 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     n = x0.size
 
     def advance(lo, hi):
-        """Integrate the trajectories order[lo:hi] through every frame;
+        """Integrate the trajectories lo .. hi-1 through every frame;
         return which of them stayed on the grid."""
-        ids = order[lo:hi]
-        x = x0[ids]
+        x = x0[lo:hi]
         alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
         x = np.where(alive, x, np.nan)
         at_stage = np.empty_like(x)
@@ -161,39 +151,22 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
             rows[i + 1, lo:hi] = x
         return alive
 
-    def to_id_order(lo, hi):
-        """Put rows[lo:hi] in id order, one row at a time, so that the
-        ensemble is held once and one row besides."""
-        for row in rows[lo:hi]:
-            row[:] = row.take(rank)
-
-    threaded = threads.two_threads(len(times) * n)
-    with threads.Helper(threaded) as helper:
-        sorting = helper.submit(lambda: np.argsort(x0, kind="stable"))
-        stage = _stage_fields(frames, times, potential, h, substeps_per_frame)
-        order = sorting()
-        # rows[i, j]: trajectory order[j] at frame i > 0, so that each frame
-        # is stored as one contiguous row; the rows are put in id order at
-        # the end, and the starts are in id order already
-        rows = np.empty((len(times), n))
-        rows[0] = x0
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n)
-        if threaded:
+    stage = _stage_fields(frames, times, potential, h, substeps_per_frame)
+    # rows[i]: every trajectory at frame i, so that each frame is stored
+    # as one contiguous row
+    rows = np.empty((len(times), n))
+    rows[0] = x0
+    if threads.two_threads(len(times) * n):
+        with threads.Helper() as helper:
             lower = helper.submit(advance, 0, n // 2)
             upper = advance(n // 2, n)
             alive = np.concatenate((lower(), upper))
-            middle = (len(times) + 1) // 2
-            first = helper.submit(to_id_order, 1, middle)
-            to_id_order(middle, len(times))
-            first()
-        else:
-            alive = advance(0, n)
-            to_id_order(1, len(times))
+    else:
+        alive = advance(0, n)
 
-    aborted = tuple(int(i) for i in np.sort(order[~alive]))
+    aborted = tuple(int(i) for i in np.flatnonzero(~alive))
     rows.flags.writeable = False
-    return Ensemble(frame_times=times, positions=rows.T, aborted=aborted, order=order)
+    return Ensemble(frame_times=times, positions=rows.T, aborted=aborted)
 
 
 def _stage_fields(frames, times, potential, h, substeps_per_frame):
@@ -231,11 +204,13 @@ def check_no_crossing(ensemble: Ensemble) -> NoCrossingReport:
     """Verify that the initial ordering of trajectories never inverts.
 
     Order preservation is transitive, so it suffices to check adjacent
-    pairs in initial-position order (`Ensemble.order`) at every frame;
-    any pair inversion implies an adjacent inversion.
+    pairs in initial-position order at every frame; any pair inversion
+    implies an adjacent inversion.  That order is the ids' own for the
+    ascending starts that every scenario draws; an ensemble built by hand
+    may list its starts in any order.
     """
     pos = ensemble.positions
-    order = ensemble.order
+    order = np.argsort(pos[:, 0], kind="stable")
     ids = order[np.all(np.isfinite(pos), axis=1)[order]]
     if ids.size < 2:
         return NoCrossingReport(violations=0, first_violation=None)
@@ -270,10 +245,9 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
     spanning the grid."""
     if bins < 10:
         raise ValueError("bins must be at least 10")
-    # the frame in start order, which trajectories keep unless they cross,
-    # so that a stable sort (NaN last) takes about linear time
-    pos = ensemble.positions[:, frame_index][ensemble.order]
-    pos.sort(kind="stable")
+    # trajectories drawn in ascending order keep it unless they cross, so
+    # that a stable sort (NaN last) of the frame takes about linear time
+    pos = np.sort(ensemble.positions[:, frame_index], kind="stable")
     n = np.count_nonzero(np.isfinite(pos))
     if n == 0:
         raise ValueError("no surviving trajectories at this frame")

@@ -29,12 +29,6 @@ def test_uniforms_deterministic_and_in_range():
     assert np.all((a >= 0.0) & (a < 1.0))
 
 
-def test_uniforms_counter_offsets_concatenate():
-    whole = rng.uniforms(7, 10)
-    parts = np.concatenate([rng.uniforms(7, 4), rng.uniforms(7, 6, start=4)])
-    assert np.array_equal(whole, parts)
-
-
 def test_derive_is_deterministic_and_spreads():
     assert rng.derive(42, 0) == rng.derive(42, 0)
     children = {rng.derive(42, tag) for tag in range(100)}

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohmlab import threads
+from bohmlab import experiments, rng, threads
 from bohmlab.cli import write_ensemble
+from bohmlab.config import default_config
 from bohmlab.experiments import EQUILIBRIUM_SPIN
 from bohmlab.trajectories import (
     Ensemble,
@@ -310,8 +311,8 @@ class TestOrderedIntegration:
                 ens.positions[:, 1] = 0.0
 
     def test_the_ensemble_is_held_once(self, usable_cpus, grid512):
-        # put in id order in place: a second copy would take the traced
-        # peak to two ensembles' worth of bytes
+        # each frame's row written in place: a second copy would take the
+        # traced peak to two ensembles' worth of bytes
         frames = [analytic_free_gaussian(grid512, 1.0, t) for t in np.linspace(0.0, 2.0, 41)]
         x0 = np.random.default_rng(3).normal(size=20_000)
         for cpus in (1, 2):
@@ -325,22 +326,42 @@ class TestOrderedIntegration:
             assert peak < 1.5 * ens.positions.nbytes
 
 
-class TestStartOrder:
-    def test_integrate_returns_the_stable_argsort_of_the_starts(self, usable_cpus,
-                                                                escaping_run):
-        # with NaN, infinite and tied starts
-        frames, x0 = escaping_run
-        x0 = np.concatenate((x0, x0[:100]))
-        for cpus in (1, 2):
-            usable_cpus(cpus)
-            ens = integrate(frames, x0, FREE)
-            assert np.array_equal(ens.order, np.argsort(x0, kind="stable"))
-            assert np.array_equal(ens.order, np.argsort(ens.positions[:, 0], kind="stable"))
+def run_ensemble(name):
+    """The ensemble of a shipped config's run, or of a uniform start."""
+    if name == "uniform":
+        cfg = default_config("equilibrium", init_kind="uniform", init_a=-1.0, init_b=1.0,
+                             n_trials=7000)
+    else:
+        cfg = shipped_config(name)
+    run = {"stern_gerlach": experiments.stern_gerlach,
+           "no_crossing": experiments.no_crossing_check,
+           "equilibrium": experiments.equilibrium_experiment}[cfg.scenario]
+    return cfg, run(cfg).ensemble
 
-    def test_an_ensemble_built_by_hand_sorts_its_starts(self):
-        positions = np.array([[1.0, 0.0], [np.nan, 0.0], [-1.0, 5.0], [1.0, 2.0]])
-        assert Ensemble(np.zeros(2), positions).order.tolist() == [2, 0, 3, 1]
-        assert Ensemble(np.zeros(0), np.zeros((3, 0))).order.tolist() == [0, 1, 2]
+
+class TestAscendingStarts:
+    def test_sample_positions_are_the_sorted_draws(self, grid512):
+        field = analytic_free_gaussian(grid512, 1.0, 0.0, momentum=2.0)
+        x0 = sample_positions(field, 5000, seed=11)
+        draws = rng.sample_from_density(grid512.nodes, field.density(), 5000, 11)
+        assert np.all(x0[:-1] <= x0[1:])
+        assert np.array_equal(x0.view(np.uint64), np.sort(draws).view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["stern_gerlach", "no_crossing", "equilibrium_free",
+                                      "equilibrium_harmonic", "uniform"])
+    def test_every_run_integrates_ascending_starts(self, usable_cpus, name):
+        # two CPUs, so that a large equilibrium run draws on the helper
+        usable_cpus(2)
+        cfg, ens = run_ensemble(name)
+        starts = ens.positions[:, 0]
+        assert starts.size == cfg.n_trials
+        assert np.all(starts[:-1] <= starts[1:])
+        if name == "uniform":
+            # the affine map is monotone: mapping the sorted draws gives
+            # the bits of sorting the mapped draws
+            mapped = cfg.init_a + (cfg.init_b - cfg.init_a) * rng.uniforms(cfg.seed,
+                                                                          cfg.n_trials)
+            assert np.array_equal(starts.view(np.uint64), np.sort(mapped).view(np.uint64))
 
 
 class TestNoCrossing:
@@ -362,6 +383,16 @@ class TestNoCrossing:
         report = check_no_crossing(ens)
         assert report.violations >= 1
         assert report.first_violation is not None
+
+    def test_a_hand_built_ensemble_is_read_in_start_order(self):
+        # starts in no order and a NaN start: the neighbours by start are
+        # ids 2, 3 and 0, and id 1 is left out
+        positions = np.array([[1.0, 1.5, 2.0], [np.nan, 0.0, 0.0],
+                              [-1.0, -0.5, 0.0], [0.5, 1.0, 1.5]])
+        assert check_no_crossing(Ensemble(np.arange(3.0), positions)) == (0, None)
+        crossed = positions.copy()
+        crossed[3, 2] = 2.5                        # id 3 passes id 0 at frame 2
+        assert check_no_crossing(Ensemble(np.arange(3.0), crossed)) == (1, ((3, 0), 2))
 
 
 class TestEquilibriumDistance:
