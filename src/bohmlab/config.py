@@ -189,7 +189,6 @@ _SCENARIOS: dict[str, tuple] = {
 }
 SCENARIO_KEYS = {scenario: {key: spec for group in groups for key, spec in group.items()}
                  for scenario, (groups, _) in _SCENARIOS.items()}
-SIM_SCENARIOS = tuple(s for s, keys in SCENARIO_KEYS.items() if keys)
 NOGO_SCENARIOS = tuple(s for s, keys in SCENARIO_KEYS.items() if not keys)
 _KEYS = {key: spec for keys in SCENARIO_KEYS.values() for key, spec in keys.items()}
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}

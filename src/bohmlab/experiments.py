@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import rng, threads
+from . import rng
 from .config import ExperimentConfig, gate
 from .conditional import CouplingSpec, run_pointer_measurement
 from .trajectories import check_no_crossing, equilibrium_distance, integrate, sample_positions
@@ -238,36 +238,17 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     packet = gaussian_packet(grid, config.packet_center, config.packet_width,
                              config.packet_momentum, *EQUILIBRIUM_SPIN)
     potential = config.potential()
-
-    def draw():
-        """The starts in ascending order, as `integrate` reads them fastest."""
-        if config.init_kind == "born":
-            return sample_positions(packet, config.n_trials, config.seed)
-        return config.init_a + (config.init_b - config.init_a) * \
+    frames = evolve_frames(packet, potential, config.duration / config.n_frames, config.n_frames)
+    # the starts, drawn once the evolution has passed its boundary checks,
+    # in ascending order, as `integrate` reads them fastest
+    if config.init_kind == "born":
+        initial = sample_positions(packet, config.n_trials, config.seed)
+    else:
+        initial = config.init_a + (config.init_b - config.init_a) * \
             np.sort(rng.uniforms(config.seed, config.n_trials))
-
-    def compare(lo, hi):
-        return [equilibrium_distance(ensemble, i, frames[i], N_BINS)
-                for i in range(lo, hi)]
-
-    # a large ensemble (`threads.two_threads`) draws its starts from the
-    # packet, which is frames[0], on a helper thread while this thread
-    # evolves the packet, and compares the first half of the frames there
-    # while this thread compares the rest.  Each helper ends before
-    # `integrate` starts its own: a helper kept idle through it raised the
-    # peak RSS of a 50,000-trajectory run by 1 MB
-    threaded = threads.two_threads(config.n_trials * (config.n_frames + 1))
-    with threads.Helper(threaded) as helper:
-        drawing = helper.submit(draw)
-        frames = evolve_frames(packet, potential, config.duration / config.n_frames,
-                               config.n_frames)
-        initial = drawing()
     ensemble = integrate(frames, initial, potential)
-    half = len(frames) // 2
-    with threads.Helper(threaded) as helper:
-        lower = helper.submit(compare, 0, half)
-        upper = compare(half, len(frames))
-        comparisons = tuple(lower() + upper)
+    comparisons = tuple(equilibrium_distance(ensemble, i, frame, N_BINS)
+                        for i, frame in enumerate(frames))
     checks = (
         _no_aborted_check(len(ensemble.aborted)),
         gate("equivariance_total_variation", max(c.total_variation for c in comparisons),

@@ -69,30 +69,36 @@ def check_draws(n: int) -> None:
         raise ValueError(f"the number of draws must be at least 1, got {n}")
 
 
-def sample_from_density(x_nodes: np.ndarray, density: np.ndarray, n: int,
-                        seed: int) -> np.ndarray:
-    """Inverse-transform samples from a piecewise-constant node density.
-
-    Node j owns the cell [x_j - dx/2, x_j + dx/2); the density is
-    constant on each cell, so the cumulative distribution is piecewise
-    linear and the inverse transform interpolates linearly within the
-    selected cell.  Centering the cells on the nodes keeps the sampled
-    law aligned with the continuum density to second order in dx.
-    Draw i uses counter i of stream `seed`; n must pass `check_draws`.
-    """
-    check_draws(n)
+def cell_cdf(x_nodes: np.ndarray, density: np.ndarray):
+    """The law of a piecewise-constant node density: node j owns the cell
+    [x_j - dx/2, x_j + dx/2), on which the density is constant.  Returns
+    the n + 1 cell edges, the n cell masses and their cumulative sum with
+    a leading 0, so that the cumulative distribution is linear between
+    consecutive edges.  Centering the cells on the nodes keeps the law
+    aligned with the continuum density to second order in dx."""
     x_nodes = np.asarray(x_nodes, dtype=float)
     density = np.asarray(density, dtype=float)
     if x_nodes.ndim != 1 or x_nodes.shape != density.shape:
         raise ValueError("x_nodes and density must be equal-length 1D arrays")
     dx = x_nodes[1] - x_nodes[0]
+    edges = np.concatenate((x_nodes - 0.5 * dx, [x_nodes[-1] + 0.5 * dx]))
     masses = density * dx
-    cum = np.cumsum(masses)
+    return edges, masses, np.concatenate(([0.0], np.cumsum(masses)))
+
+
+def sample_from_density(x_nodes: np.ndarray, density: np.ndarray, n: int,
+                        seed: int) -> np.ndarray:
+    """Inverse-transform samples from the law of `cell_cdf`: the inverse
+    transform interpolates linearly within the selected cell.
+    Draw i uses counter i of stream `seed`; n must pass `check_draws`.
+    """
+    check_draws(n)
+    edges, masses, cum = cell_cdf(x_nodes, density)
     total = cum[-1]
     if not total > 0.0:
         raise ValueError("density has no mass to sample from")
     u = uniforms(seed, n) * total
-    j = np.searchsorted(cum, u, side="right")
-    left = np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
-    frac = (u - left) / masses[j]
-    return x_nodes[j] - 0.5 * dx + frac * dx
+    j = np.searchsorted(cum[1:], u, side="right")
+    # the cell's own mass and width dx: differences of `cum` or `edges`
+    # round otherwise, and would move the draws' last bits
+    return edges[j] + (u - cum[j]) / masses[j] * (x_nodes[1] - x_nodes[0])

@@ -1,13 +1,9 @@
 """When a run uses a second thread, and the one helper thread it uses.
 
-Three stages of an equilibrium run do numpy work that releases the
+Two stages of an equilibrium run do numpy work that releases the
 interpreter lock.  On a large input, with two or more usable CPUs, each
 runs two pieces of that work at once, one on a helper thread:
 
-- `experiments.equilibrium_experiment` draws the starts on the helper
-  while it evolves the packet; later it compares the first half of the
-  frames with |psi|^2 there (`trajectories.equilibrium_distance`) while
-  it compares the rest;
 - `trajectories.integrate` advances the lower half of the starts on
   the helper while it advances the upper half;
 - `table.write_table` formats a table's next chunk on the helper while

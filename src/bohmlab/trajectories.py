@@ -230,14 +230,6 @@ def check_no_crossing(ensemble: Ensemble) -> NoCrossingReport:
     return NoCrossingReport(violations=violations, first_violation=first)
 
 
-def _cell_cdf(grid, density):
-    # node-centered cells, matching rng.sample_from_density
-    masses = density * grid.dx
-    cdf_x = np.concatenate((grid.nodes - 0.5 * grid.dx, [grid.nodes[-1] + 0.5 * grid.dx]))
-    cdf_v = np.concatenate(([0.0], np.cumsum(masses)))
-    return cdf_x, cdf_v / cdf_v[-1]
-
-
 def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: SpinorField,
                          bins: int) -> HistogramComparison:
     """Total-variation distance between the trajectory histogram at one
@@ -259,8 +251,8 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
                             pos.searchsorted(edges[-1:], "right")))
     empirical = np.diff(below) / n
 
-    cdf_x, cdf_v = _cell_cdf(grid, field_at_frame.density())
-    theoretical = np.diff(np.interp(edges, cdf_x, cdf_v))
+    cells, _, cdf = rng.cell_cdf(grid.nodes, field_at_frame.density())
+    theoretical = np.diff(np.interp(edges, cells, cdf / cdf[-1]))
     theoretical = theoretical / theoretical.sum()
 
     tv = 0.5 * float(np.sum(np.abs(empirical - theoretical)))

@@ -1,7 +1,10 @@
+import functools
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 import run  # noqa: E402
+import trace_child  # noqa: E402
 from workloads import ENTRIES, WORKLOADS  # noqa: E402
 
 
@@ -56,3 +60,30 @@ def test_traced_cycle_enters_every_boundary(tmp_path, workload):
         counts.update(run._trace_totals(json.loads(trace.read_text()))[1])
     never = [b for b in WORKLOADS[workload].enters if not counts[f"{b}.calls"]]
     assert not never, f"{workload} never entered {never}"
+
+
+def test_every_traced_span_is_entered_on_the_main_thread(tmp_path, monkeypatch, usable_cpus):
+    # the tracer keeps one stack of open spans for all threads, so a span
+    # entered on a helper thread would take the calling thread's open span
+    # as its parent.  An equilibrium run of 7000 x 41 positions on two
+    # CPUs starts helper threads, and enters every span on this thread
+    entered = []
+
+    def recording(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            entered.append((name, threading.current_thread().name))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, attr, name, _ in trace_child.SPANNED:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, recording(getattr(module, attr), name))
+    usable_cpus(2)
+    argv = ["sim", "equilibrium", "--config", str(ROOT / "configs" / "equilibrium_free.cfg"),
+            "--trajectories", "7000", "--seed", "7", "--out", str(tmp_path), "--quiet"]
+    assert cli.main(argv) in (0, 1)
+    spans = {name for name, _ in entered}
+    assert {"trajectories.sample_positions", "rng.sample_from_density",
+            "trajectories.integrate", "trajectories.equilibrium_distance"} <= spans
+    assert sorted({thread for _, thread in entered}) == ["MainThread"]

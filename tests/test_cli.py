@@ -18,7 +18,6 @@ from bohmlab import cli, experiments, rng
 from bohmlab.config import (
     NOGO_SCENARIOS,
     SCENARIO_KEYS,
-    SIM_SCENARIOS,
     ConfigError,
     ExperimentConfig,
     canonical_text,
@@ -36,6 +35,7 @@ from bohmlab.wavefield import Grid1D, SpinorField, gaussian_packet
 from conftest import CONFIG_DIR, shipped_config
 
 ROOT = CONFIG_DIR.parent
+SIM_SCENARIOS = tuple(s for s, keys in SCENARIO_KEYS.items() if keys)
 
 
 def run(*argv, out):
@@ -1059,10 +1059,9 @@ class TestImportScope:
                     reason="needs 2 usable CPUs to compare against a one-CPU run")
 @pytest.mark.parametrize("name,trajectories,flags,threaded", [
     # 7000 x 41 = 287,000 values, more than one chunk of the table writer
-    # and at least threads.MIN_VALUES, so that unpinned, the draw and the
-    # histogram comparisons (equilibrium_experiment), the sort and the
-    # advance (integrate) and the writer (in chunks of 2**15 values) use a
-    # second thread; pinned, the writer takes chunks of 2**13
+    # and at least threads.MIN_VALUES, so that unpinned, the advance
+    # (integrate) and the writer (in chunks of 2**15 values) use a second
+    # thread; pinned, the writer takes chunks of 2**13
     pytest.param("equilibrium_free", 7000, (), True, id="equilibrium_free-7000"),
     pytest.param("equilibrium_harmonic", 2000, (), False, id="equilibrium_harmonic-2000"),
     pytest.param("stern_gerlach", 200, ("--dump-frames",), False, id="stern_gerlach-200"),
@@ -1099,7 +1098,7 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, name, trajectories, fl
         # a FAIL verdict (1) is compared like a PASS: report.json holds it
         assert proc.returncode in (0, 1), proc.stderr
         two_threads = threaded and mode == "unpinned"
-        helpers = ["equilibrium_experiment", "integrate", "write_table"]
+        helpers = ["integrate", "write_table"]
         assert proc.stdout.splitlines()[-1] == str(helpers if two_threads else [])
 
     def files(mode):

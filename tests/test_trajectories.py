@@ -350,7 +350,8 @@ class TestAscendingStarts:
     @pytest.mark.parametrize("name", ["stern_gerlach", "no_crossing", "equilibrium_free",
                                       "equilibrium_harmonic", "uniform"])
     def test_every_run_integrates_ascending_starts(self, usable_cpus, name):
-        # two CPUs, so that a large equilibrium run draws on the helper
+        # two CPUs, so that a large equilibrium run advances its starts in
+        # two halves, one on the helper
         usable_cpus(2)
         cfg, ens = run_ensemble(name)
         starts = ens.positions[:, 0]
