@@ -79,10 +79,9 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
                  n_trials: int, seed: int):
     """Shared deflection pipeline: prepare at rest at x = 0 with width 1 (a
     shifted, boosted or wider start is the same run moved or rescaled),
-    kick, fly, sample, integrate, classify by side of the symmetry axis
-    x = 0 (ties count as up).  Returns the
-    branch supports at detection time, the up mask and the survivor mask;
-    an aborted trajectory ends at NaN, so it is neither up nor down."""
+    kick, fly, sample, integrate.  Returns the branch supports at
+    detection time and the final positions, whose side of the symmetry
+    axis x = 0 is the outcome (see `_side_counts`)."""
     grid = config.grid()
     packet = gaussian_packet(grid, 0.0, DEFLECTION_WIDTH, 0.0, alpha, beta)
     kicked = magnet_kick(packet, config.magnet())
@@ -92,12 +91,16 @@ def _sg_pipeline(config: ExperimentConfig, alpha: complex, beta: complex,
     branches = branch_supports(frames[-1], BRANCH_THRESHOLD)
     initial = sample_positions(frames[0], n_trials, seed)
     ensemble = integrate(frames, initial, FREE)
-    finals = ensemble.positions[:, -1]
-    return frames, ensemble, branches, finals >= 0.0, np.isfinite(finals), flight
+    return frames, ensemble, branches, ensemble.positions[:, -1], flight
 
 
-def _no_aborted_check(n_aborted: int):
-    return gate("no_aborted_trajectories", n_aborted, "==", 0)
+def _side_counts(finals):
+    """(up, down): the ends at x >= 0 (ties are up) and x < 0; NaN is neither."""
+    return int(np.count_nonzero(finals >= 0.0)), int(np.count_nonzero(finals < 0.0))
+
+
+def _no_aborted_check(finals):
+    return gate("no_aborted_trajectories", int(np.count_nonzero(np.isnan(finals))), "==", 0)
 
 
 def _separated_check(supports):
@@ -114,13 +117,13 @@ def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
     """Deflection measurement of the spin state (alpha, beta): empirical
     up/down frequencies against |alpha|^2, |beta|^2, and the frequency
     expectation value against (hbar/2)(|alpha|^2 - |beta|^2)."""
-    frames, ensemble, branches, up_mask, alive, flight = _sg_pipeline(
+    frames, ensemble, branches, finals, flight = _sg_pipeline(
         config, config.alpha, config.beta, config.n_trials, config.seed)
-    stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(alive & ~up_mask))),
+    stats = measurement_statistics(_side_counts(finals),
                                    (abs(config.alpha) ** 2, abs(config.beta) ** 2))
     checks = (
         _separated_check([branches]),
-        _no_aborted_check(len(ensemble.aborted)),
+        _no_aborted_check(finals),
         born_check(stats),
     )
     return SternGerlachResult(statistics=stats, ensemble=ensemble, frames=frames,
@@ -152,7 +155,7 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     stage_stats = []
     checks = []
     supports = []
-    n_aborted = 0
+    all_finals = []
 
     for stage, axis in enumerate(config.axes):
         u = spin_rotation(axis)
@@ -167,13 +170,13 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
             if trial_ids.size == 0:
                 continue
             run_seed = rng.derive(config.seed, stage * 4 + g_index)
-            _, _, support, up_mask, alive, _ = _sg_pipeline(
+            _, _, support, finals, _ = _sg_pipeline(
                 config, complex(chi_meas[0]), complex(chi_meas[1]), trial_ids.size, run_seed)
             supports.append(support)
-            ids_up.append(trial_ids[up_mask])
-            ids_down.append(trial_ids[alive & ~up_mask])
-            outcomes[trial_ids[~alive], stage:] = -1
-            n_aborted += int(np.sum(~alive))
+            all_finals.append(finals)
+            ids_up.append(trial_ids[finals >= 0.0])
+            ids_down.append(trial_ids[finals < 0.0])
+            outcomes[trial_ids[np.isnan(finals)], stage:] = -1
         # all trials with the same outcome share the collapsed state, so the
         # next stage sees two branches (and g_index stays < 4)
         ids_up, ids_down = np.sort(np.concatenate(ids_up)), np.sort(np.concatenate(ids_down))
@@ -186,7 +189,8 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
         checks.append(born_check(stats, f"stage{stage + 1}_{axis}_born_within_3sigma"))
 
     return SequentialResult(stage_statistics=tuple(stage_stats), outcomes=outcomes,
-                            checks=(_separated_check(supports), _no_aborted_check(n_aborted),
+                            checks=(_separated_check(supports),
+                                    _no_aborted_check(np.concatenate(all_finals)),
                                     *checks))
 
 
@@ -200,16 +204,15 @@ def no_crossing_check(config: ExperimentConfig) -> NoCrossingResult:
     `SYMMETRIC_SPIN`: a trajectory ends on the up side exactly when it
     started above the packet center x = 0 (ties on the center count as up
     on both sides of the equivalence)."""
-    frames, ensemble, branches, up_mask, alive, flight = _sg_pipeline(
+    frames, ensemble, branches, finals, flight = _sg_pipeline(
         config, *SYMMETRIC_SPIN, config.n_trials, config.seed)
     report = check_no_crossing(ensemble)
-    stats = measurement_statistics((int(np.sum(up_mask)), int(np.sum(alive & ~up_mask))),
-                                   [abs(c) ** 2 for c in SYMMETRIC_SPIN])
-    started_above = ensemble.positions[alive, 0] >= 0.0
-    accuracy = float(np.mean(up_mask[alive] == started_above))
+    stats = measurement_statistics(_side_counts(finals), [abs(c) ** 2 for c in SYMMETRIC_SPIN])
+    ended = ~np.isnan(finals)
+    accuracy = float(np.mean((finals[ended] >= 0.0) == (ensemble.positions[ended, 0] >= 0.0)))
     checks = (
         _separated_check([branches]),
-        _no_aborted_check(len(ensemble.aborted)),
+        _no_aborted_check(finals),
         gate("zero_crossings", report.violations, "==", 0),
         gate("side_inference_exact", accuracy, "==", 1.0),
     )
@@ -250,7 +253,7 @@ def equilibrium_experiment(config: ExperimentConfig) -> EquilibriumResult:
     comparisons = tuple(equilibrium_distance(ensemble, i, frame, N_BINS)
                         for i, frame in enumerate(frames))
     checks = (
-        _no_aborted_check(len(ensemble.aborted)),
+        _no_aborted_check(ensemble.positions[:, -1]),
         gate("equivariance_total_variation", max(c.total_variation for c in comparisons),
              "<", TV_TOLERANCE),
     )

@@ -34,16 +34,18 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+def _mix64(z):
+    """mix64 of a uint64 scalar or array, wrapping modulo 2**64."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
+        return z ^ (z >> np.uint64(31))
 
 
 def derive(seed: int, tag: int) -> int:
     """Deterministic child seed for substream `tag` of stream `seed`."""
-    return _mix64_int((seed & _MASK) ^ _mix64_int(((tag & _MASK) + 1) * _GAMMA))
+    inner = _mix64(np.uint64((((tag & _MASK) + 1) * _GAMMA) & _MASK))
+    return int(_mix64(np.uint64(seed & _MASK) ^ inner))
 
 
 def raw(seed: int, count: int) -> np.ndarray:
@@ -52,10 +54,7 @@ def raw(seed: int, count: int) -> np.ndarray:
         raise ValueError("count must be nonnegative")
     with np.errstate(over="ignore"):
         idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        return _mix64(np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA))
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:

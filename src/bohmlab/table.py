@@ -193,7 +193,8 @@ def _digits(x):
     and inf, and of the values that only `_percent_cells` can format: an
     inexact significand within _MARGIN of a half (about 2e-9 of them)."""
     a = np.abs(x)
-    with np.errstate(divide="ignore"):
+    # 0 divides by zero, and a signalling NaN is invalid on numpy's non-AVX2 loops
+    with np.errstate(divide="ignore", invalid="ignore"):
         e = np.log10(a)
     const = np.flatnonzero(~np.isfinite(e))        # 0, nan and inf
     a[const], e[const] = 2.0, 0.0                  # 17 digits: never in the fix-up below
@@ -212,7 +213,7 @@ def _digits(x):
         d[fix], frac[fix] = d_fix[ok], frac_fix[ok]
     near = np.flatnonzero(np.abs(frac) > 0.5 - _MARGIN)
     near = near[_P5_TAIL[e[near] - _E_MIN] != 0]       # an exact product is never near
-    del a, frac        # here and below: a chunk's memory peak is what is alive at once
+    del a, frac        # here and below: a chunk's memory peak is what it holds at once
     top, d = _divmod(d, 10**16)
     high, low = _divmod(d, 10**8)
     del d

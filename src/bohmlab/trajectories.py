@@ -31,14 +31,14 @@ from .wavefield import PotentialSpec, SpinorField, velocity_field
 _STACK_VALUES = 2**12
 
 
-class Ensemble(namedtuple("Ensemble", "frame_times positions aborted", defaults=((),))):
+class Ensemble(namedtuple("Ensemble", "frame_times positions")):
     """Positions of n trajectories at the stored frame times: frame_times
-    is (n_frames,), positions (n_trajectories, n_frames) with NaN after an
-    abort, aborted the ids of the trajectories that left the grid.  A
-    trajectory's id is its row, the index of its start among the starts
-    given to `integrate`; every scenario draws its starts in ascending
-    order, so id k is the k-th lowest start, the order that trajectories
-    in one dimension keep.
+    is (n_frames,), positions (n_trajectories, n_frames).  A trajectory
+    that left the grid is NaN from then on: the aborted ones are those
+    whose last position is NaN.  A trajectory's id is its row, the index
+    of its start among the starts given to `integrate`; every scenario
+    draws its starts in ascending order, so id k is the k-th lowest
+    start, the order that trajectories in one dimension keep.
     `integrate` stores positions frame-major, as the read-only transpose
     of an (n_frames, n_trajectories) array, so a frame's column
     positions[:, i] is contiguous."""
@@ -94,9 +94,9 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     the upper half on the calling thread.  The positions do not depend on
     the split.
 
-    A trajectory that leaves the grid is aborted (NaN from that frame
-    on) and listed in `aborted`; such a run signals a mis-sized domain
-    and its statistics should not be trusted.
+    A trajectory that starts off the grid or leaves it is aborted: NaN
+    from the next frame on.  Such a run signals a mis-sized domain and
+    its statistics should not be trusted.
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames")
@@ -115,11 +115,11 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     n = x0.size
 
     def advance(lo, hi):
-        """Integrate the trajectories lo .. hi-1 through every frame;
-        return which of them stayed on the grid."""
+        """Integrate the trajectories lo .. hi-1 through every frame.
+        NaN and +-inf fail both comparisons with the grid's ends, so a
+        start that is not on the grid becomes NaN, and NaN stays NaN."""
         x = x0[lo:hi]
-        alive = np.isfinite(x) & (x >= grid.x_min) & (x <= grid.x_max)
-        x = np.where(alive, x, np.nan)
+        x = np.where((x >= grid.x_min) & (x <= grid.x_max), x, np.nan)
         at_stage = np.empty_like(x)
 
         def stage_position(c, k):
@@ -143,13 +143,9 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
                 k1 += k4
                 k1 *= sixth_h
                 x += k1
-            # an aborted trajectory is NaN already, and stays NaN
-            escaped = alive & ((x < grid.x_min) | (x > grid.x_max))
-            if escaped.any():
-                alive &= ~escaped
-                x[escaped] = np.nan
+            escaped = (x < grid.x_min) | (x > grid.x_max)
+            x[escaped] = np.nan
             rows[i + 1, lo:hi] = x
-        return alive
 
     stage = _stage_fields(frames, times, potential, h, substeps_per_frame)
     # rows[i]: every trajectory at frame i, so that each frame is stored
@@ -159,14 +155,12 @@ def integrate(frames: list[SpinorField], initial_positions, potential: Potential
     if threads.two_threads(len(times) * n):
         with threads.Helper() as helper:
             lower = helper.submit(advance, 0, n // 2)
-            upper = advance(n // 2, n)
-            alive = np.concatenate((lower(), upper))
+            advance(n // 2, n)
+            lower()
     else:
-        alive = advance(0, n)
-
-    aborted = tuple(int(i) for i in np.flatnonzero(~alive))
+        advance(0, n)
     rows.flags.writeable = False
-    return Ensemble(frame_times=times, positions=rows.T, aborted=aborted)
+    return Ensemble(frame_times=times, positions=rows.T)
 
 
 def _stage_fields(frames, times, potential, h, substeps_per_frame):

@@ -529,7 +529,7 @@ class TestDispatch:
                 own = [SpinorField(f.grid, f.up * (label == 0), f.down * (label == 1), time=f.time)
                        for f in frames]
                 part = integrate(own, initial[mask], potential)
-                assert part.aborted == ()
+                assert not np.isnan(part.positions[:, -1]).any()
                 positions[mask] = part.positions
             return Ensemble(part.frame_times, positions)
         monkeypatch.setattr(experiments, "integrate", possessed)

@@ -32,12 +32,12 @@ def sg_result():
 @pytest.fixture
 def one_aborted_per_run(monkeypatch):
     """`experiments.integrate` with the first trajectory of every call
-    aborted from frame 2 on, as `integrate` reports one leaving the grid."""
+    NaN from frame 2 on, as `integrate` leaves one that left the grid."""
     def integrate_aborting_one(frames, initial_positions, *args, **kwargs):
         ens = integrate(frames, initial_positions, *args, **kwargs)
         positions = ens.positions.copy()
         positions[0, 2:] = np.nan
-        return Ensemble(ens.frame_times, positions, aborted=(0,))
+        return Ensemble(ens.frame_times, positions)
     monkeypatch.setattr(experiments, "integrate", integrate_aborting_one)
 
 

@@ -2,10 +2,13 @@
 
 `golden/seed7.sha256` holds the SHA-256 of each file that the runs in
 `RUNS` write with seed 7, under a header naming the Python and numpy
-versions that made it.  The test regenerates the files in process and
-names every file whose digest differs.  A change that moves output bits
-regenerates the manifest in the same commit (`PYTHONPATH=src python
-tests/test_golden.py`) and says which files moved and why.
+versions that made it and numpy's SIMD baseline and active dispatch
+targets: complex products round differently with and without FMA, so
+the digests hold for one dispatch level.  The test regenerates the
+files in process and names every file whose digest differs.  A change
+that moves output bits regenerates the manifest in the same commit
+(`PYTHONPATH=src python tests/test_golden.py`) and says which files
+moved and why.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from bohmlab import cli
 from bohmlab.config import parse_config
@@ -25,7 +29,9 @@ from bohmlab.config import parse_config
 from conftest import CONFIG_DIR
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "seed7.sha256"
-VERSIONS = f"# python {platform.python_version()} numpy {np.__version__}"
+DISPATCH = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+VERSIONS = (f"# python {platform.python_version()} numpy {np.__version__}"
+            f" baseline {' '.join(__cpu_baseline__) or 'none'} dispatch {' '.join(DISPATCH) or 'none'}")
 
 
 def _runs() -> dict:
@@ -78,15 +84,15 @@ def read_manifest() -> tuple[str, dict]:
 
 def mismatch(header: str, expected: dict, actual: dict) -> str | None:
     """None if every digest matches; else a message naming each file whose
-    digest differs or that only one side has, and both version headers
-    if they differ."""
+    digest differs or that only one side has, and both headers if they
+    differ."""
     moved = sorted(p for p in expected.keys() | actual.keys()
                    if expected.get(p) != actual.get(p))
     if not moved:
         return None
     versions = "" if header == VERSIONS else (
         f" (made with{header[1:]}; this run has{VERSIONS[1:]}: another numpy"
-        " build may move FFT bits)")
+        " build or SIMD dispatch may round complex products differently)")
     return f"{MANIFEST.name}{versions}: digests differ for " + ", ".join(moved)
 
 
@@ -127,6 +133,15 @@ def test_a_one_byte_change_is_named(tmp_path):
 def test_a_mismatch_on_another_numpy_names_both_versions():
     message = mismatch("# python 3.0.0 numpy 0.0.1", {"a/x.csv": "0"}, {"a/x.csv": "1"})
     assert "numpy 0.0.1" in message and VERSIONS[2:] in message and message.endswith("a/x.csv")
+
+
+def test_a_mismatch_at_another_simd_dispatch_names_both_headers():
+    # the same Python and numpy, with the dispatch targets in effect or none
+    versions, dispatch = VERSIONS.split(" dispatch ")
+    header = f"{versions} dispatch {'X86_V3' if dispatch == 'none' else 'none'}"
+    message = mismatch(header, {"a/x.csv": "0"}, {"a/x.csv": "1"})
+    assert header[2:] in message and VERSIONS[2:] in message
+    assert "FFT" not in message
 
 
 if __name__ == "__main__":

@@ -58,8 +58,12 @@ def test_a_grid_keeps_its_cached_arrays():
     assert grid.nodes is nodes and grid.wavenumbers.size == 512
 
 
+def test_an_ensemble_is_its_frame_times_and_positions():
+    # an abort is the NaN a trajectory leaves, not a field of its own
+    assert Ensemble._fields == ("frame_times", "positions")
+
+
 def test_defaults_fill_the_trailing_fields():
-    assert Ensemble(np.zeros(2), np.zeros((1, 2))).aborted == ()
     assert nogo.ContextConstraint(((0, 0),), 1).label == ""
     assert default_config("chsh").seed == 42
 

@@ -6,13 +6,24 @@ from bohmlab import rng
 _MASK = (1 << 64) - 1
 
 
-def _reference_output(seed: int, i: int) -> int:
-    """Pure-Python transcription of the documented algorithm, kept
-    independent of the vectorized implementation."""
-    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & _MASK
+def _reference_mix64(z: int) -> int:
+    z &= _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def _reference_output(seed: int, i: int) -> int:
+    """Pure-Python transcription of the documented algorithm, kept
+    independent of the vectorized implementation."""
+    return _reference_mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)
+
+
+def _reference_derive(seed: int, tag: int) -> int:
+    """derive(seed, tag) = mix64(seed ^ mix64((tag + 1) * GAMMA)), in
+    Python ints."""
+    inner = _reference_mix64(((tag & _MASK) + 1) * 0x9E3779B97F4A7C15)
+    return _reference_mix64((seed & _MASK) ^ inner)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63, _MASK])
@@ -27,6 +38,13 @@ def test_uniforms_deterministic_and_in_range():
     b = rng.uniforms(42, 1000)
     assert np.array_equal(a, b)
     assert np.all((a >= 0.0) & (a < 1.0))
+
+
+@pytest.mark.parametrize("seed", [0, 42, _MASK])
+@pytest.mark.parametrize("tag", [0, 1, 3, _MASK])
+def test_derive_matches_documented_algorithm(seed, tag):
+    child = rng.derive(seed, tag)
+    assert type(child) is int and child == _reference_derive(seed, tag)
 
 
 def test_derive_is_deterministic_and_spreads():

@@ -37,6 +37,11 @@ def histogram_mass(positions, edges):
     return np.histogram(finite, bins=edges)[0] / finite.size
 
 
+def aborted_ids(ensemble):
+    """The trajectories that end at NaN: those that left the grid."""
+    return tuple(int(i) for i in np.flatnonzero(np.isnan(ensemble.positions[:, -1])))
+
+
 def plane_wave_frames(grid, k, times):
     psi = np.exp(1j * k * grid.nodes) / np.sqrt(grid.length)
     zero = np.zeros_like(psi)
@@ -119,8 +124,7 @@ class TestIntegrate:
         times = np.linspace(0.0, 2.0, 11)
         frames = [analytic_free_gaussian(grid512, 1.0, t, momentum=1.0) for t in times]
         ens = integrate(frames, np.array([0.0, 15.9]), FREE, substeps_per_frame=2)
-        assert ens.aborted == (1,)
-        assert np.isnan(ens.positions[1, -1])
+        assert aborted_ids(ens) == (1,)
         assert np.isfinite(ens.positions[0, -1])
 
     def test_fourth_order_convergence(self, grid512):
@@ -208,7 +212,7 @@ def test_shipped_equilibrium_trajectories_match_the_oracle(name):
 
     def max_error(substeps):
         ens = integrate(frames, x0, potential, substeps_per_frame=substeps)
-        assert not ens.aborted
+        assert not aborted_ids(ens)
         return float(np.max(np.abs(ens.positions - oracle)))
 
     err1, err2 = max_error(1), max_error(2)
@@ -233,8 +237,7 @@ class TestOrderedIntegration:
         assert np.isnan(positions[escaper, -1])
         assert aborted == (320, 321, 322, escaper)
         assert np.array_equal(ens.positions.view(np.uint64), positions.view(np.uint64))
-        assert ens.aborted == aborted
-        assert ens.aborted
+        assert aborted_ids(ens) == aborted
 
     @pytest.mark.parametrize("potential", [FREE, HARMONIC], ids=["free", "harmonic"])
     @pytest.mark.parametrize("substeps", [1, 3])
@@ -256,7 +259,7 @@ class TestOrderedIntegration:
         ens = integrate(frames, x0, potential, substeps_per_frame=substeps)
         positions, aborted = integrate_in_given_order(frames, x0, potential, substeps)
         assert np.array_equal(ens.positions.view(np.uint64), positions.view(np.uint64))
-        assert ens.aborted == aborted
+        assert aborted_ids(ens) == aborted
 
     @pytest.mark.parametrize("substeps", [1, 3])
     def test_the_first_stage_field_at_the_edge_in_time_order_raises(self, grid512, substeps):
@@ -287,10 +290,9 @@ class TestOrderedIntegration:
             runs[cpus] = integrate(frames, x0, FREE)
         one, two = runs[1], runs[2]
         assert np.array_equal(one.positions.view(np.uint64), two.positions.view(np.uint64))
-        assert one.aborted == two.aborted
         # escapes from the grid in both halves of the position order
         middle = np.sort(x0)[x0.size // 2]
-        escaped = [i for i in one.aborted if np.isfinite(one.positions[i, 1])]
+        escaped = [i for i in aborted_ids(one) if np.isfinite(one.positions[i, 1])]
         assert min(x0[escaped]) < middle < max(x0[escaped])
 
     def test_frames_are_contiguous_read_only_columns(self, usable_cpus, escaping_run):
@@ -299,7 +301,7 @@ class TestOrderedIntegration:
         for cpus in (1, 2):
             usable_cpus(cpus)
             ens = integrate(frames, x0, FREE)
-            assert ens.aborted == aborted
+            assert aborted_ids(ens) == aborted
             for i in range(len(frames)):
                 column = ens.positions[:, i]
                 assert column.flags.c_contiguous
@@ -428,7 +430,7 @@ class TestEquilibriumDistance:
         for cpus in (1, 2):
             usable_cpus(cpus)
             ens = integrate(frames, x0, FREE)
-            assert ens.aborted
+            assert aborted_ids(ens)
             for i, frame in enumerate(frames):
                 comp = equilibrium_distance(ens, i, frame, 64)
                 assert np.array_equal(comp.empirical_mass,
