@@ -18,8 +18,10 @@ and the parser is built from it (a scenario in `config.NOGO_SCENARIOS`
 is a `nogo` subcommand, any other a `sim` one); when the arguments name
 a subcommand, only its parser is built.  A runner runs its scenario,
 writes its own tables and returns its results tree, its checks and the
-files it wrote.  Every run writes `report.json` and `report.txt`: the
-config echo, the results tree (as `key = value` lines in the text
+files it wrote; one runner serves the three no-go checks.  `cli` decides
+no verdict: `experiments` builds every simulation's checks and `nogo`
+every no-go check's.  Every run writes `report.json` and `report.txt`:
+the config echo, the results tree (as `key = value` lines in the text
 report) and the declared checks, each a value, relation and bound made
 by `config.gate` (one `PASS|FAIL name: value relation bound` line each
 in `report.txt`, the check's `str`); `report.json` also lists the run's
@@ -64,7 +66,6 @@ from .config import (
     canonical_text,
     config_hash,
     default_config,
-    gate,
     parse_config,
     with_overrides,
 )
@@ -79,8 +80,8 @@ def _load_config(args, scenario: str):
 
 # Runners: (cfg, out, chash, dump_frames) -> (results, checks, outputs),
 # outputs being the files the runner wrote, relative to `out`.  A sim
-# runner imports `experiments`, a no-go runner `nogo`, when it runs, so an
-# invocation loads only the modules of its own subcommand.  They look
+# runner imports `experiments`, the no-go runner `nogo`, when it runs, so
+# an invocation loads only the modules of its own subcommand.  They look
 # experiments.*, nogo.* and the writers below up at call time, so wrapping
 # those names (as a tracer does) reaches every run.
 
@@ -133,42 +134,9 @@ def _pointer(cfg, out, chash, dump_frames):
              "statistics": result.statistics._asdict()}, result.checks, ["trials.csv"])
 
 
-def _mermin(cfg, out, chash, dump_frames):
+def _nogo(cfg, out, chash, dump_frames):
     from . import nogo
-    square = nogo.build_mermin_square()
-    identities = nogo.verify_square_identities(square)
-    satisfying = nogo.search_noncontextual_assignment(square, nogo.mermin_constraints())
-    checks = (
-        gate("square_identities", max(residual for _, residual in identities),
-             "<", nogo.IDENTITY_TOL),
-        gate("no_consistent_assignment", satisfying, "==", 0),
-    )
-    return ({"identities": [{"constraint": name, "residual": residual}
-                            for name, residual in identities],
-             "total_assignments": 512,
-             "satisfying_assignments": satisfying}, checks, [])
-
-
-def _vonneumann(cfg, out, chash, dump_frames):
-    from . import nogo
-    sum_eigenvalues, individual_sums, min_gap = nogo.von_neumann_counterexample()
-    check = gate("spectrum_not_additive", abs(min_gap - (2.0 - 2.0**0.5)),
-                 "<", nogo.IDENTITY_TOL)
-    return ({"sum_eigenvalues": sum_eigenvalues, "individual_sums": individual_sums,
-             "min_gap": min_gap}, (check,), [])
-
-
-def _chsh(cfg, out, chash, dump_frames):
-    from . import nogo
-    local_max, optimal = nogo.chsh_local_bound()
-    quantum = nogo.chsh_quantum_value()
-    checks = (
-        gate("local_bound_is_two", local_max, "==", 2.0),
-        gate("quantum_value", abs(quantum - 2 * 2**0.5), "<", nogo.QUANTUM_TOL),
-        gate("quantum_exceeds_local", local_max, "<", quantum),
-    )
-    return ({"local_max_S": local_max, "optimal_strategy_count": optimal,
-             "quantum_value": quantum}, checks, [])
+    return (*getattr(nogo, cfg.scenario)(), [])
 
 
 # scenario -> (runner, honours --dump-frames)
@@ -178,9 +146,9 @@ SCENARIOS = {
     "no_crossing": (_no_crossing, False),
     "equilibrium": (_equilibrium, True),
     "pointer": (_pointer, False),
-    "mermin": (_mermin, False),
-    "vonneumann": (_vonneumann, False),
-    "chsh": (_chsh, False),
+    "mermin": (_nogo, False),
+    "vonneumann": (_nogo, False),
+    "chsh": (_nogo, False),
 }
 
 

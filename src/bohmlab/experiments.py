@@ -130,6 +130,23 @@ def stern_gerlach(config: ExperimentConfig) -> SternGerlachResult:
                               detection_time=flight, branches=branches, checks=checks)
 
 
+# the rotation n_hat, theta taking each lab axis to z: about (axis x z_hat)
+# by arccos(axis . z_hat), so z is not rotated
+_TO_Z = {"x": ((0.0, -1.0, 0.0), math.pi / 2), "y": ((1.0, 0.0, 0.0), math.pi / 2),
+         "z": ((0.0, 0.0, 1.0), 0.0)}
+
+
+def spin_rotation(axis: str) -> np.ndarray:
+    """Unitary U with U sigma_axis U^dagger = sigma_z for axis 'x', 'y' or
+    'z': the rotation by theta about n_hat of `_TO_Z`,
+    cos(theta/2) I - i sin(theta/2) n_hat . sigma."""
+    from .hilbert import pauli      # no other scenario reads the Pauli table
+    n_hat, theta = _TO_Z[axis]
+    sx, sy, sz = (np.array(pauli(k)) for k in "xyz")
+    n_sigma = n_hat[0] * sx + n_hat[1] * sy + n_hat[2] * sz
+    return np.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2) * n_sigma
+
+
 class SequentialResult(namedtuple("SequentialResult", "stage_statistics outcomes checks")):
     """outcomes is (n_trials, n_stages): 0 = up, 1 = down, -1 = aborted at
     this or an earlier stage."""
@@ -147,7 +164,6 @@ def sequential(config: ExperimentConfig) -> SequentialResult:
     trial whose trajectory aborts takes no later stage, and each stage's
     statistics count its surviving trials only.
     """
-    from .hilbert import spin_rotation      # no other scenario rotates the spin basis
     n = config.n_trials
     outcomes = np.zeros((n, len(config.axes)), dtype=int)
     # branches: (spin state in the fixed lab basis, Born weight, trial ids)

@@ -1,11 +1,9 @@
 """Spin-1/2 operators: the Pauli table, the arithmetic the no-go checks do
-with it, Hermitian spectra (one cyclic Jacobi algorithm for every size),
-and the rotation that takes a lab axis x, y or z to z.
+with it, and Hermitian spectra (one cyclic Jacobi algorithm for every size).
 
 An operator is a tuple of rows of Python `complex`.  The no-go operators are
 2x2 and 4x4 with entries 0, +-1, +-i and +-1/sqrt(2), so this arithmetic is
-exact up to double-precision rounding and a no-go run never imports numpy.
-`spin_rotation`, which only the simulations call, returns an ndarray.
+exact up to double-precision rounding, and the module never imports numpy.
 """
 
 from __future__ import annotations
@@ -87,20 +85,3 @@ def hermitian_eigenvalues(a) -> tuple:
             a[p][q] = a[q][p] = 0j
     return tuple(sorted(a[k][k].real for k in range(n)))
 
-
-# the rotation n_hat, theta taking each lab axis to z: about (axis x z_hat)
-# by arccos(axis . z_hat), so z is not rotated
-_TO_Z = {"x": ((0.0, -1.0, 0.0), math.pi / 2), "y": ((1.0, 0.0, 0.0), math.pi / 2),
-         "z": ((0.0, 0.0, 1.0), 0.0)}
-
-
-def spin_rotation(axis: str):
-    """Unitary U (a complex ndarray) with U sigma_axis U^dagger = sigma_z for
-    axis 'x', 'y' or 'z': the rotation by theta about n_hat of `_TO_Z`,
-    cos(theta/2) I - i sin(theta/2) n_hat . sigma."""
-    import numpy as np
-
-    n_hat, theta = _TO_Z[axis]
-    sx, sy, sz = (np.array(_PAULI[k]) for k in "xyz")
-    n_sigma = n_hat[0] * sx + n_hat[1] * sy + n_hat[2] * sz
-    return np.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2) * n_sigma

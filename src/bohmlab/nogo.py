@@ -7,12 +7,16 @@ than algebra on paper:
   observables are not sums of their eigenvalues;
 * the two-qubit magic square: nine +-1-valued observables whose row and
   column product identities admit no context-independent value
-  assignment (checked by exhaustive search over all 512 assignments);
+  assignment (checked by exhaustive search over all 2**9 assignments);
   its six contexts and their signs are stated once, in
   `mermin_constraints`;
 * the CHSH correlation bound: deterministic local strategies reach at
   most S = 2 (checked by enumerating all 16 of them), while the quantum
   operator reaches 2*sqrt(2).
+
+`mermin()`, `vonneumann()` and `chsh()` run one check each and return
+its results tree and its `config.gate` checks, whose expected values and
+tolerances are the constants below.
 """
 
 from __future__ import annotations
@@ -22,10 +26,15 @@ import itertools
 import math
 from collections import namedtuple
 
+from .config import gate
 from .hilbert import combine, hermitian_eigenvalues, identity, kron, matmul, norm, pauli
 
 IDENTITY_TOL = 1e-12        # of an operator identity, and of the von Neumann gap
 QUANTUM_TOL = 1e-9          # of the CHSH quantum value from 2*sqrt(2)
+ASSIGNMENTS = 2**9          # +-1 value tables of the magic square's nine cells
+VON_NEUMANN_GAP = 2.0 - 2.0**0.5    # the least distance of the two spectra
+LOCAL_BOUND = 2.0           # the best S of a deterministic local strategy
+QUANTUM_VALUE = 2 * 2**0.5  # the largest eigenvalue of the CHSH operator
 
 
 class ObservableSquare(namedtuple("ObservableSquare", "cells labels")):
@@ -116,28 +125,18 @@ def verify_square_identities(square: ObservableSquare) -> list[tuple]:
 
 def search_noncontextual_assignment(square: ObservableSquare,
                                     constraints: list[ContextConstraint]) -> int:
-    """How many of the 2^9 = 512 +-1 assignments satisfy the constraints,
-    by exhaustive search."""
+    """How many of the ASSIGNMENTS +-1 value tables satisfy the
+    constraints, by exhaustive search."""
     for r in range(3):
         for c in range(3):
             eigs = hermitian_eigenvalues(square.cell(r, c))
             if any(abs(abs(e) - 1.0) > 1e-10 for e in eigs):
                 raise ValueError(f"cell {(r, c)} does not have a +-1 spectrum")
 
-    count = 0
-    for bits in itertools.product((+1, -1), repeat=9):
-        values = {(r, c): bits[3 * r + c] for r in range(3) for c in range(3)}
-        ok = True
-        for con in constraints:
-            prod = 1
-            for idx in con.member_indices:
-                prod *= values[idx]
-            if prod != con.required_product_sign:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    # bits[3 * r + c] is the value of cell (r, c)
+    return sum(all(math.prod(bits[3 * r + c] for r, c in con.member_indices)
+                   == con.required_product_sign for con in constraints)
+               for bits in itertools.product((+1, -1), repeat=9))
 
 
 def von_neumann_counterexample() -> tuple:
@@ -177,3 +176,38 @@ def chsh_quantum_value() -> float:
     b2 = combine((r, pauli("z")), (-r, pauli("x")))
     op = combine((1, kron(a, b)), (1, kron(a, b2)), (1, kron(a2, b)), (-1, kron(a2, b2)))
     return hermitian_eigenvalues(op)[-1]
+
+
+def mermin() -> tuple:
+    """The magic square: its 24 identities hold, and no value table meets its six signs."""
+    square = build_mermin_square()
+    identities = verify_square_identities(square)
+    satisfying = search_noncontextual_assignment(square, mermin_constraints())
+    return ({"identities": [{"constraint": name, "residual": residual}
+                            for name, residual in identities],
+             "total_assignments": ASSIGNMENTS,
+             "satisfying_assignments": satisfying},
+            (gate("square_identities", max(residual for _, residual in identities),
+                  "<", IDENTITY_TOL),
+             gate("no_consistent_assignment", satisfying, "==", 0)))
+
+
+def vonneumann() -> tuple:
+    """The linearity counterexample: the spectra stand VON_NEUMANN_GAP apart."""
+    sum_eigenvalues, individual_sums, min_gap = von_neumann_counterexample()
+    return ({"sum_eigenvalues": sum_eigenvalues, "individual_sums": individual_sums,
+             "min_gap": min_gap},
+            (gate("spectrum_not_additive", abs(min_gap - VON_NEUMANN_GAP),
+                  "<", IDENTITY_TOL),))
+
+
+def chsh() -> tuple:
+    """The CHSH bounds: local strategies reach LOCAL_BOUND, the quantum
+    operator QUANTUM_VALUE, which exceeds it."""
+    local_max, optimal = chsh_local_bound()
+    quantum = chsh_quantum_value()
+    return ({"local_max_S": local_max, "optimal_strategy_count": optimal,
+             "quantum_value": quantum},
+            (gate("local_bound_is_two", local_max, "==", LOCAL_BOUND),
+             gate("quantum_value", abs(quantum - QUANTUM_VALUE), "<", QUANTUM_TOL),
+             gate("quantum_exceeds_local", local_max, "<", quantum)))

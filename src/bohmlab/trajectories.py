@@ -236,7 +236,8 @@ def equilibrium_distance(ensemble: Ensemble, frame_index: int, field_at_frame: S
     pos = np.sort(ensemble.positions[:, frame_index], kind="stable")
     n = np.count_nonzero(np.isfinite(pos))
     if n == 0:
-        raise ValueError("no surviving trajectories at this frame")
+        raise ValueError(f"no surviving trajectories at frame {frame_index} "
+                         f"(t = {ensemble.frame_times[frame_index]:g})")
     grid = field_at_frame.grid
     edges = np.linspace(grid.x_min, grid.x_max, bins + 1)
     # np.histogram's count on sorted positions: every bin is closed on the

@@ -14,7 +14,7 @@ import pytest
 
 import numpy as np
 
-from bohmlab import cli, experiments, rng
+from bohmlab import cli, experiments, rng, trajectories
 from bohmlab.config import (
     NOGO_SCENARIOS,
     SCENARIO_KEYS,
@@ -28,7 +28,7 @@ from bohmlab.config import (
 )
 
 from bohmlab.conditional import CouplingSpec, run_pointer_measurement
-from bohmlab.serialize import fmt
+from bohmlab.serialize import fmt, json_text
 from bohmlab.trajectories import Ensemble, NoCrossingReport, sample_positions
 from bohmlab.wavefield import Grid1D, SpinorField, gaussian_packet
 
@@ -193,6 +193,16 @@ class TestDispatch:
     @pytest.mark.parametrize("check", ["vonneumann", "chsh"])
     def test_other_nogo_checks_pass(self, tmp_path, check):
         assert run("nogo", check, out=tmp_path / check) == 0
+
+    @pytest.mark.parametrize("check", sorted(NOGO_SCENARIOS))
+    def test_nogo_builds_the_reported_verdicts(self, tmp_path, check):
+        # `nogo` builds each check's results tree and verdicts, keys in order
+        from bohmlab import nogo
+        assert run("nogo", check, out=tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        results, checks = getattr(nogo, check)()
+        assert list(report["results"].items()) == list(json.loads(json_text(results)).items())
+        assert report["checks"] == [json.loads(json_text(c._asdict())) for c in checks]
 
     def test_report_json_keeps_float_type(self, tmp_path):
         assert run("nogo", "chsh", out=tmp_path) == 0
@@ -544,6 +554,56 @@ class TestDispatch:
         stats = results["statistics"]
         assert abs(stats["frequencies"][0] - 0.5) <= stats["three_sigma_halfwidths"][0]
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_frozen_particles_fail_the_first_stage_born_check(self, tmp_path, monkeypatch,
+                                                                 scale, seed):
+        # frozen particles (every velocity times 0) end where they start, half
+        # of them below x = 0: stage 1 (z, p_up = 1) reads f_up ~0.5.  Stage 2
+        # (x, p_up = 0.5) still passes, as does the unscaled control
+        scale_velocities(monkeypatch, scale)
+        status = run("sim", "sequential", "--config", str(CONFIG_DIR / "sequential_zx.cfg"),
+                     "--trajectories", "300", "--seed", str(seed), out=tmp_path / "out")
+        assert status == (1 if scale == 0.0 else 0)
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        verdicts = {c["name"]: c["passed"] for c in checks}
+        assert verdicts == {"branches_separated": True, "no_aborted_trajectories": True,
+                            "stage1_z_born_within_3sigma": scale != 0.0,
+                            "stage2_x_born_within_3sigma": True}
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("scale", [3.0, 1.0])
+    def test_velocities_tripled_fail_no_aborted_trajectories(self, tmp_path, monkeypatch,
+                                                             scale, seed):
+        # three times the guiding velocity throws some trajectories off the
+        # harmonic grid (17 at seed 1, 25 at seed 7); unscaled, none leaves
+        # and the total variation stays below its bound at this size
+        scale_velocities(monkeypatch, scale)
+        status = run("sim", "equilibrium", "--config",
+                     str(CONFIG_DIR / "equilibrium_harmonic.cfg"), "--trajectories", "10000",
+                     "--seed", str(seed), out=tmp_path / "out")
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        (aborted,) = [c for c in checks if c["name"] == "no_aborted_trajectories"]
+        if scale == 1.0:
+            assert status == 0 and all(c["passed"] for c in checks)
+        else:
+            assert status == 1 and not aborted["passed"] and aborted["value"] > 0
+
+    @pytest.mark.parametrize("config", ["equilibrium_free", "equilibrium_harmonic"])
+    def test_a_frame_every_trajectory_has_left_is_named(self, tmp_path, capsys, monkeypatch,
+                                                        config):
+        # ten times the guiding velocity throws every trajectory off the grid
+        # before the last frame: the run exits 2, naming the first such frame
+        # and its time, and leaves both reports empty
+        scale_velocities(monkeypatch, 10.0)
+        out = tmp_path / "out"
+        assert run("sim", "equilibrium", "--config", str(CONFIG_DIR / f"{config}.cfg"),
+                   "--trajectories", "10000", "--seed", "1", out=out) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"error: no surviving trajectories at frame \d+ \(t = [0-9.e+-]+\)",
+                            err), err
+        assert [(out / name).read_bytes() for name in ("report.json", "report.txt")] == [b"", b""]
+
     @pytest.mark.parametrize("subcommand", ["sim mermin", "sim stern_gerlach",
                                             "nogo stern-gerlach", "nogo bogus"])
     def test_subcommand_outside_the_table_fails(self, tmp_path, capsys, subcommand):
@@ -552,6 +612,13 @@ class TestDispatch:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def scale_velocities(monkeypatch, scale):
+    """Move every trajectory at `scale` times its guiding velocity."""
+    velocity_field = trajectories.velocity_field
+    monkeypatch.setattr(trajectories, "velocity_field",
+                        lambda field: scale * velocity_field(field))
 
 
 def subcommands(parser):

@@ -5,8 +5,7 @@ import pytest
 
 from bohmlab import cli, experiments
 from bohmlab.config import ConfigError, default_config
-from bohmlab.experiments import detection_time, measurement_statistics
-from bohmlab.hilbert import spin_rotation
+from bohmlab.experiments import detection_time, measurement_statistics, spin_rotation
 from bohmlab.trajectories import Ensemble, sample_positions, integrate
 from bohmlab.wavefield import (
     DEFLECTION_WIDTH,

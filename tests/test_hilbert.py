@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bohmlab import hilbert
-from bohmlab.hilbert import hermitian_eigenvalues, spin_rotation
+from bohmlab.experiments import spin_rotation
+from bohmlab.hilbert import hermitian_eigenvalues
 
 SQRT2 = np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)

@@ -454,6 +454,17 @@ class TestEquilibriumDistance:
             assert np.array_equal(comp.bin_edges, edges)
             assert np.array_equal(comp.empirical_mass, histogram_mass(positions[:, i], edges))
 
+    def test_a_frame_without_survivors_is_named(self, grid512):
+        # every trajectory has left the grid by frame 2: the error names
+        # that frame and its time, and the frames before it still compare
+        f = analytic_free_gaussian(grid512, 1.0, 0.0)
+        positions = np.array([[0.0, 1.0, np.nan], [0.5, np.nan, np.nan]])
+        ens = Ensemble(frame_times=np.array([0.0, 0.25, 0.5]), positions=positions)
+        equilibrium_distance(ens, 1, f, 16)
+        with pytest.raises(ValueError,
+                           match=r"^no surviving trajectories at frame 2 \(t = 0\.5\)$"):
+            equilibrium_distance(ens, 2, f, 16)
+
     def test_requires_enough_bins(self, grid512):
         f = analytic_free_gaussian(grid512, 1.0, 0.0)
         ens = Ensemble(frame_times=np.array([0.0]),
